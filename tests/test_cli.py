@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -87,6 +89,18 @@ class TestCommands:
         payload = json.loads(read(out / "eigen.json"))
         assert abs(payload["lambda0"] - math.pi**2 / 8.0) < 1e-4
         assert (out / "eta.csv").exists() and (out / "alpha.csv").exists()
+
+    def test_artifact_mode_follows_umask(self, tmp_path):
+        out = tmp_path / "eig"
+        old = os.umask(0o022)
+        try:
+            code = run(["eigen", "--example", "brownian", "--n", "99",
+                        "--output", str(out)])
+        finally:
+            os.umask(old)
+        assert code == 0
+        for name in ("eigen.json", "eta.csv", "alpha.csv"):
+            assert stat.S_IMODE(os.stat(out / name).st_mode) == 0o666 & ~0o022
 
     def test_rates_shifted_power(self, tmp_path):
         out = tmp_path / "rates"

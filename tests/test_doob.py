@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from scipy.linalg import expm
 
 from qsdlab.doob import (
     FlowError,
+    _cn_run,
     beta_measure,
     checkpoint_residual,
     chi2_decay_curve,
@@ -17,11 +19,88 @@ from qsdlab.doob import (
 )
 from qsdlab.grid_measure import GridMeasure, build_grid, chi2_divergence, tilt, tv_distance
 from qsdlab.potential import zero_potential
-from qsdlab.spectral import assemble_generator, qsd_from_eigen, tridiag_apply
+from qsdlab.spectral import assemble_generator, principal_eigenpair, qsd_from_eigen, tridiag_apply
 
 
 def transformed_apply(tilde, f):
     return tridiag_apply(tilde.diag, tilde.off_upper, tilde.off_lower, f)
+
+
+def dense_cn(diag, off_upper, off_lower, m0, duration, dt, shift=0.0, startup=True):
+    """The stepper's scheme with dense solves: four implicit-Euler
+    quarter-steps for each of the first two steps, then Crank-Nicolson."""
+    steps = max(1, math.ceil(duration / dt))
+    step = duration / steps
+    # measure side: the transpose of the operator acting on functions
+    gen = np.diag(diag + shift) + np.diag(off_lower, 1) + np.diag(off_upper, -1)
+    eye = np.eye(diag.size)
+    m = m0.copy()
+    for k in range(steps):
+        if startup and k < 2:
+            for _ in range(4):
+                m = np.linalg.solve(eye - 0.25 * step * gen, m)
+        else:
+            m = np.linalg.solve(eye - 0.5 * step * gen, (eye + 0.5 * step * gen) @ m)
+    ratio = m.sum() / m0.sum()
+    return m / ratio, math.log(ratio)
+
+
+class TestStepper:
+    @pytest.fixture(scope="class")
+    def small(self):
+        g = build_grid(-1.0, 1.0, 50)
+        op = assemble_generator(zero_potential(domain=(-1, 1)), g)
+        mu = GridMeasure(g, np.exp(-((g.nodes - 0.3) ** 2) / 0.08))
+        return op, principal_eigenpair(op), mu
+
+    def test_markovian_run_matches_dense_scheme(self, small):
+        op, eigen, mu = small
+        tilde = doob_generator(op, eigen)
+        nu = tilt(eigen.eta, mu)
+        bands = (tilde.diag, tilde.off_upper, tilde.off_lower, nu.density, 1.3, 0.04)
+        m, log_mass = _cn_run(*bands, conserve=True)
+        ref, ref_log = dense_cn(*bands)
+        assert np.max(np.abs(m - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert abs(log_mass - ref_log) <= 1e-12
+
+    def test_shifted_flow_curve_matches_dense_scheme(self, small):
+        op, eigen, mu = small
+        times = [0.0, 0.15, 0.4, 0.4, 1.1, 2.0]
+        dt = 0.03
+        states = flow_curve(op, mu, times, dt, eigen=eigen)
+        m, log_surv, t_prev, startup = mu.density, 0.0, 0.0, True
+        for t, state in zip(times, states):
+            seg = t - t_prev
+            if seg > 0.0:
+                m, log_mass = dense_cn(
+                    op.diag, op.off_upper, op.off_lower, m, seg, dt,
+                    shift=eigen.lambda0, startup=startup,
+                )
+                log_surv += log_mass - eigen.lambda0 * seg
+                startup = False
+            t_prev = t
+            ref = np.clip(m, 0.0, None)
+            got = state.mu_t.density
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(ref)
+            assert state.log_survival == pytest.approx(log_surv, rel=1e-12, abs=1e-15)
+
+    def test_rejects_nonfinite_input(self, brownian, gaussian_measure):
+        tilde = doob_generator(brownian.op, brownian.eigen)
+        nu = gaussian_measure(brownian.grid, 0.2, 0.3)
+        upper = tilde.off_upper.copy()
+        upper[brownian.grid.n // 3] = np.inf
+        with pytest.raises(FlowError, match="non-finite"):
+            evolve_transformed(dataclasses.replace(tilde, off_upper=upper), nu, 0.1, 1e-2)
+        density = nu.density.copy()
+        density[5] = np.nan
+        with pytest.raises(FlowError):
+            _cn_run(tilde.diag, tilde.off_upper, tilde.off_lower, density, 0.1, 1e-2)
+
+    def test_rejects_singular_stepper(self):
+        # 1 - (dt/2) * (2/dt) is exactly zero: the CN matrix has a zero pivot
+        with pytest.raises(FlowError, match="singular"):
+            _cn_run(np.full(5, 4.0), np.zeros(4), np.zeros(4), np.ones(5), 0.5, 0.5,
+                    startup=False)
 
 
 class TestDoobGenerator:
@@ -98,8 +177,6 @@ class TestEvolveTransformed:
             evolve_transformed(tilde, nu, 1.0, 0.0)
 
     def test_mass_conserved_before_normalization(self, brownian, gaussian_measure):
-        from qsdlab.doob import _cn_run
-
         tilde = doob_generator(brownian.op, brownian.eigen)
         nu = gaussian_measure(brownian.grid, 0.2, 0.3)
         _, log_mass = _cn_run(
