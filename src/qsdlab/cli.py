@@ -205,9 +205,10 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def _write_csv(path: str, header: str, rows) -> None:
+    """Write one line per row, one value per header column, at 17 digits."""
+    fmt = ",".join(["{:.17g}"] * (header.count(",") + 1))
     lines = [header]
-    for row in rows:
-        lines.append(",".join(f"{v:.17g}" for v in row))
+    lines.extend(fmt.format(*row) for row in rows)
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -330,8 +331,8 @@ def _cmd_simulate(config: RunConfig, outdir: str) -> None:
     )
     ensemble = montecarlo.simulate(sim, mu)
     _write_csv(os.path.join(outdir, "survival.csv"),
-               "t,alive_fraction,log_survival", ensemble.survival_curve)
-    rows = [(float(i), *row) for i, row in enumerate(ensemble.positions)]
+               "t,alive_fraction,log_survival", ensemble.survival_curve.tolist())
+    rows = [(i, *row) for i, row in enumerate(ensemble.positions.tolist())]
     header = "particle_id," + ",".join(f"x{j+1}" for j in range(ensemble.positions.shape[1] if ensemble.positions.size else 1))
     _write_csv(os.path.join(outdir, "positions.csv"), header, rows)
     if ensemble.status != "ok":

@@ -7,18 +7,19 @@ Brownian-bridge exit correction, so survival carries the known O(sqrt(dt))
 monitoring bias; dt is exposed for that reason.
 
 Randomness is drawn from counter-based Philox streams keyed by
-``(seed, step index)`` with a fixed draw order per step, so results are a pure
-function of the configuration and never depend on how the update work is
-chunked across threads.  The optional Fleming-Viot-style resampling restarts
-absorbed particles at a uniformly chosen survivor and accumulates the
-log survival estimate; its output is meant for exit-rate estimation only.
+``(seed, step index)``, so results are a pure function of the configuration.
+Step k draws one standard normal per surviving particle and coordinate, as a
+``(survivors, coordinates)`` block with the survivors in particle-index order;
+absorbed particles are dropped from the ensemble and draw nothing.  The
+optional Fleming-Viot-style resampling restarts absorbed particles at a
+uniformly chosen survivor, drawn from the same step stream after the normals,
+and accumulates the log survival estimate; its output is meant for exit-rate
+estimation only.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,18 +36,9 @@ __all__ = [
     "sample_measure",
     "save_survival_csv",
     "save_positions_csv",
-    "mc_threads",
 ]
 
 _KEY_MASK = (1 << 64) - 1
-
-
-def mc_threads() -> int:
-    """Worker cap for the particle update, from QSD_LAB_THREADS (default 1)."""
-    try:
-        return max(1, int(os.environ.get("QSD_LAB_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -125,21 +117,6 @@ def sample_measure(measure, n: int, rng: np.random.Generator) -> np.ndarray:
     return np.clip(x, grid.x_min + eps, grid.x_max - eps)[:, None]
 
 
-def _drift_chunked(specs, x: np.ndarray, out: np.ndarray, threads: int) -> None:
-    """Write -(1/2) V' per coordinate into ``out`` (chunked when threads > 1)."""
-    def work(lo, hi):
-        for j, (spec, _) in enumerate(specs):
-            out[lo:hi, j] = -0.5 * np.asarray(evaluate(spec, x[lo:hi, j])[1])
-
-    n = x.shape[0]
-    if threads <= 1 or n < 4096:
-        work(0, n)
-        return
-    bounds = np.linspace(0, n, threads + 1, dtype=int)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(lambda se: work(*se), zip(bounds[:-1], bounds[1:])))
-
-
 def simulate(config: SimConfig, initial_sampler, record_every: int = 1) -> ParticleEnsemble:
     """Run the absorbed Euler-Maruyama scheme from a sampled initial law."""
     coords = config.coordinates()
@@ -150,7 +127,6 @@ def simulate(config: SimConfig, initial_sampler, record_every: int = 1) -> Parti
         raise ValueError("horizon shorter than one step")
     dt = config.horizon / steps
     sqdt = math.sqrt(dt)
-    threads = mc_threads()
 
     rng0 = _step_rng(config.seed, 0)
     x = sample_measure(initial_sampler, n, rng0)
@@ -160,7 +136,7 @@ def simulate(config: SimConfig, initial_sampler, record_every: int = 1) -> Parti
         if np.any(x[:, j] <= lo) or np.any(x[:, j] >= hi):
             raise ValueError("initial measure must be supported inside the open domain")
 
-    alive = np.ones(n, dtype=bool)
+    # x holds the survivors only, in particle-index order
     log_surv = 0.0
     history = [(0.0, 1.0, 0.0)]
     status = "ok"
@@ -168,49 +144,41 @@ def simulate(config: SimConfig, initial_sampler, record_every: int = 1) -> Parti
 
     for k in range(1, steps + 1):
         rng = _step_rng(config.seed, k)
-        xi = rng.standard_normal((n, d))
-        idx = np.flatnonzero(alive)
-        xa = x[idx]
-        drift_a = np.zeros_like(xa)
-        _drift_chunked(coords, xa, drift_a, threads)
-        xa = xa + drift_a * dt + sqdt * xi[idx]
-        x[idx] = xa
+        m = x.shape[0]
+        xi = rng.standard_normal((m, d))
+        drift = np.empty_like(x)
+        for j, (spec, _) in enumerate(coords):
+            drift[:, j] = -0.5 * np.asarray(evaluate(spec, x[:, j])[1])
+        x = x + drift * dt + sqdt * xi
 
-        exited = np.zeros(len(idx), dtype=bool)
+        exited = np.zeros(m, dtype=bool)
         for j, (_, (lo, hi)) in enumerate(coords):
-            exited |= (xa[:, j] <= lo) | (xa[:, j] >= hi)
-        alive[idx[exited]] = False
+            exited |= (x[:, j] <= lo) | (x[:, j] >= hi)
+        n_alive = m - int(np.count_nonzero(exited))
         t = k * dt
 
-        n_alive = int(alive.sum())
+        if n_alive == 0:
+            status = "all_absorbed"
+            log_surv = -math.inf
+            x = x[:0]
+            history.append((t, 0.0, log_surv))
+            break
         if config.resample:
-            frac = n_alive / len(idx) if len(idx) else 0.0
-            if n_alive == 0:
-                status = "all_absorbed"
-                log_surv = -math.inf
-                history.append((t, 0.0, log_surv))
-                break
-            log_surv += math.log(frac)
-            dead = np.flatnonzero(~alive)
+            log_surv += math.log(n_alive / m)
+            dead = np.flatnonzero(exited)
             if dead.size:
-                donors = rng.choice(np.flatnonzero(alive), size=dead.size)
-                x[dead] = x[donors]
-                alive[dead] = True
-                n_alive = n
+                x[dead] = x[rng.choice(np.flatnonzero(~exited), size=dead.size)]
         else:
-            log_surv = math.log(n_alive / n) if n_alive else -math.inf
-            if n_alive == 0:
-                status = "all_absorbed"
-                history.append((t, 0.0, log_surv))
-                break
+            if n_alive < m:
+                x = x[~exited]
+            log_surv = math.log(n_alive / n)
 
         if k % record_every == 0 or k == steps:
-            history.append((t, n_alive / n, log_surv))
+            history.append((t, x.shape[0] / n, log_surv))
 
-    positions = x[alive]
     return ParticleEnsemble(
-        positions=positions,
-        alive_count=int(alive.sum()),
+        positions=x,
+        alive_count=x.shape[0],
         t=t,
         initial_count=n,
         log_survival_estimate=log_surv,
@@ -276,7 +244,7 @@ def estimate_lambda0(survival_curve: np.ndarray, window: tuple[float, float] = N
 def save_survival_csv(ensemble: ParticleEnsemble, path) -> None:
     """Write the survival history as CSV ``t,alive_fraction,log_survival``."""
     lines = ["t,alive_fraction,log_survival"]
-    for t, frac, ls in ensemble.survival_curve:
+    for t, frac, ls in ensemble.survival_curve.tolist():
         lines.append(f"{t:.17g},{frac:.17g},{ls:.17g}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -286,8 +254,9 @@ def save_positions_csv(ensemble: ParticleEnsemble, path) -> None:
     """Write final positions as CSV ``particle_id,x1[,x2,...]``."""
     d = ensemble.positions.shape[1] if ensemble.positions.size else 1
     header = "particle_id," + ",".join(f"x{j + 1}" for j in range(d))
+    fmt = "{}," + ",".join(["{:.17g}"] * d)
     lines = [header]
-    for i, row in enumerate(ensemble.positions):
-        lines.append(f"{i}," + ",".join(f"{v:.17g}" for v in row))
+    for i, row in enumerate(ensemble.positions.tolist()):
+        lines.append(fmt.format(i, *row))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

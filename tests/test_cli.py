@@ -6,7 +6,7 @@ import stat
 import numpy as np
 import pytest
 
-from qsdlab.cli import DEFAULTS, RunConfig, parse_config_file, run, validate
+from qsdlab.cli import DEFAULTS, RunConfig, _write_csv, parse_config_file, run, validate
 
 
 def read(path):
@@ -78,6 +78,31 @@ class TestConfigFile:
                     "--output", str(out)])
         assert code == 1
         assert not out.exists()
+
+
+class TestCsvWriter:
+    def test_bytes_match_per_value_join(self, tmp_path):
+        def per_value(header, rows):
+            lines = [header] + [",".join(f"{v:.17g}" for v in row) for row in rows]
+            return "\n".join(lines) + "\n"
+
+        mixed = [
+            (0, 1.5, np.float64(-2.25)),
+            (7, -math.inf, math.nan),
+            (0.0, -0.0, 1e-300),
+            (np.float64(1.0) / 3.0, 10**6, np.nextafter(1.0, 2.0)),
+        ]
+        _write_csv(str(tmp_path / "mixed.csv"), "a,b,c", mixed)
+        assert read(tmp_path / "mixed.csv") == per_value("a,b,c", mixed)
+
+        # the simulate command's position rows: int ids from tolist() against
+        # the float ids and numpy rows written before
+        positions = np.array([[0.5, -0.25], [1e-300, -0.0], [-1.0 / 3.0, 2.0**-60]])
+        header = "particle_id,x1,x2"
+        _write_csv(str(tmp_path / "positions.csv"), header,
+                   [(i, *row) for i, row in enumerate(positions.tolist())])
+        expected = per_value(header, [(float(i), *row) for i, row in enumerate(positions)])
+        assert read(tmp_path / "positions.csv") == expected
 
 
 class TestCommands:

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from qsdlab.doob import conditioned_flow, default_dt
-from qsdlab.grid_measure import build_grid, regrid, tv_distance
+from qsdlab.grid_measure import ProductGridMeasure, build_grid, regrid, tv_distance
 from qsdlab.montecarlo import (
     ParticleEnsemble,
     SimConfig,
+    _step_rng,
     conditioned_empirical,
     estimate_lambda0,
     sample_measure,
@@ -16,7 +17,7 @@ from qsdlab.montecarlo import (
     save_survival_csv,
     simulate,
 )
-from qsdlab.potential import quadratic_potential, zero_potential
+from qsdlab.potential import evaluate, quadratic_potential, zero_potential
 
 
 def brownian_config(**kw):
@@ -80,6 +81,74 @@ class TestDeterminism:
                 os.environ["QSD_LAB_THREADS"] = before
         assert np.array_equal(a.positions, b.positions)
         assert a.alive_count == b.alive_count
+
+
+def reference_simulate(cfg, mu, record_every=1):
+    """Plain loop of the documented scheme on a full-size array with an alive
+    mask: step k draws one normal per survivor and coordinate, survivors in
+    particle-index order, then resampling draws its donors."""
+    coords = cfg.coordinates()
+    d = len(coords)
+    n = cfg.n_particles
+    steps = int(round(cfg.horizon / cfg.dt))
+    dt = cfg.horizon / steps
+    sqdt = math.sqrt(dt)
+    x = sample_measure(mu, n, _step_rng(cfg.seed, 0))
+    alive = np.ones(n, dtype=bool)
+    log_surv = 0.0
+    history = [(0.0, 1.0, 0.0)]
+    for k in range(1, steps + 1):
+        rng = _step_rng(cfg.seed, k)
+        idx = np.flatnonzero(alive)
+        xi = rng.standard_normal((idx.size, d))
+        xa = x[idx]
+        drift = np.empty_like(xa)
+        for j, (spec, _) in enumerate(coords):
+            drift[:, j] = -0.5 * np.asarray(evaluate(spec, xa[:, j])[1])
+        xa = xa + drift * dt + sqdt * xi
+        x[idx] = xa
+        for j, (_, (lo, hi)) in enumerate(coords):
+            alive[idx[(xa[:, j] <= lo) | (xa[:, j] >= hi)]] = False
+        n_alive = int(alive.sum())
+        assert n_alive > 0, "reference covers runs with survivors only"
+        if cfg.resample:
+            log_surv += math.log(n_alive / idx.size)
+            dead = np.flatnonzero(~alive)
+            if dead.size:
+                x[dead] = x[rng.choice(np.flatnonzero(alive), size=dead.size)]
+                alive[dead] = True
+        else:
+            log_surv = math.log(n_alive / n)
+        if k % record_every == 0 or k == steps:
+            history.append((k * dt, int(alive.sum()) / n, log_surv))
+    return x[alive], np.array(history)
+
+
+class TestDrawLayout:
+    @pytest.mark.parametrize("case", ["absorb-1d", "absorb-product", "resample"])
+    def test_matches_reference_loop(self, case, uniform_measure, gaussian_measure):
+        g = build_grid(-1.0, 1.0, 100)
+        record_every = 1
+        if case == "absorb-1d":
+            cfg = brownian_config(n_particles=300, horizon=0.3, seed=17)
+            mu = uniform_measure(g)
+        elif case == "absorb-product":
+            cfg = SimConfig(spec=[zero_potential(domain=(-1, 1)), quadratic_potential(1.0)],
+                            domain=[(-1.0, 1.0), (0.0, math.inf)],
+                            dt=1e-3, horizon=0.3, n_particles=300, seed=18)
+            mu = ProductGridMeasure((uniform_measure(g),
+                                     gaussian_measure(build_grid(0.0, 6.0, 100), 1.0, 0.5)))
+        else:
+            cfg = brownian_config(n_particles=300, horizon=0.3, seed=19, resample=True)
+            mu = uniform_measure(g)
+            record_every = 7
+        ens = simulate(cfg, mu, record_every=record_every)
+        positions, curve = reference_simulate(cfg, mu, record_every=record_every)
+        if not cfg.resample:
+            assert 0 < ens.alive_count < cfg.n_particles
+        assert ens.alive_count == positions.shape[0]
+        assert np.array_equal(ens.positions, positions)
+        assert np.array_equal(ens.survival_curve, curve)
 
 
 class TestSurvival:
