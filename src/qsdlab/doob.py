@@ -3,11 +3,15 @@
 The transform conjugates the absorbed generator by the principal eigenfunction,
 ``Ltilde f = (1/eta) (L + lambda0) (eta f)``, producing a mass-conserving
 generator whose invariant measure is beta = eta^2 * gamma.  Evolution runs on
-the measure (adjoint) side with Crank-Nicolson steps: each segment factors
-its tridiagonal stepper matrix once with LAPACK ``gttrf``, and every step is
-one ``gttrs`` solve with those factors.  The off-diagonal rows are obtained
-from the operator rows by transposition, which keeps the discrete duality
-exact.
+the measure (adjoint) side with Crank-Nicolson steps.  Both generators are
+reversible (the absorbed one in L2(gamma), the transformed one in L2(beta)),
+so the measure-side matrix M is similar to a symmetric S = D^-1 M D with a
+positive diagonal D (sqrt(gamma), resp. sqrt(beta), up to a constant).  The
+stepper runs in w = D^-1 m: each segment factors the symmetric positive
+definite I - aS once with LAPACK ``pttrf`` (LDL^T, no pivoting), and every
+step is one ``pttrs`` solve with those factors.  The off-diagonal rows are
+obtained from the operator rows by transposition, which keeps the discrete
+duality exact.
 
 The conditioned semigroup is evolved with the same stepper applied to the
 sub-Markovian generator.  Supplying the eigenpair shifts the generator by
@@ -24,7 +28,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .grid_measure import GridMeasure, chi2_divergence, tilt, tv_distance
 from .spectral import EigenPair, TridiagonalOperator
@@ -109,29 +113,53 @@ def default_dt(grid, lambda0: float = None) -> float:
     return dt
 
 
-def _cn_factors(diag, off_upper, off_lower, a, shift):
-    """LAPACK ``gttrf`` factors of I - a M, M = Lt + shift, for ``gttrs`` solves.
+def _symmetric_bands(off_upper, off_lower):
+    """Scaling d and off band s of S = D^-1 M D, M the measure-side matrix.
 
-    The stepper acts on the measure side, so M is the transpose of the
-    operator acting on functions: the upper band of M is the lower band of the
-    operator and vice versa.  ``gttrs`` does not check its input, so
-    non-finite bands are rejected here.
+    M's sub band is ``off_upper`` and its super band ``off_lower`` (the
+    transpose of the operator acting on functions).  With
+    d_{i+1}/d_i = sqrt(off_upper_i / off_lower_i), S is symmetric with off
+    band sqrt(off_upper * off_lower) and the diagonal of M.  d is built in
+    the log domain and centered, so a weight spanning many decades neither
+    overflows nor underflows; equal bands (both zero included) give ratio 1.
     """
-    bands = (-a * off_upper, 1.0 - a * (diag + shift), -a * off_lower)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        log_ratio = 0.5 * (np.log(off_upper) - np.log(off_lower))
+        log_ratio[off_upper == off_lower] = 0.0
+        log_d = np.concatenate(([0.0], np.cumsum(log_ratio)))
+        d = np.exp(log_d - 0.5 * (log_d.max() + log_d.min()))
+    if not (np.isfinite(d).all() and d.min() > 0.0):
+        raise FlowError("non-finite generator scaling; the generator must be reversible")
+    return d, np.sqrt(off_upper * off_lower)
+
+
+def _cn_factors(diag, off, a, shift):
+    """LAPACK ``pttrf`` (LDL^T) factors of I - a (S + shift), for ``pttrs`` solves.
+
+    S is the symmetric matrix with bands ``diag`` and ``off`` from
+    `_symmetric_bands`.  ``pttrs`` does not check its input, so non-finite
+    bands are rejected here; a zero or negative pivot (the matrix is not
+    positive definite) is rejected as well.
+    """
+    bands = (1.0 - a * (diag + shift), -a * off)
     if not all(np.isfinite(b).all() for b in bands):
         raise FlowError("non-finite generator band; check the potential and eigenpair")
-    *factors, info = dgttrf(*bands)
+    *factors, info = dpttrf(*bands)
     if info != 0:
-        raise FlowError(f"singular stepper matrix (gttrf info {info}); reduce dt")
+        raise FlowError(f"singular or indefinite stepper matrix (pttrf info {info}); reduce dt")
     return factors
 
 
 def _cn_run(diag, off_upper, off_lower, m0, duration, dt, shift=0.0, conserve=False, startup=True):
     """Run Crank-Nicolson over ``duration``; returns (state, accumulated log mass).
 
-    I - aM, a = step/2, is factored once per call; each step is then one
-    ``gttrs`` solve, y = (I - aM)^-1 m, and m <- 2y - m, which equals
-    (I - aM)^-1 (I + aM) m without the explicit multiply.
+    The steps act on w = m / d, with d and the symmetric bands from
+    `_symmetric_bands`.  I - aS, a = step/2, is factored once per call; each
+    step is then one ``pttrs`` solve, y = (I - aS)^-1 w, and w <- 2y - w,
+    which equals (I - aS)^-1 (I + aS) w without the explicit multiply.  As
+    d > 0, w has the sign of m: the density m = d w is formed for the
+    negativity test only when w has a negative (or NaN) entry, and for the
+    renormalizations the mass is d @ w.
 
     With ``startup`` the first two steps are replaced by implicit-Euler
     quarter-steps (Rannacher smoothing): initial densities need not vanish at
@@ -142,41 +170,46 @@ def _cn_run(diag, off_upper, off_lower, m0, duration, dt, shift=0.0, conserve=Fa
     With ``conserve`` the mass is checked to stay within roundoff of its
     initial value before the final normalization (Markovian flows).
     """
-    m = m0.copy()
     log_mass = 0.0
     if duration == 0.0:
-        return m, log_mass
+        return m0.copy(), log_mass
     steps = max(1, math.ceil(duration / dt))
     step = duration / steps
-    cn = _cn_factors(diag, off_upper, off_lower, 0.5 * step, shift)
+    d, off = _symmetric_bands(off_upper, off_lower)
+    cn = _cn_factors(diag, off, 0.5 * step, shift)
+    # halving the pivots (exact) makes each solve return 2y directly
+    cn[0] *= 0.5
     n_startup = min(2, steps) if startup else 0
     if n_startup:
-        ie = _cn_factors(diag, off_upper, off_lower, 0.25 * step, shift)
-    mass0 = float(m.sum())
+        ie = _cn_factors(diag, off, 0.25 * step, shift)
+    mass0 = float(m0.sum())
+    w = m0 / d
     for k in range(steps):
         if k < n_startup:
             for _ in range(4):
-                m, _ = dgttrs(*ie, m)
+                w, _ = dpttrs(*ie, w, overwrite_b=True)
         else:
-            y, _ = dgttrs(*cn, m)
-            y *= 2.0
-            y -= m
-            m = y
-        low = float(m.min())
-        # "not >=" also rejects a NaN density, which every comparison fails
-        if not low >= NEGATIVE_DENSITY_TOL * max(float(m.max()), -low):
-            raise FlowError(
-                f"negative density {low:.3e} after step {k + 1}; reduce dt"
-            )
+            y, _ = dpttrs(*cn, w)
+            y -= w
+            w = y
+        # "not >=" also sends a NaN to the test, which every comparison fails
+        if not w.min() >= 0.0:
+            m = d * w
+            low = float(m.min())
+            if not low >= NEGATIVE_DENSITY_TOL * max(float(m.max()), -low):
+                raise FlowError(
+                    f"negative density {low:.3e} after step {k + 1}; reduce dt"
+                )
         if (k + 1) % RENORM_EVERY == 0:
-            mass = float(m.sum())
+            mass = float(d @ w)
             if mass < MASS_UNDERFLOW:
                 raise FlowError(
                     "total mass underflow; restart the flow from the "
                     "normalized state (semi-flow property)"
                 )
             log_mass += math.log(mass / mass0)
-            m *= mass0 / mass
+            w *= mass0 / mass
+    m = d * w
     mass = float(m.sum())
     log_mass += math.log(mass / mass0)
     m *= mass0 / mass

@@ -18,7 +18,7 @@ from qsdlab.doob import (
     flow_curve,
 )
 from qsdlab.grid_measure import GridMeasure, build_grid, chi2_divergence, tilt, tv_distance
-from qsdlab.potential import zero_potential
+from qsdlab.potential import quadratic_potential, shifted_power_potential, zero_potential
 from qsdlab.spectral import assemble_generator, principal_eigenpair, qsd_from_eigen, tridiag_apply
 
 
@@ -96,11 +96,66 @@ class TestStepper:
         with pytest.raises(FlowError):
             _cn_run(tilde.diag, tilde.off_upper, tilde.off_lower, density, 0.1, 1e-2)
 
+    @pytest.fixture(
+        scope="class",
+        params=[(quadratic_potential(1.0), 8.0, 2.0), (shifted_power_potential(3.0), 2.5, 1.0)],
+        ids=["ou", "shifted_power"],
+    )
+    def wide(self, request):
+        # gamma spans many decades (down to 3e-28 on OU, 1e-18 for delta=3),
+        # so an error in the stepper's symmetric scaling shows here; on the
+        # Brownian grid above gamma = 1
+        spec, hi, center = request.param
+        g = build_grid(0.0, hi, 200)
+        op = assemble_generator(spec, g)
+        assert op.gamma_weights.min() < 1e-15 * op.gamma_weights.max()
+        mu = GridMeasure(g, np.exp(-((g.nodes - center) ** 2) / 0.1))
+        return op, principal_eigenpair(op), mu
+
+    def test_wide_weight_shifted_run_matches_dense_scheme(self, wide):
+        op, eigen, mu = wide
+        bands = (op.diag, op.off_upper, op.off_lower, mu.density, 0.6, 0.005)
+        m, log_mass = _cn_run(*bands, shift=eigen.lambda0)
+        ref, ref_log = dense_cn(*bands, shift=eigen.lambda0)
+        assert np.max(np.abs(m - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert abs(log_mass - ref_log) <= 1e-12
+
+    def test_wide_weight_markovian_run_matches_dense_scheme(self, wide):
+        op, eigen, mu = wide
+        tilde = doob_generator(op, eigen)
+        nu = tilt(eigen.eta, mu)
+        bands = (tilde.diag, tilde.off_upper, tilde.off_lower, nu.density, 0.6, 0.005)
+        m, log_mass = _cn_run(*bands, conserve=True)
+        ref, ref_log = dense_cn(*bands)
+        assert np.max(np.abs(m - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert abs(log_mass - ref_log) <= 1e-12
+
     def test_rejects_singular_stepper(self):
         # 1 - (dt/2) * (2/dt) is exactly zero: the CN matrix has a zero pivot
         with pytest.raises(FlowError, match="singular"):
             _cn_run(np.full(5, 4.0), np.zeros(4), np.zeros(4), np.ones(5), 0.5, 0.5,
                     startup=False)
+
+    def test_rejects_indefinite_stepper(self):
+        # diagonal 1 - 0.25 * (-2 + 5.5) = 0.125 > 0 and off-diagonal -0.25:
+        # I - a(S + shift) has a negative eigenvalue and a negative second pivot
+        with pytest.raises(FlowError, match="indefinite"):
+            _cn_run(np.full(5, -2.0), np.ones(4), np.ones(4), np.ones(5), 0.5, 0.5,
+                    shift=5.5, startup=False)
+
+    def test_rejects_negative_density_and_nan_on_wide_weights(self, ou):
+        # gamma spans ~28 decades on this grid: the stepper's variable
+        # m / sqrt(gamma) is rescaled by up to 14 decades against the density
+        # that the relative negativity test reads
+        spike = np.zeros(ou.grid.n)
+        spike[ou.grid.n // 4] = 1.0
+        with pytest.raises(FlowError, match="negative density"):
+            conditioned_flow(ou.op, GridMeasure(ou.grid, spike), 1.0, 0.5, smooth_start=False)
+        density = np.exp(-((ou.grid.nodes - 2.0) ** 2))
+        density[ou.grid.n // 2] = np.nan
+        with pytest.raises(FlowError):
+            _cn_run(ou.op.diag, ou.op.off_upper, ou.op.off_lower, density, 0.1, 1e-2,
+                    shift=ou.lambda0)
 
 
 class TestDoobGenerator:
