@@ -18,7 +18,6 @@ from qsdlab.spectral import (
     eigen_residual,
     principal_eigenpair,
     qsd_from_eigen,
-    spectral_gap,
 )
 
 N = 1.0
@@ -28,8 +27,8 @@ grid = build_grid(-N, N, n)
 spec = zero_potential(domain=(-N, N))
 op = assemble_generator(spec, grid)
 
-lam0, lam1 = spectral_gap(op)
 eigen = principal_eigenpair(op)
+lam0, lam1 = eigen.lambda0, eigen.lambda1
 alpha = qsd_from_eigen(eigen, spec, grid)
 
 cf = closed_form("brownian_hypercube", N=N, n=n)

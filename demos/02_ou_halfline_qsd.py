@@ -13,15 +13,15 @@ import numpy as np
 
 from qsdlab.grid_measure import build_grid
 from qsdlab.potential import be_constant, effective_second_derivative, quadratic_potential
-from qsdlab.spectral import assemble_generator, principal_eigenpair, qsd_from_eigen, spectral_gap
+from qsdlab.spectral import assemble_generator, principal_eigenpair, qsd_from_eigen
 
 lam = 1.0
 grid = build_grid(0.0, 8.0, 7999)
 spec = quadratic_potential(lam)
 op = assemble_generator(spec, grid)
 
-lam0, lam1 = spectral_gap(op)
 eigen = principal_eigenpair(op)
+lam0, lam1 = eigen.lambda0, eigen.lambda1
 alpha = qsd_from_eigen(eigen, spec, grid)
 
 print(f"domain truncated at x_max = 8 (gamma tail below 1e-26); {grid.n} nodes")

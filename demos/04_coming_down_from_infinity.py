@@ -13,13 +13,13 @@ import numpy as np
 from qsdlab.analytics import ReportConfig, decay_report
 from qsdlab.grid_measure import GridMeasure, build_grid
 from qsdlab.potential import be_constant, cdfi_rate, evaluate, shifted_power_potential
-from qsdlab.spectral import assemble_generator, integral_identity_residual, principal_eigenpair, spectral_gap
+from qsdlab.spectral import assemble_generator, integral_identity_residual, principal_eigenpair
 
 spec = shifted_power_potential(3.0)
 grid = build_grid(0.0, 2.5, 2000)
 op = assemble_generator(spec, grid)
-lam0, lam1 = spectral_gap(op)
 eigen = principal_eigenpair(op)
+lam0, lam1 = eigen.lambda0, eigen.lambda1
 
 print(f"V(x) = (x+1)^3 on (0, {grid.x_max}), {grid.n} nodes")
 print(f"lambda0 = {lam0:.6f} (comparison lower bound: 1), gap = {lam1 - lam0:.6f}")

@@ -37,7 +37,7 @@ from .potential import (
     quadratic_potential,
     zero_potential,
 )
-from .spectral import EigenPair, assemble_generator, qsd_from_eigen, spectral_gap, principal_eigenpair
+from .spectral import EigenPair, assemble_generator, principal_eigenpair, qsd_from_eigen
 
 __all__ = [
     "ClosedFormExample",
@@ -342,9 +342,8 @@ def _fit_or_nan(times, values, window) -> float:
 def _report_1d(config: ReportConfig) -> DecayReport:
     spec, grid, mu = config.spec, config.grid, config.initial
     op = assemble_generator(spec, grid)
-    lam0, lam1 = spectral_gap(op)
     eigen = principal_eigenpair(op)
-    eigen = EigenPair(lambda0=eigen.lambda0, eta=eigen.eta, lambda1=lam1)
+    lam0, lam1 = eigen.lambda0, eigen.lambda1
     gap = lam1 - lam0
     alpha = qsd_from_eigen(eigen, spec, grid)
 

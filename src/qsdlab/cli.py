@@ -38,6 +38,7 @@ from .grid_measure import (
 from .potential import (
     be_constant,
     cdfi_rate,
+    effective_second_derivative,
     evaluate,
     quadratic_potential,
     shifted_power_potential,
@@ -281,15 +282,12 @@ def _initial_measure(config: RunConfig, spec, grid, eigen=None) -> GridMeasure:
 
 def _cmd_eigen(config: RunConfig, outdir: str) -> None:
     spec, grid = _build_problem(config)
-    op = spectral.assemble_generator(spec, grid)
-    lam0, lam1 = spectral.spectral_gap(op)
-    eigen = spectral.principal_eigenpair(op)
-    eigen = spectral.EigenPair(lambda0=eigen.lambda0, eta=eigen.eta, lambda1=lam1)
+    eigen = spectral.principal_eigenpair(spectral.assemble_generator(spec, grid))
     alpha = spectral.qsd_from_eigen(eigen, spec, grid)
     _write_json(os.path.join(outdir, "eigen.json"), {
         "lambda0": eigen.lambda0,
         "lambda1": eigen.lambda1,
-        "gap": lam1 - lam0,
+        "gap": eigen.lambda1 - eigen.lambda0,
         "normalization": eigen.normalization,
     })
     _write_csv(os.path.join(outdir, "eta.csv"), "x,eta", zip(grid.nodes, eigen.eta))
@@ -341,32 +339,25 @@ def _cmd_simulate(config: RunConfig, outdir: str) -> None:
 
 def _cmd_rates(config: RunConfig, outdir: str) -> None:
     spec, grid = _build_problem(config)
-    op = spectral.assemble_generator(spec, grid)
-    lam0, lam1 = spectral.spectral_gap(op)
-    eigen = spectral.principal_eigenpair(op)
-    from .potential import effective_second_derivative
-
+    eigen = spectral.principal_eigenpair(spectral.assemble_generator(spec, grid))
     _, _, vpp = evaluate(spec, grid.nodes)
-    kappa_classical = be_constant(np.asarray(vpp))
-    kappa_effective = be_constant(effective_second_derivative(spec, eigen, grid))
     lam_low = config.get("rates.lambda0_lower")
+    lam_used = lam_low if lam_low is not None else eigen.lambda0
     table = {
-        "lambda0": lam0,
-        "lambda1": lam1,
-        "gap": lam1 - lam0,
-        "kappa_classical_inf_Vpp": kappa_classical,
-        "kappa_effective_inf_Wpp": kappa_effective,
-        "lambda0_lower_used": lam_low if lam_low is not None else lam0,
-        "kappa_tilde_basic": None,
+        "lambda0": eigen.lambda0,
+        "lambda1": eigen.lambda1,
+        "gap": eigen.lambda1 - eigen.lambda0,
+        "kappa_classical_inf_Vpp": be_constant(np.asarray(vpp)),
+        "kappa_effective_inf_Wpp": be_constant(effective_second_derivative(spec, eigen, grid)),
+        "lambda0_lower_used": lam_used,
+        "kappa_tilde_basic": cdfi_rate(spec, lam_used, grid, use_drift_form=False),
         "kappa_tilde_refined": None,
     }
-    lam_used = lam_low if lam_low is not None else lam0
-    table["kappa_tilde_basic"] = cdfi_rate(spec, lam_used, grid, use_drift_form=False)
     if bool(config.get("rates.use_drift_form", True)):
         try:
             table["kappa_tilde_refined"] = cdfi_rate(spec, lam_used, grid, use_drift_form=True)
         except ValueError:
-            table["kappa_tilde_refined"] = None
+            pass
     _write_json(os.path.join(outdir, "rates.json"), table)
     width = max(len(k) for k in table)
     for key, val in table.items():

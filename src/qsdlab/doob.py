@@ -7,11 +7,11 @@ the measure (adjoint) side with Crank-Nicolson steps.  Both generators are
 reversible (the absorbed one in L2(gamma), the transformed one in L2(beta)),
 so the measure-side matrix M is similar to a symmetric S = D^-1 M D with a
 positive diagonal D (sqrt(gamma), resp. sqrt(beta), up to a constant).  The
-stepper runs in w = D^-1 m: each segment factors the symmetric positive
-definite I - aS once with LAPACK ``pttrf`` (LDL^T, no pivoting), and every
-step is one ``pttrs`` solve with those factors.  The off-diagonal rows are
-obtained from the operator rows by transposition, which keeps the discrete
-duality exact.
+stepper runs in w = D^-1 m: it factors the symmetric positive definite
+I - aS with LAPACK ``pttrf`` (LDL^T, no pivoting) once per step size, shared
+by the segments of a `flow_curve`, and every step is one ``pttrs`` solve with
+those factors.  The off-diagonal rows are obtained from the operator rows by
+transposition, which keeps the discrete duality exact.
 
 The conditioned semigroup is evolved with the same stepper applied to the
 sub-Markovian generator.  Supplying the eigenpair shifts the generator by
@@ -150,16 +150,19 @@ def _cn_factors(diag, off, a, shift):
     return factors
 
 
-def _cn_run(diag, off_upper, off_lower, m0, duration, dt, shift=0.0, conserve=False, startup=True):
+def _cn_run(diag, off_upper, off_lower, m0, duration, dt, shift=0.0, conserve=False, startup=True,
+            cache=None):
     """Run Crank-Nicolson over ``duration``; returns (state, accumulated log mass).
 
     The steps act on w = m / d, with d and the symmetric bands from
-    `_symmetric_bands`.  I - aS, a = step/2, is factored once per call; each
-    step is then one ``pttrs`` solve, y = (I - aS)^-1 w, and w <- 2y - w,
-    which equals (I - aS)^-1 (I + aS) w without the explicit multiply.  As
-    d > 0, w has the sign of m: the density m = d w is formed for the
-    negativity test only when w has a negative (or NaN) entry, and for the
-    renormalizations the mass is d @ w.
+    `_symmetric_bands`.  I - aS, a = step/2, is factored once per step size:
+    ``cache``, a dict shared by the runs of one `flow_curve`, keeps d and the
+    factors of the latest step (the startup runs once per flow, so its
+    factors are not kept).  Each step is one ``pttrs`` solve, y = (I - aS)^-1
+    w, and w <- 2y - w, which equals (I - aS)^-1 (I + aS) w without the
+    explicit multiply.  As d > 0, w has the sign of m: m = d w is formed for
+    the negativity test only when w has a negative (or NaN) entry, and for
+    the renormalizations the mass is d @ w.
 
     With ``startup`` the first two steps are replaced by implicit-Euler
     quarter-steps (Rannacher smoothing): initial densities need not vanish at
@@ -175,10 +178,13 @@ def _cn_run(diag, off_upper, off_lower, m0, duration, dt, shift=0.0, conserve=Fa
         return m0.copy(), log_mass
     steps = max(1, math.ceil(duration / dt))
     step = duration / steps
-    d, off = _symmetric_bands(off_upper, off_lower)
-    cn = _cn_factors(diag, off, 0.5 * step, shift)
-    # halving the pivots (exact) makes each solve return 2y directly
-    cn[0] *= 0.5
+    cache = {} if cache is None else cache
+    d, off = cache.get("scaling") or _symmetric_bands(off_upper, off_lower)
+    if cache.get("step") != step:
+        cn = _cn_factors(diag, off, 0.5 * step, shift)
+        cn[0] *= 0.5  # halving the pivots (exact) makes each solve return 2y directly
+        cache.update(scaling=(d, off), step=step, cn=cn)
+    cn = cache["cn"]
     n_startup = min(2, steps) if startup else 0
     if n_startup:
         ie = _cn_factors(diag, off, 0.25 * step, shift)
@@ -267,6 +273,7 @@ def flow_curve(
     if eigen is not None:
         beta = GridMeasure(op.grid, eigen.eta**2 * op.gamma_weights)
 
+    cache = {}
     states = []
     m = mu.density.copy()
     log_surv = 0.0
@@ -276,7 +283,7 @@ def flow_curve(
         seg = t - t_prev
         m, log_mass = _cn_run(
             op.diag, op.off_upper, op.off_lower, m, seg, dt,
-            shift=shift, startup=not smoothed,
+            shift=shift, startup=not smoothed, cache=cache,
         )
         if seg > 0.0:
             smoothed = True

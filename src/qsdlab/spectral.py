@@ -7,10 +7,11 @@ endpoints is discretized in divergence form,
                         - e^{-V_{i-1/2}} (f_i - f_{i-1}) ] / (2 h^2),
 
 with Dirichlet rows at the two ends and midpoint potentials evaluated
-exactly.  The construction makes the operator symmetric under the weighted
-inner product with gamma = exp(-V), so conjugating by sqrt(gamma) yields a
-symmetric tridiagonal matrix whose two lowest eigenvalues are computed by
-inverse iteration (with deflation for the second one).
+exactly.  The operator is symmetric under the weighted inner product with
+gamma = exp(-V).  One eigensolve returns lambda0 and eta, by inverse
+iteration on a subtraction-free (Grassmann-Taksar-Heyman) LU factorization
+of the M-matrix -L_h that keeps lambda0 relatively accurate even near
+eps ||L_h||, and lambda1, by Sturm bisection refined by a Rayleigh quotient.
 
 The principal eigenvector eta is stored with the normalization
 ``gamma(eta^2) = gamma(eta)``, i.e. the quasi-stationary distribution
@@ -23,7 +24,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .grid_measure import Grid1D, GridMeasure, quadrature
 from .potential import PotentialSpec, evaluate
@@ -57,7 +59,8 @@ class TridiagonalOperator:
 
     ``gamma_weights`` holds exp(-(V - v_shift)) at the nodes; the shift by
     ``v_shift = min V`` guards against overflow and only rescales gamma, which
-    leaves every normalized quantity unchanged.
+    leaves every normalized quantity unchanged.  ``boundary_weights`` couple
+    the first and the last node to the absorbing ends (the row sums of -L_h).
     """
 
     grid: Grid1D
@@ -65,6 +68,7 @@ class TridiagonalOperator:
     off_upper: np.ndarray = field(repr=False)
     off_lower: np.ndarray = field(repr=False)
     gamma_weights: np.ndarray = field(repr=False)
+    boundary_weights: tuple[float, float]
     v_shift: float = 0.0
 
 
@@ -76,6 +80,7 @@ class EigenPair:
     eta: np.ndarray = field(repr=False)
     lambda1: float = None
     normalization: str = "alpha(eta) = 1"
+    lambda0_bracket: tuple[float, float] = None  # Collatz-Wielandt, see principal_eigenpair
 
 
 @dataclass(frozen=True)
@@ -117,6 +122,7 @@ def assemble_generator(spec: PotentialSpec, grid: Grid1D) -> TridiagonalOperator
         off_upper=off_upper,
         off_lower=off_lower,
         gamma_weights=gamma,
+        boundary_weights=(float(left[0]), float(right[-1])),
         v_shift=shift,
     )
 
@@ -134,95 +140,91 @@ def apply_operator(op: TridiagonalOperator, f: np.ndarray) -> np.ndarray:
     return tridiag_apply(op.diag, op.off_upper, op.off_lower, np.asarray(f, dtype=float))
 
 
-def _symmetrized_bands(op: TridiagonalOperator) -> tuple[np.ndarray, np.ndarray]:
-    """Bands (diag, off) of M = -S, the sqrt(gamma)-conjugated positive matrix."""
-    m_diag = -op.diag
-    m_off = -np.sqrt(op.off_upper * op.off_lower)
-    return m_diag, m_off
+def _gth_factors(op: TridiagonalOperator) -> tuple:
+    """LAPACK ``gttrs`` factors of -L_h = LU without row interchanges.
 
-
-def _inverse_iteration(
-    m_diag: np.ndarray,
-    m_off: np.ndarray,
-    deflate: np.ndarray = None,
-    tol: float = 1e-13,
-    max_iter: int = 500,
-) -> tuple[float, np.ndarray]:
-    """Smallest eigenpair of the SPD tridiagonal matrix M by inverse iteration.
-
-    With ``deflate`` given (a unit vector), iterates orthogonally to it and
-    returns the second-smallest pair instead.
+    With left_i, right_i the stencil weights of node i, the Grassmann-Taksar-
+    Heyman recurrence s_0 = left_0, u_i = s_i + right_i, s_{i+1} = left_{i+1}
+    s_i / u_i builds each pivot from the positive row margin s_i.  tau_i =
+    left_i / s_i obeys tau_0 = 1, tau_{i+1} = 1 + (right_i / left_i) tau_i,
+    i.e. tau_k = q_k sum_{j <= k} 1 / q_j with q_k the product of the first
+    k ratios, which is summed in the log domain; no entry is a difference.
     """
-    n = m_diag.size
-    ab = np.zeros((2, n))
-    ab[0, 1:] = m_off
-    ab[1, :] = m_diag
-    chol = cholesky_banded(ab, lower=False)
+    left = np.concatenate(([op.boundary_weights[0]], op.off_lower))
+    right = np.concatenate((op.off_upper, [op.boundary_weights[1]]))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        log_q = np.concatenate(([0.0], np.cumsum(np.log(right[:-1]) - np.log(left[:-1]))))
+        log_tau = log_q + np.logaddexp.accumulate(-log_q)
+        pivots = left * np.exp(-log_tau) + right
+    if not (np.isfinite(pivots).all() and pivots.min() > 0.0):
+        raise ConvergenceError("non-finite or non-positive GTH pivot; check the potential")
+    ipiv = np.arange(1, left.size + 1, dtype=np.int32)  # no row interchanges
+    return -left[1:] / pivots[:-1], pivots, -right[:-1], np.zeros(left.size - 2), ipiv
 
-    if deflate is None:
-        x = np.ones(n)
-    else:
-        # a symmetry-free (but deterministic) start: an even start vector on a
-        # symmetric operator would never pick up an odd second eigenvector
-        x = np.random.default_rng(180451).standard_normal(n)
-        x -= (deflate @ x) * deflate
-    x /= np.linalg.norm(x)
-    rq_old = math.inf
-    best = (math.inf, math.nan, None)  # (residual, rq, vector)
-    stalled = 0
+
+def _second_eigenvalue(op: TridiagonalOperator) -> float:
+    """lambda1 of -L_h: Sturm bisection refined by a Rayleigh quotient.
+
+    ``eigh_tridiagonal`` certifies by a Sturm count that sigma is the second
+    eigenvalue of M = sqrt(gamma) (-L_h) / sqrt(gamma), to eps ||M||.  Two
+    solves with M - sigma (LAPACK ``gttrf``/``gttrs``) give its eigenvector,
+    whose Rayleigh quotient must stay within the bisection's error band.
+    """
+    m_diag, m_off = -op.diag, np.sqrt(op.off_upper * op.off_lower)  # spectrum ignores the off sign
+    sigma = float(eigh_tridiagonal(m_diag, m_off, eigvals_only=True, select="i", select_range=(1, 1))[0])
+    *factors, info = dgttrf(m_off, m_diag - sigma, m_off)
+    if info > 0:  # M - sigma is exactly singular: sigma is exact
+        return sigma
+    x = np.linspace(-0.5, 1.5, m_diag.size)  # neither even nor odd about the midpoint
+    for _ in range(2):
+        x, _ = dgttrs(*factors, x)
+        x /= np.linalg.norm(x)
+    lam1 = float(x @ tridiag_apply(m_diag, m_off, m_off, x))
+    band = 16.0 * np.finfo(float).eps * (m_diag.max() + 2.0 * m_off.max())
+    if not abs(lam1 - sigma) <= band:
+        raise ConvergenceError(f"lambda1 refinement {lam1} left the Sturm bracket around {sigma}")
+    return lam1
+
+
+def principal_eigenpair(op: TridiagonalOperator, tol: float = 1e-14, max_iter: int = 500) -> EigenPair:
+    """Principal pair (lambda0 > 0, eta > 0) of -L_h, with lambda1 and a bracket.
+
+    Inverse iteration from the ones vector solves with the GTH factors
+    (`_gth_factors`) through LAPACK ``gttrs``, so it only adds and divides
+    positive numbers and the iterate stays positive.  For y = (-L_h)^-1 x the
+    Collatz-Wielandt ratios bracket lambda0 in [min x/y, max x/y] (up to the
+    few-ulp roundoff of factors and solves); the iteration stops once the
+    bracket's relative width is at most ``tol`` and takes lambda0 at its
+    midpoint.  eta, scaled from y (of size 1/lambda0), is normalized so that
+    gamma(eta^2) = gamma(eta), i.e. alpha(eta) = 1.
+    """
+    factors = _gth_factors(op)
+    x = np.ones(op.grid.n)
     for _ in range(max_iter):
-        y = cho_solve_banded((chol, False), x)
-        if deflate is not None:
-            y -= (deflate @ y) * deflate
-        y /= np.linalg.norm(y)
-        my = tridiag_apply(m_diag, m_off, m_off, y)
-        rq = float(y @ my)
-        resid = float(np.max(np.abs(my - rq * y)))
-        x = y
-        if resid < best[0]:
-            best = (resid, rq, y)
-            stalled = 0
-        else:
-            stalled += 1
-        # iterate past Rayleigh-quotient convergence until the residual hits
-        # the matvec roundoff floor (it cannot improve once it stagnates)
-        if abs(rq - rq_old) < tol * max(1.0, abs(rq)) and stalled >= 3:
-            return best[1], best[2]
-        rq_old = rq
-    raise ConvergenceError(f"inverse iteration did not converge in {max_iter} steps")
-
-
-def principal_eigenpair(op: TridiagonalOperator, tol: float = 1e-13, max_iter: int = 500) -> EigenPair:
-    """Smallest eigenvalue lambda0 > 0 of -L_h with its positive eigenvector.
-
-    The eigenvector is transformed back from the symmetrized problem and
-    normalized so that gamma(eta^2) = gamma(eta), i.e. alpha(eta) = 1.
-    """
-    m_diag, m_off = _symmetrized_bands(op)
-    lam0, u = _inverse_iteration(m_diag, m_off, tol=tol, max_iter=max_iter)
+        y, _ = dgttrs(*factors, x)
+        ratio = x / y
+        lo, hi = float(ratio.min()), float(ratio.max())
+        if hi - lo <= tol * lo:
+            break
+        x = y / y.max()
+    else:
+        raise ConvergenceError(f"inverse iteration did not converge in {max_iter} steps")
+    lam0 = 0.5 * (lo + hi)
     if not lam0 > 0.0:
         raise ConvergenceError(f"principal eigenvalue is not positive: {lam0}")
-    if u[u.size // 2] < 0.0:
-        u = -u
-    if np.any(u <= 0.0):
-        raise ConvergenceError(
-            "sign-changing principal eigenvector (discretization fault?)"
-        )
-    eta = u / np.sqrt(op.gamma_weights)
-    g_eta = quadrature(eta * op.gamma_weights, op.grid)
-    g_eta2 = quadrature(eta**2 * op.gamma_weights, op.grid)
-    eta = eta * (g_eta / g_eta2)
-    return EigenPair(lambda0=lam0, eta=eta)
-
-
-def spectral_gap(op: TridiagonalOperator, tol: float = 1e-13, max_iter: int = 500) -> tuple[float, float]:
-    """Two smallest eigenvalues (lambda0, lambda1) of -L_h."""
-    m_diag, m_off = _symmetrized_bands(op)
-    lam0, u0 = _inverse_iteration(m_diag, m_off, tol=tol, max_iter=max_iter)
-    lam1, _ = _inverse_iteration(m_diag, m_off, deflate=u0, tol=tol, max_iter=max_iter)
+    lam1 = _second_eigenvalue(op)
     if not lam1 > lam0:
         raise ConvergenceError(f"degenerate spectrum: lambda1={lam1} <= lambda0={lam0}")
-    return lam0, lam1
+    eta = y / y.max()
+    g_eta = quadrature(eta * op.gamma_weights, op.grid)
+    g_eta2 = quadrature(eta**2 * op.gamma_weights, op.grid)
+    return EigenPair(lambda0=lam0, eta=eta * (g_eta / g_eta2), lambda1=lam1, lambda0_bracket=(lo, hi))
+
+
+def spectral_gap(op: TridiagonalOperator, tol: float = 1e-14, max_iter: int = 500) -> tuple[float, float]:
+    """Two smallest eigenvalues (lambda0, lambda1) of -L_h."""
+    pair = principal_eigenpair(op, tol=tol, max_iter=max_iter)
+    return pair.lambda0, pair.lambda1
 
 
 def eigen_residual(op: TridiagonalOperator, eigen: EigenPair) -> float:

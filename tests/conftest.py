@@ -3,7 +3,7 @@ import pytest
 
 from qsdlab.grid_measure import GridMeasure, build_grid
 from qsdlab.potential import quadratic_potential, shifted_power_potential, zero_potential
-from qsdlab.spectral import EigenPair, assemble_generator, principal_eigenpair, spectral_gap
+from qsdlab.spectral import assemble_generator, principal_eigenpair
 
 
 class Problem:
@@ -13,9 +13,8 @@ class Problem:
         self.spec = spec
         self.grid = grid
         self.op = assemble_generator(spec, grid)
-        self.lambda0, self.lambda1 = spectral_gap(self.op)
-        pair = principal_eigenpair(self.op)
-        self.eigen = EigenPair(lambda0=pair.lambda0, eta=pair.eta, lambda1=self.lambda1)
+        self.eigen = principal_eigenpair(self.op)
+        self.lambda0, self.lambda1 = self.eigen.lambda0, self.eigen.lambda1
 
     @property
     def gap(self):

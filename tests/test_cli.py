@@ -177,6 +177,16 @@ class TestCommands:
                     "--horizon", "1.0", "--dt", "1e-3", "--output", str(out)])
         assert code == 2
 
+    def test_rates_convergence_failure_exits_two(self, tmp_path, monkeypatch):
+        from qsdlab import spectral
+
+        solve = spectral.principal_eigenpair
+        monkeypatch.setattr(spectral, "principal_eigenpair", lambda op: solve(op, max_iter=1))
+        code = run(["rates", "--potential", "shifted-power", "--delta", "3",
+                    "--lambda0-lower", "1", "--n", "200", "--x-max", "2.5",
+                    "--output", str(tmp_path / "rates")])
+        assert code == 2
+
     def test_validation_exit_code(self, tmp_path):
         code = run(["eigen", "--example", "brownian", "--n", "2",
                     "--output", str(tmp_path / "x")])

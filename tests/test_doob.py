@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from qsdlab import doob
 from qsdlab.doob import (
     FlowError,
     _cn_run,
@@ -83,6 +84,31 @@ class TestStepper:
             got = state.mu_t.density
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(ref)
             assert state.log_survival == pytest.approx(log_surv, rel=1e-12, abs=1e-15)
+
+    def test_flow_curve_reuses_factors_bitwise(self, monkeypatch):
+        # flow_curve shares the scaling and factors across its segments: the
+        # curves equal, bit for bit, those of a fresh _cn_run per segment
+        g = build_grid(0.0, 8.0, 200)
+        op = assemble_generator(quadratic_potential(1.0), g)
+        eigen = principal_eigenpair(op)
+        mu = GridMeasure(g, np.exp(-((g.nodes - 1.5) ** 2) / 0.5))
+        times = np.linspace(0.0, 3.0, 61)
+        dt = default_dt(g, eigen.lambda0)
+        calls = []
+        factor = doob._cn_factors
+        monkeypatch.setattr(doob, "_cn_factors", lambda *a: calls.append(a) or factor(*a))
+        states = flow_curve(op, mu, times, dt, eigen=eigen)
+        shared = len(calls)
+        m, log_surv, t_prev = mu.density.copy(), 0.0, 0.0
+        for t, state in zip(times, states):
+            seg = t - t_prev
+            m, log_mass = _cn_run(op.diag, op.off_upper, op.off_lower, m, seg, dt,
+                                  shift=eigen.lambda0, startup=t_prev == 0.0)
+            log_surv += log_mass - eigen.lambda0 * seg
+            t_prev = t
+            assert np.array_equal(state.mu_t.density, GridMeasure(g, np.clip(m, 0.0, None)).density)
+            assert state.log_survival == log_surv
+        assert shared < len(calls) - shared  # fewer factorizations than per segment
 
     def test_rejects_nonfinite_input(self, brownian, gaussian_measure):
         tilde = doob_generator(brownian.op, brownian.eigen)

@@ -7,8 +7,10 @@ from scipy.linalg import eigh_tridiagonal
 
 from qsdlab.grid_measure import build_grid, quadrature, tv_distance
 from qsdlab.doob import conditioned_flow, default_dt
-from qsdlab.potential import quadratic_potential, shifted_power_potential, zero_potential
+from qsdlab.potential import quadratic_potential, shifted_power_potential, tabulated_potential, zero_potential
 from qsdlab.spectral import (
+    ConvergenceError,
+    _gth_factors,
     assemble_generator,
     apply_operator,
     eigen_residual,
@@ -92,6 +94,20 @@ class TestPrincipalEigenpair:
             g_eta2 = quadrature(eta**2 * prob.op.gamma_weights, prob.grid)
             assert abs(g_eta2 / g_eta - 1.0) < 1e-10
 
+    def test_gth_pivots_match_the_recurrence_loop(self, ou, delta3):
+        # the log-domain pivots against the plain recurrence; the log of a
+        # product of up to e^64 carries ~eps * 64 absolute error per term
+        well = assemble_generator(double_well(4.0), build_grid(-2.0, 2.0, 150))
+        for op in (ou.op, delta3.op, well):
+            left = np.concatenate(([op.boundary_weights[0]], op.off_lower))
+            right = np.concatenate((op.off_upper, [op.boundary_weights[1]]))
+            s, ref = left[0], []
+            for i in range(left.size):
+                ref.append(s + right[i])
+                if i + 1 < left.size:
+                    s = left[i + 1] * s / ref[i]
+            assert np.max(np.abs(_gth_factors(op)[1] / np.array(ref) - 1.0)) <= 1e-13
+
     def test_eigen_relation_residual(self):
         for spec, lo, hi in (
             (zero_potential(domain=(-1, 1)), -1.0, 1.0),
@@ -101,6 +117,13 @@ class TestPrincipalEigenpair:
             op = assemble_generator(spec, g)
             eig = principal_eigenpair(op)
             assert eigen_residual(op, eig) <= 1e-10
+
+
+def double_well(a):
+    """V = a (x^2 - 1)^2 tabulated at 2001 points on (-2, 2)."""
+    x = np.linspace(-2.0, 2.0, 2001)
+    return tabulated_potential(x, a * (x * x - 1.0) ** 2, 4.0 * a * x * (x * x - 1.0),
+                               a * (12.0 * x * x - 4.0))
 
 
 class TestSpectralGap:
@@ -137,6 +160,51 @@ class TestSpectralGap:
             dense = eigh_tridiagonal(m_diag, m_off, eigvals_only=True, select="i", select_range=(0, 1))
             assert abs(lam0 - dense[0]) < 1e-10
             assert abs(lam1 - dense[1]) < 1e-10
+            # the bracket is at most 1e-14 wide, while the dense solve is
+            # only accurate to its error bound eps * ||M||_1
+            lo0, hi0 = principal_eigenpair(op).lambda0_bracket
+            slack = np.finfo(float).eps * (m_diag.max() + 2.0 * np.abs(m_off).max())
+            assert hi0 - lo0 <= 1e-14 * lo0
+            assert lo0 - slack <= dense[0] <= hi0 + slack
+
+    @pytest.mark.parametrize("n", [3, 2000, 8000])
+    def test_brownian_exact_discrete_eigenvalues(self, n):
+        # the discrete half Laplacian on (-1, 1) has eigenvalues
+        # (2 / h^2) sin^2(k pi / (2 (n + 1))), k = 1, 2, ... exactly; at
+        # n = 3, lambda1 = 4 is a float, so the refining shift is singular
+        g = build_grid(-1.0, 1.0, n)
+        eig = principal_eigenpair(assemble_generator(zero_potential(), g))
+        for k, lam in ((1, eig.lambda0), (2, eig.lambda1)):
+            exact = (2.0 / g.h**2) * math.sin(k * math.pi / (2.0 * (n + 1))) ** 2
+            assert abs(lam - exact) / exact <= 1e-12
+
+    def test_shifted_power_converges_at_n32000(self):
+        g = build_grid(0.0, 2.5, 32000)
+        eig = principal_eigenpair(assemble_generator(shifted_power_potential(3.0), g))
+        assert eig.lambda0 > 1.0
+        lo, hi = eig.lambda0_bracket
+        assert lo <= eig.lambda0 <= hi and hi - lo <= 1e-14 * lo
+        assert eig.lambda1 > eig.lambda0
+
+    def test_iteration_budget_exhausted_raises(self, ou):
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            principal_eigenpair(ou.op, max_iter=1)
+
+
+class TestMetastable:
+    # lambda0 of the divergence-form generator built from the float64 samples
+    # of the tabulated double well, computed by Sturm bisection in 60-digit
+    # mpmath (bench/oracles.sturm_lambda0 on the same samples)
+    STURM_LAMBDA0 = {1.0: 0.001387446387098734, 4.0: 2.9525984055658875e-14}
+
+    @pytest.mark.parametrize("a", [1.0, 4.0])
+    def test_double_well_matches_sturm_reference(self, a):
+        # V = a (x^2 - 1)^2 tabulated at 2001 points on (-2, 2): for a = 4,
+        # lambda0 lies near eps * ||L_h|| and must keep its relative accuracy
+        eig = principal_eigenpair(assemble_generator(double_well(a), build_grid(-2.0, 2.0, 150)))
+        ref = self.STURM_LAMBDA0[a]
+        assert abs(eig.lambda0 - ref) / ref <= 1e-12
+        assert np.all(eig.eta > 0.0)
 
 
 class TestQsd:
