@@ -12,12 +12,12 @@ from infinity, and the spectral gap).
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .artifacts import write_csv, write_json
 from .doob import default_dt, flow_curve
 from .grid_measure import (
     Grid1D,
@@ -64,6 +64,7 @@ BOUND_A = 1.0 + BOUND_B
 
 DISTANCE_FLOOR = 1e-12
 BURN_IN_THRESHOLD = 0.9
+CURVES_HEADER = "t,tv,w1,chi2,survival_weight,log_survival"
 
 
 @dataclass(frozen=True)
@@ -216,7 +217,10 @@ def burn_in_time(eigen: EigenPair, alpha: GridMeasure, psi: np.ndarray,
     times = np.asarray(times, dtype=float)
     if dt is None:
         dt = default_dt(op.grid, eigen.lambda0)
-    states = flow_curve(op, mu, times, dt, eigen=eigen)
+    return _scan_burn_in(a_ratio, flow_curve(op, mu, times, dt, eigen=eigen), times)
+
+
+def _scan_burn_in(a_ratio: float, states, times) -> BurnIn:
     for st in states:
         if a_ratio * st.chi2_to_beta**2 < BURN_IN_THRESHOLD:
             return BurnIn(time=st.t, reached=True)
@@ -339,35 +343,54 @@ def _fit_or_nan(times, values, window) -> float:
         return math.nan
 
 
+def _assemble_report(config: ReportConfig, curves: dict, burn: BurnIn, gap: float,
+                     **fields) -> DecayReport:
+    """Fit the curves over the fit window and build the report.
+
+    The default window starts after the burn-in, and no earlier than half a
+    relaxation time 1/gap, and ends at three relaxation times.
+    """
+    times = np.asarray(config.times, dtype=float)
+    window = config.fit_window
+    if window is None:
+        window = (max(burn.time, 0.5 / gap), 3.0 / gap)
+    return DecayReport(
+        label=config.label,
+        times=times,
+        **curves,
+        fitted_rate_tv=_fit_or_nan(times, curves["tv"], window),
+        fitted_rate_w1=_fit_or_nan(times, curves["w1"], window),
+        fitted_rate_chi2=_fit_or_nan(times, curves["chi2"], window),
+        gap=gap,
+        burn_in_time=burn.time,
+        burn_in_reached=burn.reached,
+        bound_a=BOUND_A,
+        bound_b=BOUND_B,
+        fit_window=tuple(window),
+        **fields,
+    )
+
+
 def _report_1d(config: ReportConfig) -> DecayReport:
     spec, grid, mu = config.spec, config.grid, config.initial
     op = assemble_generator(spec, grid)
     eigen = principal_eigenpair(op)
     lam0, lam1 = eigen.lambda0, eigen.lambda1
-    gap = lam1 - lam0
     alpha = qsd_from_eigen(eigen, spec, grid)
 
     times = np.asarray(config.times, dtype=float)
     dt = config.dt if config.dt is not None else default_dt(grid, lam0)
     states = flow_curve(op, mu, times, dt, eigen=eigen)
-    tv = np.array([tv_distance(s.mu_t, alpha) for s in states])
-    w1 = np.array([w1_distance(s.mu_t, alpha) for s in states])
-    chi2 = np.array([s.chi2_to_beta for s in states])
-    surv = np.array([s.survival_weight for s in states])
-    log_surv = np.array([s.log_survival for s in states])
+    curves = {
+        "tv": np.array([tv_distance(s.mu_t, alpha) for s in states]),
+        "w1": np.array([w1_distance(s.mu_t, alpha) for s in states]),
+        "chi2": np.array([s.chi2_to_beta for s in states]),
+        "survival_weight": np.array([s.survival_weight for s in states]),
+        "log_survival": np.array([s.log_survival for s in states]),
+    }
 
-    psi = _psi_array(config, grid)
-    bc = bound_constants(psi, eigen, alpha)
-    a_ratio = bc.alpha_psi2_over_eta
-    burn = BurnIn(time=float(times[-1]), reached=False)
-    for s in states:
-        if a_ratio * s.chi2_to_beta**2 < BURN_IN_THRESHOLD:
-            burn = BurnIn(time=s.t, reached=True)
-            break
-
-    window = config.fit_window
-    if window is None:
-        window = (max(burn.time, 0.5 / gap), 3.0 / gap)
+    bc = bound_constants(_psi_array(config, grid), eigen, alpha)
+    burn = _scan_burn_in(bc.alpha_psi2_over_eta, states, times)
     notes = ["tensor eigenfunction: n/a (one factor)"]
     if not burn.reached:
         notes.append("burn-in threshold not reached on the sampled times")
@@ -385,30 +408,15 @@ def _report_1d(config: ReportConfig) -> DecayReport:
         lam_low = config.lambda0_lower if config.lambda0_lower is not None else lam0
         kappa_tilde = cdfi_rate(spec, lam_low, grid, use_drift_form=config.use_drift_form)
 
-    return DecayReport(
-        label=config.label,
-        times=times,
-        tv=tv,
-        w1=w1,
-        chi2=chi2,
-        survival_weight=surv,
-        log_survival=log_surv,
-        fitted_rate_tv=_fit_or_nan(times, tv, window),
-        fitted_rate_w1=_fit_or_nan(times, w1, window),
-        fitted_rate_chi2=_fit_or_nan(times, chi2, window),
+    return _assemble_report(
+        config, curves, burn, lam1 - lam0,
         kappa=float(kappa),
         kappa_tilde=kappa_tilde,
         lambda0=lam0,
         lambda1=lam1,
-        gap=gap,
-        burn_in_time=burn.time,
-        burn_in_reached=burn.reached,
         bound_constant=bc.C_psi,
-        bound_a=bc.a,
-        bound_b=bc.b,
         alpha_psi=bc.alpha_psi,
         alpha_psi2_over_eta=bc.alpha_psi2_over_eta,
-        fit_window=tuple(window),
         notes=tuple(notes),
     )
 
@@ -431,82 +439,44 @@ def decay_report(config: ReportConfig) -> DecayReport:
     if not (len(specs) == len(grids) == initial.dim):
         raise ValueError("spec/grid/initial dimension mismatch")
 
-    marginals = []
-    for j, (sp, gr, mu) in enumerate(zip(specs, grids, initial.factors)):
-        sub = ReportConfig(
-            label=f"{config.label}[{j}]",
-            spec=sp, grid=gr, initial=mu, times=config.times,
-            dt=config.dt, psi=config.psi, x0=config.x0, cdfi=config.cdfi,
-            lambda0_lower=config.lambda0_lower,
-            use_drift_form=config.use_drift_form,
-            fit_window=config.fit_window, kappa=config.kappa,
-        )
-        marginals.append(_report_1d(sub))
-
-    times = np.asarray(config.times, dtype=float)
-    tv = np.sum([m.tv for m in marginals], axis=0)
-    w1 = np.sum([m.w1 for m in marginals], axis=0)
-    chi2 = np.sum([m.chi2 for m in marginals], axis=0)
-    surv = np.prod([m.survival_weight for m in marginals], axis=0)
-    log_surv = np.sum([m.log_survival for m in marginals], axis=0)
-    gap = min(m.gap for m in marginals)
-    kappa = min(m.kappa for m in marginals)
+    marginals = [
+        _report_1d(replace(config, label=f"{config.label}[{j}]", spec=sp, grid=gr, initial=mu))
+        for j, (sp, gr, mu) in enumerate(zip(specs, grids, initial.factors))
+    ]
+    curves = {
+        name: np.sum([getattr(m, name) for m in marginals], axis=0)
+        for name in ("tv", "w1", "chi2", "log_survival")
+    }
+    curves["survival_weight"] = np.prod([m.survival_weight for m in marginals], axis=0)
     kts = [m.kappa_tilde for m in marginals]
-    kappa_tilde = min(kts) if all(k is not None for k in kts) else None
-    burn_time = max(m.burn_in_time for m in marginals)
-    burn_reached = all(m.burn_in_reached for m in marginals)
-    window = config.fit_window
-    if window is None:
-        window = (max(burn_time, 0.5 / gap), 3.0 / gap)
+    burn = BurnIn(time=max(m.burn_in_time for m in marginals),
+                  reached=all(m.burn_in_reached for m in marginals))
     notes = (
         "product example: eta is the tensor eigenfunction built from the "
         "per-coordinate principal eigenvectors (recorded choice; the "
         "eigenfunction is not unique a priori)",
         "tv/w1/chi2 curves are sums over marginals (exact for w1)",
     )
-    return DecayReport(
-        label=config.label,
-        times=times,
-        tv=tv,
-        w1=w1,
-        chi2=chi2,
-        survival_weight=surv,
-        log_survival=log_surv,
-        fitted_rate_tv=_fit_or_nan(times, tv, window),
-        fitted_rate_w1=_fit_or_nan(times, w1, window),
-        fitted_rate_chi2=_fit_or_nan(times, chi2, window),
-        kappa=kappa,
-        kappa_tilde=kappa_tilde,
+    return _assemble_report(
+        config, curves, burn, min(m.gap for m in marginals),
+        kappa=min(m.kappa for m in marginals),
+        kappa_tilde=min(kts) if all(k is not None for k in kts) else None,
         lambda0=float(sum(m.lambda0 for m in marginals)),
         lambda1=math.nan,
-        gap=gap,
-        burn_in_time=burn_time,
-        burn_in_reached=burn_reached,
         bound_constant=max(m.bound_constant for m in marginals),
-        bound_a=BOUND_A,
-        bound_b=BOUND_B,
         alpha_psi=math.nan,
         alpha_psi2_over_eta=math.nan,
-        fit_window=tuple(window),
         notes=notes,
         marginals=tuple(marginals),
     )
 
 
 def save_report_json(report: DecayReport, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2)
-        fh.write("\n")
+    """Write the report as JSON through :mod:`qsdlab.artifacts`."""
+    write_json(path, report.to_dict())
 
 
 def save_curves_csv(report: DecayReport, path) -> None:
     """Write the decay curves as CSV ``t,tv,w1,chi2,survival_weight,log_survival``."""
-    lines = ["t,tv,w1,chi2,survival_weight,log_survival"]
-    for i, t in enumerate(report.times):
-        row = (
-            t, report.tv[i], report.w1[i], report.chi2[i],
-            report.survival_weight[i], report.log_survival[i],
-        )
-        lines.append(",".join(f"{v:.17g}" for v in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, CURVES_HEADER, zip(report.times, report.tv, report.w1, report.chi2,
+                                       report.survival_weight, report.log_survival))

@@ -1,0 +1,45 @@
+"""Artifact writer: the one place that fixes how results reach disk.
+
+CSV rows carry one value per header column at 17 significant digits, enough
+to round-trip every float64, and JSON is indented by two spaces.  Both go to
+a temp file in the target's directory that is renamed over the target, so a
+reader never sees a partial file and a failed write leaves the old one in
+place.  A new file gets the mode ``0o666 & ~umask``, as from a plain open.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import tempfile
+
+__all__ = ["write_csv", "write_json"]
+
+
+def _atomic_write(path, text: str) -> None:
+    directory = os.path.dirname(os.fspath(path)) or "."
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        # mkstemp creates the file 0600; give artifacts the umask's default mode
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def write_json(path, payload: dict) -> None:
+    _atomic_write(path, json.dumps(payload, indent=2) + "\n")
+
+
+def write_csv(path, header: str, rows) -> None:
+    """Write one line per row, one value per header column, at 17 digits."""
+    fmt = ",".join(["{:.17g}"] * (header.count(",") + 1))
+    lines = [header]
+    lines.extend(fmt.format(*row) for row in rows)
+    _atomic_write(path, "\n".join(lines) + "\n")

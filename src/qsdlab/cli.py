@@ -9,29 +9,30 @@ rates      certified rate table (kappa, kappa~, gap); writes rates.json
 report     full decay report; writes report.json and curves.csv
 
 Configuration is flat ``section.key = value`` text; command-line flags mirror
-the keys and win over the file.  Outputs are written atomically (temp file
-plus rename) with floats at 17 significant digits, so identical configurations
-and seeds produce byte-identical artifacts.  Exit codes: 0 success, 1
-validation error, 2 numerical failure.
+the keys and win over the file.  Outputs go through :mod:`qsdlab.artifacts`
+(atomic, floats at 17 significant digits), mostly by way of the library
+``save_*`` functions, so identical configurations and seeds produce
+byte-identical artifacts.  Exit codes: 0 success, 1 validation error, 2
+numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
-import tempfile
 
 import numpy as np
 
 from . import analytics, doob, montecarlo, spectral
+from .artifacts import write_csv, write_json
 from .grid_measure import (
     GridMeasure,
     build_grid,
     load_measure_csv,
     regrid,
+    save_measure_csv,
     tv_distance,
     w1_distance,
 )
@@ -110,9 +111,11 @@ def _coerce(key: str, raw: str):
         if low in ("0", "false", "no", "off"):
             return False
         raise ValueError(f"{key}: expected a boolean, got {raw!r}")
-    if key in _INT_KEYS:
-        return int(raw)
-    return float(raw)
+    kind = int if key in _INT_KEYS else float
+    try:
+        return kind(raw)
+    except ValueError:
+        raise ValueError(f"{key}: expected {kind.__name__}, got {raw!r}") from None
 
 
 def parse_config_file(path) -> dict:
@@ -157,6 +160,8 @@ def validate(config: RunConfig) -> list[str]:
             bad.append("potential.table_path must point to an existing CSV")
     if example is not None and not config.get("example.N", 1.0) > 0.0:
         bad.append("example.N must be positive")
+    if example == "ou" and not config.get("example.lambda", 1.0) > 0.0:
+        bad.append("example.lambda must be positive")
     if config.get("grid.n", 0) < 3:
         bad.append("grid.n must be >= 3")
     xmin, xmax = config.get("grid.x_min"), config.get("grid.x_max")
@@ -182,35 +187,6 @@ def validate(config: RunConfig) -> list[str]:
         if not path or not os.path.exists(path):
             bad.append("initial.path must point to an existing CSV")
     return bad
-
-
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        # mkstemp creates the file 0600; give artifacts the umask's default mode
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _write_json(path: str, payload: dict) -> None:
-    _atomic_write(path, json.dumps(payload, indent=2) + "\n")
-
-
-def _write_csv(path: str, header: str, rows) -> None:
-    """Write one line per row, one value per header column, at 17 digits."""
-    fmt = ",".join(["{:.17g}"] * (header.count(",") + 1))
-    lines = [header]
-    lines.extend(fmt.format(*row) for row in rows)
-    _atomic_write(path, "\n".join(lines) + "\n")
 
 
 def _build_problem(config: RunConfig):
@@ -283,15 +259,9 @@ def _initial_measure(config: RunConfig, spec, grid, eigen=None) -> GridMeasure:
 def _cmd_eigen(config: RunConfig, outdir: str) -> None:
     spec, grid = _build_problem(config)
     eigen = spectral.principal_eigenpair(spectral.assemble_generator(spec, grid))
-    alpha = spectral.qsd_from_eigen(eigen, spec, grid)
-    _write_json(os.path.join(outdir, "eigen.json"), {
-        "lambda0": eigen.lambda0,
-        "lambda1": eigen.lambda1,
-        "gap": eigen.lambda1 - eigen.lambda0,
-        "normalization": eigen.normalization,
-    })
-    _write_csv(os.path.join(outdir, "eta.csv"), "x,eta", zip(grid.nodes, eigen.eta))
-    _write_csv(os.path.join(outdir, "alpha.csv"), "x,density", zip(grid.nodes, alpha.density))
+    spectral.save_eigen_json(eigen, os.path.join(outdir, "eigen.json"))
+    spectral.save_eigen_csv(eigen, grid, os.path.join(outdir, "eta.csv"))
+    save_measure_csv(spectral.qsd_from_eigen(eigen, spec, grid), os.path.join(outdir, "alpha.csv"))
 
 
 def _cmd_evolve(config: RunConfig, outdir: str) -> None:
@@ -308,8 +278,7 @@ def _cmd_evolve(config: RunConfig, outdir: str) -> None:
          s.chi2_to_beta, s.survival_weight, s.log_survival)
         for s in states
     ]
-    _write_csv(os.path.join(outdir, "curves.csv"),
-               "t,tv,w1,chi2,survival_weight,log_survival", rows)
+    write_csv(os.path.join(outdir, "curves.csv"), analytics.CURVES_HEADER, rows)
 
 
 def _cmd_simulate(config: RunConfig, outdir: str) -> None:
@@ -328,11 +297,8 @@ def _cmd_simulate(config: RunConfig, outdir: str) -> None:
         resample=bool(config["mc.resample"]),
     )
     ensemble = montecarlo.simulate(sim, mu)
-    _write_csv(os.path.join(outdir, "survival.csv"),
-               "t,alive_fraction,log_survival", ensemble.survival_curve.tolist())
-    rows = [(i, *row) for i, row in enumerate(ensemble.positions.tolist())]
-    header = "particle_id," + ",".join(f"x{j+1}" for j in range(ensemble.positions.shape[1] if ensemble.positions.size else 1))
-    _write_csv(os.path.join(outdir, "positions.csv"), header, rows)
+    montecarlo.save_survival_csv(ensemble, os.path.join(outdir, "survival.csv"))
+    montecarlo.save_positions_csv(ensemble, os.path.join(outdir, "positions.csv"))
     if ensemble.status != "ok":
         raise FlowFailure(f"simulation ended with status {ensemble.status}")
 
@@ -358,7 +324,7 @@ def _cmd_rates(config: RunConfig, outdir: str) -> None:
             table["kappa_tilde_refined"] = cdfi_rate(spec, lam_used, grid, use_drift_form=True)
         except ValueError:
             pass
-    _write_json(os.path.join(outdir, "rates.json"), table)
+    write_json(os.path.join(outdir, "rates.json"), table)
     width = max(len(k) for k in table)
     for key, val in table.items():
         print(f"{key.ljust(width)}  {val if val is None else format(val, '.12g')}")
@@ -388,39 +354,39 @@ def _cmd_report(config: RunConfig, outdir: str) -> None:
         kappa=kappa,
     )
     report = analytics.decay_report(rc)
-    _write_json(os.path.join(outdir, "report.json"), report.to_dict())
-    rows = zip(report.times, report.tv, report.w1, report.chi2,
-               report.survival_weight, report.log_survival)
-    _write_csv(os.path.join(outdir, "curves.csv"),
-               "t,tv,w1,chi2,survival_weight,log_survival", rows)
+    analytics.save_report_json(report, os.path.join(outdir, "report.json"))
+    analytics.save_curves_csv(report, os.path.join(outdir, "curves.csv"))
 
 
-_FLAG_TO_KEY = {
-    "example": "example",
-    "N": "example.N",
-    "lam": "example.lambda",
-    "potential": "potential.family",
-    "delta": "potential.delta",
-    "table_path": "potential.table_path",
-    "x_min": "grid.x_min",
-    "x_max": "grid.x_max",
-    "n": "grid.n",
-    "t_max": "flow.t_max",
-    "dt": "flow.dt",
-    "samples": "flow.samples",
-    "mc_dt": "mc.dt",
-    "horizon": "mc.horizon",
-    "particles": "mc.particles",
-    "resample": "mc.resample",
-    "initial": "initial.family",
-    "initial_lo": "initial.lo",
-    "initial_hi": "initial.hi",
-    "initial_center": "initial.center",
-    "initial_width": "initial.width",
-    "initial_path": "initial.path",
-    "lambda0_lower": "rates.lambda0_lower",
-    "output": "output",
-    "seed": "seed",
+# Every command takes every flag.  A flag is parsed as text and converted by
+# _coerce, as a config-file value is, and its allowed values are checked by
+# validate; a bare switch stores "true".
+_FLAGS = {
+    "--example": "example",
+    "--N": "example.N",
+    "--lambda": "example.lambda",
+    "--potential": "potential.family",
+    "--delta": "potential.delta",
+    "--table-path": "potential.table_path",
+    "--x-min": "grid.x_min",
+    "--x-max": "grid.x_max",
+    "--n": "grid.n",
+    "--t-max": "flow.t_max",
+    "--dt": "flow.dt",
+    "--samples": "flow.samples",
+    "--mc-dt": "mc.dt",
+    "--horizon": "mc.horizon",
+    "--particles": "mc.particles",
+    "--resample": "mc.resample",
+    "--initial": "initial.family",
+    "--initial-lo": "initial.lo",
+    "--initial-hi": "initial.hi",
+    "--initial-center": "initial.center",
+    "--initial-width": "initial.width",
+    "--initial-path": "initial.path",
+    "--lambda0-lower": "rates.lambda0_lower",
+    "--output": "output",
+    "--seed": "seed",
 }
 
 
@@ -433,33 +399,11 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None)
-        p.add_argument("--output", default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--example", choices=("brownian", "ou"), default=None)
-        p.add_argument("--N", type=float, default=None)
-        p.add_argument("--lambda", dest="lam", type=float, default=None)
-        p.add_argument("--potential", default=None,
-                       choices=("zero", "quadratic", "shifted-power", "tabulated"))
-        p.add_argument("--delta", type=float, default=None)
-        p.add_argument("--table-path", dest="table_path", default=None)
-        p.add_argument("--x-min", dest="x_min", type=float, default=None)
-        p.add_argument("--x-max", dest="x_max", type=float, default=None)
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--t-max", dest="t_max", type=float, default=None)
-        p.add_argument("--dt", type=float, default=None)
-        p.add_argument("--samples", type=int, default=None)
-        p.add_argument("--mc-dt", dest="mc_dt", type=float, default=None)
-        p.add_argument("--horizon", type=float, default=None)
-        p.add_argument("--particles", type=int, default=None)
-        p.add_argument("--resample", action="store_const", const=True, default=None)
-        p.add_argument("--initial", default=None,
-                       choices=("uniform", "gaussian-truncated", "qsd", "custom"))
-        p.add_argument("--initial-lo", dest="initial_lo", type=float, default=None)
-        p.add_argument("--initial-hi", dest="initial_hi", type=float, default=None)
-        p.add_argument("--initial-center", dest="initial_center", type=float, default=None)
-        p.add_argument("--initial-width", dest="initial_width", type=float, default=None)
-        p.add_argument("--initial-path", dest="initial_path", default=None)
-        p.add_argument("--lambda0-lower", dest="lambda0_lower", type=float, default=None)
+        for flag, key in _FLAGS.items():
+            if key in _BOOL_KEYS:
+                p.add_argument(flag, dest=key, action="store_const", const="true")
+            else:
+                p.add_argument(flag, dest=key)
     return parser
 
 
@@ -468,16 +412,15 @@ def _assemble_config(args: argparse.Namespace) -> RunConfig:
     config["command"] = args.command
     if args.config is not None:
         config.update(parse_config_file(args.config))
-    for flag, key in _FLAG_TO_KEY.items():
-        val = getattr(args, flag, None)
-        if val is not None:
-            config[key] = val
+    flags = {key: _coerce(key, getattr(args, key)) for key in _FLAGS.values()
+             if getattr(args, key) is not None}
+    config.update(flags)
     # --lambda names the quadratic coefficient wherever it appears
-    if args.lam is not None:
-        config["potential.lambda"] = args.lam
+    if "example.lambda" in flags:
+        config["potential.lambda"] = flags["example.lambda"]
     # --dt is the step of whatever the command evolves
-    if args.command == "simulate" and args.dt is not None:
-        config["mc.dt"] = args.dt
+    if args.command == "simulate" and "flow.dt" in flags:
+        config["mc.dt"] = flags["flow.dt"]
     return config
 
 

@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .artifacts import write_csv
+
 __all__ = [
     "Grid1D",
     "GridMeasure",
@@ -283,12 +285,8 @@ def regrid(mu: GridMeasure, grid: Grid1D) -> GridMeasure:
 
 
 def save_measure_csv(mu: GridMeasure, path) -> None:
-    """Write a measure as CSV ``x,density`` with 17 significant digits."""
-    lines = ["x,density"]
-    for x, p in zip(mu.grid.nodes, mu.density):
-        lines.append(f"{x:.17g},{p:.17g}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """Write a measure as CSV ``x,density`` through :mod:`qsdlab.artifacts`."""
+    write_csv(path, "x,density", zip(mu.grid.nodes, mu.density))
 
 
 def load_measure_csv(path) -> GridMeasure:

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .artifacts import write_csv
 from .grid_measure import Grid1D, GridMeasure, ProductGridMeasure
 from .potential import PotentialSpec, evaluate
 
@@ -243,20 +244,11 @@ def estimate_lambda0(survival_curve: np.ndarray, window: tuple[float, float] = N
 
 def save_survival_csv(ensemble: ParticleEnsemble, path) -> None:
     """Write the survival history as CSV ``t,alive_fraction,log_survival``."""
-    lines = ["t,alive_fraction,log_survival"]
-    for t, frac, ls in ensemble.survival_curve.tolist():
-        lines.append(f"{t:.17g},{frac:.17g},{ls:.17g}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, "t,alive_fraction,log_survival", ensemble.survival_curve.tolist())
 
 
 def save_positions_csv(ensemble: ParticleEnsemble, path) -> None:
     """Write final positions as CSV ``particle_id,x1[,x2,...]``."""
     d = ensemble.positions.shape[1] if ensemble.positions.size else 1
     header = "particle_id," + ",".join(f"x{j + 1}" for j in range(d))
-    fmt = "{}," + ",".join(["{:.17g}"] * d)
-    lines = [header]
-    for i, row in enumerate(ensemble.positions.tolist()):
-        lines.append(fmt.format(i, *row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, header, ((i, *row) for i, row in enumerate(ensemble.positions.tolist())))

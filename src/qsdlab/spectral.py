@@ -27,6 +27,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dgttrf, dgttrs
 
+from .artifacts import write_csv, write_json
 from .grid_measure import Grid1D, GridMeasure, quadrature
 from .potential import PotentialSpec, evaluate
 
@@ -350,23 +351,15 @@ def integral_identity_residual(
 
 
 def save_eigen_json(eigen: EigenPair, path) -> None:
-    """Write eigenvalue metadata as JSON {lambda0, lambda1, normalization}."""
-    import json
-
-    payload = {
+    """Write eigenvalue metadata as JSON {lambda0, lambda1, gap, normalization}."""
+    write_json(path, {
         "lambda0": eigen.lambda0,
         "lambda1": eigen.lambda1,
+        "gap": None if eigen.lambda1 is None else eigen.lambda1 - eigen.lambda0,
         "normalization": eigen.normalization,
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    })
 
 
 def save_eigen_csv(eigen: EigenPair, grid: Grid1D, path) -> None:
-    """Write the eigenvector as CSV ``x,eta`` with 17 significant digits."""
-    lines = ["x,eta"]
-    for x, e in zip(grid.nodes, eigen.eta):
-        lines.append(f"{x:.17g},{e:.17g}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """Write the eigenvector as CSV ``x,eta`` through :mod:`qsdlab.artifacts`."""
+    write_csv(path, "x,eta", zip(grid.nodes, eigen.eta))

@@ -6,7 +6,8 @@ import stat
 import numpy as np
 import pytest
 
-from qsdlab.cli import DEFAULTS, RunConfig, _write_csv, parse_config_file, run, validate
+from qsdlab.artifacts import write_csv
+from qsdlab.cli import DEFAULTS, RunConfig, parse_config_file, run, validate
 
 
 def read(path):
@@ -40,6 +41,11 @@ class TestValidate:
         cfg = self.base_config(example=None)
         diags = validate(cfg)
         assert any("potential.family" in d for d in diags)
+
+    def test_ou_lambda_diagnostic(self):
+        for lam in (0.0, -1.0, math.nan):
+            diags = validate(self.base_config(**{"example.lambda": lam}))
+            assert "example.lambda must be positive" in diags
 
     def test_mc_diagnostics(self):
         cfg = self.base_config(**{"mc.particles": 10, "mc.dt": 2.0, "mc.horizon": 1.0})
@@ -92,14 +98,14 @@ class TestCsvWriter:
             (0.0, -0.0, 1e-300),
             (np.float64(1.0) / 3.0, 10**6, np.nextafter(1.0, 2.0)),
         ]
-        _write_csv(str(tmp_path / "mixed.csv"), "a,b,c", mixed)
+        write_csv(str(tmp_path / "mixed.csv"), "a,b,c", mixed)
         assert read(tmp_path / "mixed.csv") == per_value("a,b,c", mixed)
 
         # the simulate command's position rows: int ids from tolist() against
         # the float ids and numpy rows written before
         positions = np.array([[0.5, -0.25], [1e-300, -0.0], [-1.0 / 3.0, 2.0**-60]])
         header = "particle_id,x1,x2"
-        _write_csv(str(tmp_path / "positions.csv"), header,
+        write_csv(str(tmp_path / "positions.csv"), header,
                    [(i, *row) for i, row in enumerate(positions.tolist())])
         expected = per_value(header, [(float(i), *row) for i, row in enumerate(positions)])
         assert read(tmp_path / "positions.csv") == expected
@@ -191,6 +197,40 @@ class TestCommands:
         code = run(["eigen", "--example", "brownian", "--n", "2",
                     "--output", str(tmp_path / "x")])
         assert code == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["--example", "ou", "--lambda", "0"],
+        ["--example", "ou", "--lambda", "-1"],
+        ["--example", "ou", "--n", "many"],
+        ["--example", "levy"],
+        ["--potential", "cubic"],
+        ["--example", "ou", "--initial", "dirac"],
+    ])
+    def test_invalid_values_exit_one_without_outputs(self, tmp_path, capsys, argv):
+        out = tmp_path / "x"
+        assert run(["eigen", *argv, "--output", str(out)]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("qsdlab: ") and "Traceback" not in err
+
+    def test_eigen_artifacts_match_library_savers(self, tmp_path):
+        from qsdlab import spectral
+        from qsdlab.grid_measure import build_grid, save_measure_csv
+        from qsdlab.potential import quadratic_potential
+
+        out = tmp_path / "cli"
+        assert run(["eigen", "--example", "ou", "--n", "300", "--output", str(out)]) == 0
+        spec, grid = quadratic_potential(1.0), build_grid(0.0, 8.0, 300)
+        eigen = spectral.principal_eigenpair(spectral.assemble_generator(spec, grid))
+        lib = tmp_path / "lib"
+        lib.mkdir()
+        spectral.save_eigen_json(eigen, lib / "eigen.json")
+        spectral.save_eigen_csv(eigen, grid, lib / "eta.csv")
+        save_measure_csv(spectral.qsd_from_eigen(eigen, spec, grid), lib / "alpha.csv")
+        for name in ("eigen.json", "eta.csv", "alpha.csv"):
+            assert (out / name).read_bytes() == (lib / name).read_bytes(), name
+        assert list(json.loads(read(out / "eigen.json"))) == [
+            "lambda0", "lambda1", "gap", "normalization"]
 
     def test_custom_initial_measure(self, tmp_path):
         from qsdlab.grid_measure import GridMeasure, build_grid, save_measure_csv
