@@ -45,6 +45,7 @@ from .doob import (
     doob_generator,
     evolve_transformed,
     flow_curve,
+    flow_exponential,
 )
 from .montecarlo import (
     ParticleEnsemble,

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .artifacts import write_csv, write_json
-from .doob import default_dt, flow_curve
+from .doob import default_dt, flow_curve, flow_exponential
 from .grid_measure import (
     Grid1D,
     GridMeasure,
@@ -51,9 +51,11 @@ __all__ = [
     "alpha_psi2_over_eta",
     "burn_in_time",
     "fit_decay_rate",
+    "decay_curves",
     "decay_report",
     "save_report_json",
     "save_curves_csv",
+    "write_curves_csv",
 ]
 
 # explicit constants from the two-sided bound around the quasi-stationary
@@ -64,7 +66,8 @@ BOUND_A = 1.0 + BOUND_B
 
 DISTANCE_FLOOR = 1e-12
 BURN_IN_THRESHOLD = 0.9
-CURVES_HEADER = "t,tv,w1,chi2,survival_weight,log_survival"
+CURVE_NAMES = ("tv", "w1", "chi2", "survival_weight", "log_survival")
+CURVES_HEADER = ",".join(("t",) + CURVE_NAMES)
 
 
 @dataclass(frozen=True)
@@ -217,14 +220,32 @@ def burn_in_time(eigen: EigenPair, alpha: GridMeasure, psi: np.ndarray,
     times = np.asarray(times, dtype=float)
     if dt is None:
         dt = default_dt(op.grid, eigen.lambda0)
-    return _scan_burn_in(a_ratio, flow_curve(op, mu, times, dt, eigen=eigen), times)
+    states = flow_curve(op, mu, times, dt, eigen=eigen)
+    return _scan_burn_in(a_ratio, times, [s.chi2_to_beta for s in states])
 
 
-def _scan_burn_in(a_ratio: float, states, times) -> BurnIn:
-    for st in states:
-        if a_ratio * st.chi2_to_beta**2 < BURN_IN_THRESHOLD:
-            return BurnIn(time=st.t, reached=True)
+def _scan_burn_in(a_ratio: float, times, chi2) -> BurnIn:
+    for t, c in zip(times, chi2):
+        if a_ratio * c**2 < BURN_IN_THRESHOLD:
+            return BurnIn(time=float(t), reached=True)
     return BurnIn(time=float(times[-1]), reached=False)
+
+
+def decay_curves(op, eigen: EigenPair, alpha: GridMeasure, mu: GridMeasure, times) -> dict:
+    """The conditioned flow's decay curves at ``times``, keyed by `CURVE_NAMES`.
+
+    TV and W1 distance of phi_t(mu) to the QSD ``alpha``, the chi-square
+    distance of eta*phi_t(mu) to beta, the survival weight and its log, from
+    `flow_exponential`.
+    """
+    states = flow_exponential(op, mu, times, eigen=eigen)
+    return {
+        "tv": np.array([tv_distance(s.mu_t, alpha) for s in states]),
+        "w1": np.array([w1_distance(s.mu_t, alpha) for s in states]),
+        "chi2": np.array([s.chi2_to_beta for s in states]),
+        "survival_weight": np.array([s.survival_weight for s in states]),
+        "log_survival": np.array([s.log_survival for s in states]),
+    }
 
 
 @dataclass(frozen=True)
@@ -271,7 +292,6 @@ class ReportConfig:
     grid: object
     initial: object
     times: np.ndarray
-    dt: float = None
     psi: str = "one"              # "one" or "one_plus_dist"
     x0: float = None
     cdfi: bool = False
@@ -379,18 +399,10 @@ def _report_1d(config: ReportConfig) -> DecayReport:
     alpha = qsd_from_eigen(eigen, spec, grid)
 
     times = np.asarray(config.times, dtype=float)
-    dt = config.dt if config.dt is not None else default_dt(grid, lam0)
-    states = flow_curve(op, mu, times, dt, eigen=eigen)
-    curves = {
-        "tv": np.array([tv_distance(s.mu_t, alpha) for s in states]),
-        "w1": np.array([w1_distance(s.mu_t, alpha) for s in states]),
-        "chi2": np.array([s.chi2_to_beta for s in states]),
-        "survival_weight": np.array([s.survival_weight for s in states]),
-        "log_survival": np.array([s.log_survival for s in states]),
-    }
+    curves = decay_curves(op, eigen, alpha, mu, times)
 
     bc = bound_constants(_psi_array(config, grid), eigen, alpha)
-    burn = _scan_burn_in(bc.alpha_psi2_over_eta, states, times)
+    burn = _scan_burn_in(bc.alpha_psi2_over_eta, times, curves["chi2"])
     notes = ["tensor eigenfunction: n/a (one factor)"]
     if not burn.reached:
         notes.append("burn-in threshold not reached on the sampled times")
@@ -476,7 +488,11 @@ def save_report_json(report: DecayReport, path) -> None:
     write_json(path, report.to_dict())
 
 
+def write_curves_csv(path, times, curves: dict) -> None:
+    """Write decay curves as CSV ``t,tv,w1,chi2,survival_weight,log_survival``."""
+    write_csv(path, CURVES_HEADER, zip(times, *(curves[name] for name in CURVE_NAMES)))
+
+
 def save_curves_csv(report: DecayReport, path) -> None:
-    """Write the decay curves as CSV ``t,tv,w1,chi2,survival_weight,log_survival``."""
-    write_csv(path, CURVES_HEADER, zip(report.times, report.tv, report.w1, report.chi2,
-                                       report.survival_weight, report.log_survival))
+    """Write the report's decay curves with `write_curves_csv`."""
+    write_curves_csv(path, report.times, {name: getattr(report, name) for name in CURVE_NAMES})

@@ -26,15 +26,13 @@ import sys
 import numpy as np
 
 from . import analytics, doob, montecarlo, spectral
-from .artifacts import write_csv, write_json
+from .artifacts import write_json
 from .grid_measure import (
     GridMeasure,
     build_grid,
     load_measure_csv,
     regrid,
     save_measure_csv,
-    tv_distance,
-    w1_distance,
 )
 from .potential import (
     be_constant,
@@ -64,7 +62,6 @@ DEFAULTS = {
     "grid.x_max": None,
     "grid.n": 2000,
     "flow.t_max": 2.0,
-    "flow.dt": None,
     "flow.samples": 41,
     "mc.dt": 1e-3,
     "mc.horizon": 1.0,
@@ -164,13 +161,9 @@ def validate(config: RunConfig) -> list[str]:
         bad.append("example.lambda must be positive")
     if config.get("grid.n", 0) < 3:
         bad.append("grid.n must be >= 3")
-    xmin, xmax = config.get("grid.x_min"), config.get("grid.x_max")
-    if xmin is not None and xmax is not None and not xmin < xmax:
-        bad.append("grid.x_min must be < grid.x_max")
+    bad += _grid_bound_diagnostics(config)
     if not config.get("flow.t_max", 0.0) > 0.0:
         bad.append("flow.t_max must be positive")
-    if config.get("flow.dt") is not None and not config.get("flow.dt") > 0.0:
-        bad.append("flow.dt must be positive")
     if config.get("flow.samples", 0) < 2:
         bad.append("flow.samples must be >= 2")
     if not config.get("mc.dt", 0.0) > 0.0:
@@ -189,6 +182,36 @@ def validate(config: RunConfig) -> list[str]:
     return bad
 
 
+def _grid_bound_diagnostics(config: RunConfig) -> list[str]:
+    """Reject grid bounds that the problem would ignore or that leave no interval.
+
+    The Brownian example takes its domain (-N, N) from example.N, and the OU
+    example and the shifted-power family start at the absorbing point 0; the
+    OU and quadratic problems put the lower bound at 0 when it is unset.
+    """
+    problem = config.get("example") or config.get("potential.family")
+    xmin, xmax = config.get("grid.x_min"), config.get("grid.x_max")
+    if problem == "brownian" and (xmin is not None or xmax is not None):
+        return ["example = brownian takes its domain (-N, N) from example.N; "
+                "unset grid.x_min and grid.x_max"]
+    if problem == "zero" and (xmin is None or xmax is None):
+        return ["potential.family = zero needs grid.x_min and grid.x_max"]
+    if any(x is not None and not math.isfinite(x) for x in (xmin, xmax)):
+        return ["grid.x_min and grid.x_max must be finite"]
+    if problem in ("ou", "shifted-power") and xmin not in (None, 0.0):
+        return [f"grid.x_min must be 0 or unset: the {problem} domain starts at 0"]
+    if xmin is None and problem in ("ou", "quadratic", "shifted-power"):
+        xmin = 0.0
+    if xmin is not None and xmax is not None and not xmin < xmax:
+        return [f"grid.x_min ({xmin:g}) must be < grid.x_max ({xmax:g})"]
+    return []
+
+
+def _bound(config: RunConfig, key: str, default: float) -> float:
+    value = config.get(key)
+    return default if value is None else value
+
+
 def _build_problem(config: RunConfig):
     """Resolve (spec, grid) from the example or potential block."""
     example = config.get("example")
@@ -198,29 +221,23 @@ def _build_problem(config: RunConfig):
         return zero_potential(domain=(-half, half)), build_grid(-half, half, n)
     if example == "ou":
         lam = config["example.lambda"]
-        x_max = config.get("grid.x_max") or 8.0 / math.sqrt(lam)
+        x_max = _bound(config, "grid.x_max", 8.0 / math.sqrt(lam))
         return quadratic_potential(lam), build_grid(0.0, x_max, n)
     family = config["potential.family"]
     if family == "zero":
-        xmin = config.get("grid.x_min")
-        xmax = config.get("grid.x_max")
-        if xmin is None or xmax is None:
-            raise ValueError("zero potential needs grid.x_min and grid.x_max")
+        xmin, xmax = config["grid.x_min"], config["grid.x_max"]
         return zero_potential(domain=(xmin, xmax)), build_grid(xmin, xmax, n)
     if family == "quadratic":
         lam = config["potential.lambda"]
-        x_max = config.get("grid.x_max") or 8.0 / math.sqrt(lam)
-        return quadratic_potential(lam), build_grid(config.get("grid.x_min") or 0.0, x_max, n)
+        x_max = _bound(config, "grid.x_max", 8.0 / math.sqrt(lam))
+        return quadratic_potential(lam), build_grid(_bound(config, "grid.x_min", 0.0), x_max, n)
     if family == "shifted-power":
         delta = config["potential.delta"]
-        x_max = config.get("grid.x_max") or 2.5
-        return shifted_power_potential(delta), build_grid(0.0, x_max, n)
+        return shifted_power_potential(delta), build_grid(0.0, _bound(config, "grid.x_max", 2.5), n)
     if family == "tabulated":
         spec = tabulated_from_csv(config["potential.table_path"])
-        xmin = config.get("grid.x_min")
-        xmax = config.get("grid.x_max")
-        if xmin is None or xmax is None:
-            xmin, xmax = spec.domain
+        xmin = _bound(config, "grid.x_min", spec.domain[0])
+        xmax = _bound(config, "grid.x_max", spec.domain[1])
         return spec, build_grid(xmin, xmax, n)
     raise ValueError(f"unresolved potential family {family!r}")
 
@@ -246,7 +263,7 @@ def _initial_measure(config: RunConfig, spec, grid, eigen=None) -> GridMeasure:
     if family == "qsd":
         if eigen is None:
             op = spectral.assemble_generator(spec, grid)
-            eigen = spectral.principal_eigenpair(op)
+            eigen = spectral.principal_eigenpair(op, with_lambda1=False)
         return spectral.qsd_from_eigen(eigen, spec, grid)
     if family == "custom":
         measure = load_measure_csv(config["initial.path"])
@@ -267,18 +284,12 @@ def _cmd_eigen(config: RunConfig, outdir: str) -> None:
 def _cmd_evolve(config: RunConfig, outdir: str) -> None:
     spec, grid = _build_problem(config)
     op = spectral.assemble_generator(spec, grid)
-    eigen = spectral.principal_eigenpair(op)
+    eigen = spectral.principal_eigenpair(op, with_lambda1=False)
     alpha = spectral.qsd_from_eigen(eigen, spec, grid)
     mu = _initial_measure(config, spec, grid, eigen)
     times = np.linspace(0.0, config["flow.t_max"], config["flow.samples"])
-    dt = config.get("flow.dt") or doob.default_dt(grid, eigen.lambda0)
-    states = doob.flow_curve(op, mu, times, dt, eigen=eigen)
-    rows = [
-        (s.t, tv_distance(s.mu_t, alpha), w1_distance(s.mu_t, alpha),
-         s.chi2_to_beta, s.survival_weight, s.log_survival)
-        for s in states
-    ]
-    write_csv(os.path.join(outdir, "curves.csv"), analytics.CURVES_HEADER, rows)
+    curves = analytics.decay_curves(op, eigen, alpha, mu, times)
+    analytics.write_curves_csv(os.path.join(outdir, "curves.csv"), times, curves)
 
 
 def _cmd_simulate(config: RunConfig, outdir: str) -> None:
@@ -347,7 +358,6 @@ def _cmd_report(config: RunConfig, outdir: str) -> None:
         grid=grid,
         initial=mu,
         times=times,
-        dt=config.get("flow.dt"),
         cdfi=is_cdfi,
         lambda0_lower=config.get("rates.lambda0_lower"),
         use_drift_form=bool(config.get("rates.use_drift_form", True)),
@@ -407,6 +417,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_values(argv) -> list[str]:
+    """Write ``--flag -1e-3`` as ``--flag=-1e-3`` for every flag that takes a value.
+
+    argparse takes a separate argument that starts with '-' for an option
+    unless it looks like -1 or -.5, so -1e-3 or -inf would be lost.
+    """
+    out = []
+    for arg in argv:
+        key = _FLAGS.get(out[-1]) if out else None
+        if key is not None and key not in _BOOL_KEYS and arg.startswith("-") and _is_number(arg):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def _assemble_config(args: argparse.Namespace) -> RunConfig:
     config = RunConfig(DEFAULTS)
     config["command"] = args.command
@@ -418,9 +452,12 @@ def _assemble_config(args: argparse.Namespace) -> RunConfig:
     # --lambda names the quadratic coefficient wherever it appears
     if "example.lambda" in flags:
         config["potential.lambda"] = flags["example.lambda"]
-    # --dt is the step of whatever the command evolves
-    if args.command == "simulate" and "flow.dt" in flags:
-        config["mc.dt"] = flags["flow.dt"]
+    # --dt is the step of simulate; evolve and report evaluate the flow without steps
+    dt = config.pop("flow.dt", None)
+    if dt is not None and args.command in ("evolve", "report"):
+        raise ValueError(f"--dt: {args.command} evaluates the flow without time steps")
+    if dt is not None and args.command == "simulate":
+        config["mc.dt"] = dt
     return config
 
 
@@ -437,7 +474,7 @@ def run(argv=None) -> int:
     """Parse arguments, run one command, and map failures to exit codes."""
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:

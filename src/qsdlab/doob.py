@@ -3,23 +3,35 @@
 The transform conjugates the absorbed generator by the principal eigenfunction,
 ``Ltilde f = (1/eta) (L + lambda0) (eta f)``, producing a mass-conserving
 generator whose invariant measure is beta = eta^2 * gamma.  Evolution runs on
-the measure (adjoint) side with Crank-Nicolson steps.  Both generators are
-reversible (the absorbed one in L2(gamma), the transformed one in L2(beta)),
-so the measure-side matrix M is similar to a symmetric S = D^-1 M D with a
-positive diagonal D (sqrt(gamma), resp. sqrt(beta), up to a constant).  The
-stepper runs in w = D^-1 m: it factors the symmetric positive definite
-I - aS with LAPACK ``pttrf`` (LDL^T, no pivoting) once per step size, shared
-by the segments of a `flow_curve`, and every step is one ``pttrs`` solve with
-those factors.  The off-diagonal rows are obtained from the operator rows by
-transposition, which keeps the discrete duality exact.
+the measure (adjoint) side.  Both generators are reversible (the absorbed one
+in L2(gamma), the transformed one in L2(beta)), so the measure-side matrix M
+is similar to a symmetric S = D^-1 M D with a positive diagonal D
+(sqrt(gamma), resp. sqrt(beta), up to a constant), and I - aS is symmetric
+positive definite for a > 0: both time integrators below solve only with its
+LAPACK ``pttrf`` (LDL^T, no pivoting) factors.  The off-diagonal rows are
+obtained from the operator rows by transposition, which keeps the discrete
+duality exact.
 
-The conditioned semigroup is evolved with the same stepper applied to the
+`flow_curve` steps the flow by Crank-Nicolson in w = D^-1 m with a
+Rannacher startup: the matrix is factored once per step size, shared by the
+segments of a `flow_curve`, and every step is one ``pttrs`` solve.
+`flow_exponential` takes no time step: it evaluates exp(t (M + shift)) m0 at
+every sample time from one shift-and-invert Krylov space of
+(I - gamma (M + shift))^-1, gamma = t_max / 10 (van den Eshof & Hochbruck,
+SIAM J. Sci. Comput. 27, 2006), Arnoldi on m itself in the 2-norm, with an
+a-posteriori estimate (Saad, SIAM J. Numer. Anal. 29, 1992) held below
+``KRYLOV_TOL`` on every sample; the chi-square distance, which weights the
+density by 1/beta, comes from a second such space in w, deflated by the
+principal eigenvector.  A basis that reaches ``KRYLOV_MAX_DIM`` without
+meeting the tolerance raises `FlowError`.
+
+The conditioned semigroup is evolved with the same integrators applied to the
 sub-Markovian generator.  Supplying the eigenpair shifts the generator by
-lambda0 inside the stepper; the shift is removed analytically from the
-recorded survival weight, keeps the unnormalized mass O(1), and makes the
-rational time step commute exactly with the eta-conjugation (so the
-conditioned flow followed by an eta-tilt reproduces the transformed flow to
-roundoff rather than to the time-discretization error).
+lambda0; the shift is removed analytically from the recorded survival weight,
+keeps the unnormalized mass O(1), and makes the rational time step commute
+exactly with the eta-conjugation (so the conditioned flow followed by an
+eta-tilt reproduces the transformed flow to roundoff rather than to the
+time-discretization error).
 """
 
 from __future__ import annotations
@@ -28,10 +40,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import expm
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .grid_measure import GridMeasure, chi2_divergence, tilt, tv_distance
-from .spectral import EigenPair, TridiagonalOperator
+from .spectral import EigenPair, TridiagonalOperator, tridiag_apply
 
 __all__ = [
     "TransformedOperator",
@@ -42,6 +55,7 @@ __all__ = [
     "evolve_transformed",
     "conditioned_flow",
     "flow_curve",
+    "flow_exponential",
     "checkpoint_residual",
     "chi2_decay_curve",
     "default_dt",
@@ -50,6 +64,11 @@ __all__ = [
 NEGATIVE_DENSITY_TOL = -1e-10
 MASS_UNDERFLOW = 1e-290
 RENORM_EVERY = 64
+KRYLOV_TOL = 1e-10
+KRYLOV_CHI_TOL = 1e-8  # relative to the decaying part of the chi-square flow
+KRYLOV_MAX_DIM = 300
+KRYLOV_CHUNK = 32
+KRYLOV_CHECK_EVERY = 5
 
 
 class FlowError(RuntimeError):
@@ -224,6 +243,97 @@ def _cn_run(diag, off_upper, off_lower, m0, duration, dt, shift=0.0, conserve=Fa
     return m, log_mass
 
 
+def _krylov_coefficients(hess, gamma, times, residual, tol):
+    """Snapshot coefficients u(t_j) in the Krylov basis and the largest error estimate.
+
+    ``hess`` is the (k+1, k) Arnoldi matrix of Z = (I - gamma A)^-1, so A is
+    represented by (I - H_k^-1) / gamma = -B and u(t) = expm(-t B) e_1.  The
+    residual of the Krylov approximation is
+    (h_{k+1,k} / gamma) (e_k^T H_k^-1 u(t)) (I - gamma A) v_{k+1}; times t
+    and relative to |u(t)| it estimates the error at t.  ``residual`` is the
+    norm of (I - gamma A) v_{k+1}.  The estimate is taken first at the
+    first positive and the last sample time, where it peaks in practice (it
+    is largest at the shortest time); only when both meet ``tol`` is
+    u marched over the sample gaps, with one ``expm`` per distinct gap, and
+    the estimate taken on every sample.  Returns (None, estimate) when the
+    first test fails.
+    """
+    k = hess.shape[1]
+    h_inv = np.linalg.inv(hess[:k])
+    b = (h_inv - np.eye(k)) / gamma
+    scale = hess[k, k - 1] / gamma * residual
+
+    def estimate(t, u):
+        return scale * abs(h_inv[-1] @ u) * t / np.linalg.norm(u)
+
+    ends = (times[times > 0.0][0], times[-1])
+    first = max(estimate(t, expm(-t * b)[:, 0]) for t in ends)
+    if not first <= tol:
+        return None, first
+    # linspace gaps differ in their last bits: gaps equal to 12 digits share
+    # one propagator, which moves a sample time by less than 1e-12 of itself
+    gaps = np.array([float(f"{g:.12e}") for g in np.diff(times, prepend=0.0)])
+    propagators = {g: expm(-g * b) for g in np.unique(gaps) if g > 0.0}
+    u = np.zeros(k)
+    u[0] = 1.0
+    coeffs = np.empty((times.size, k))
+    worst = 0.0
+    for j, (t, g) in enumerate(zip(times, gaps)):
+        if g > 0.0:
+            u = propagators[g] @ u
+        coeffs[j] = u
+        worst = max(worst, estimate(t, u))
+    return coeffs, worst
+
+
+def _krylov_run(v0, times, gamma, solve, apply, tol):
+    """exp(t A) v0 at each of ``times`` (t_max > 0); returns (basis, coefficients).
+
+    ``solve(v)`` returns Z v = (I - gamma A)^-1 v and ``apply(v)`` returns
+    A v.  Arnoldi with two passes of classical Gram-Schmidt builds an
+    orthonormal basis of the Krylov space of Z from v0 in the 2-norm of the
+    variable v0 lives in, so the error estimate of `_krylov_coefficients` is
+    relative to the 2-norm of exp(t A) v0.  The basis grows in chunks of
+    ``KRYLOV_CHUNK`` rows; every ``KRYLOV_CHECK_EVERY`` vectors the estimate
+    is taken, and the run stops once it is at most ``tol`` on every
+    sample.  The result at times[j] is coefficients[j] @ basis, formed by
+    the caller one sample at a time.
+    """
+    n = v0.size
+    norm0 = float(np.linalg.norm(v0))
+    if norm0 == 0.0:
+        return np.zeros((1, n)), np.zeros((times.size, 1))
+    basis = np.empty((KRYLOV_CHUNK, n))
+    basis[0] = v0 / norm0
+    hess = np.zeros((KRYLOV_MAX_DIM + 1, KRYLOV_MAX_DIM))
+    est = math.inf
+    for k in range(1, KRYLOV_MAX_DIM + 1):
+        w = solve(basis[k - 1])
+        v = basis[:k]
+        for _ in range(2):
+            h = v @ w
+            w -= h @ v
+            hess[:k, k - 1] += h
+        h_next = float(np.linalg.norm(w))
+        if not math.isfinite(h_next):
+            raise FlowError("non-finite Krylov vector; check the potential and eigenpair")
+        hess[k, k - 1] = h_next
+        if h_next == 0.0:  # invariant subspace: the projection is exact
+            return basis[:k], norm0 * _krylov_coefficients(hess[:k + 1, :k], gamma, times, 0.0, tol)[0]
+        if k == basis.shape[0]:
+            basis = np.concatenate((basis, np.empty((KRYLOV_CHUNK, n))))
+        basis[k] = w / h_next
+        if k % KRYLOV_CHECK_EVERY == 0 or k == KRYLOV_MAX_DIM:
+            residual = float(np.linalg.norm(basis[k] - gamma * apply(basis[k])))
+            coeffs, est = _krylov_coefficients(hess[:k + 1, :k], gamma, times, residual, tol)
+            if est <= tol:
+                return basis[:k], norm0 * coeffs
+    raise FlowError(
+        f"Krylov exponential not converged: basis size {KRYLOV_MAX_DIM}, "
+        f"error estimate {est:.3e} > {tol:.0e}"
+    )
+
+
 def evolve_transformed(tilde: TransformedOperator, nu: GridMeasure, t: float, dt: float) -> GridMeasure:
     """Evolve a measure under the transformed (Markovian) semigroup."""
     if t < 0.0:
@@ -240,6 +350,35 @@ def evolve_transformed(tilde: TransformedOperator, nu: GridMeasure, t: float, dt
     return GridMeasure(tilde.base.grid, np.clip(m, 0.0, None))
 
 
+def _sample_times(op: TridiagonalOperator, mu: GridMeasure, times) -> np.ndarray:
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.size == 0:
+        raise ValueError("need a nonempty 1D array of times")
+    if np.any(times < 0.0) or np.any(np.diff(times) < 0.0):
+        raise ValueError("times must be nonnegative and nondecreasing")
+    if mu.grid != op.grid:
+        raise ValueError("measure lives on a different grid")
+    return times
+
+
+def _beta(op: TridiagonalOperator, eigen: EigenPair) -> GridMeasure:
+    return GridMeasure(op.grid, eigen.eta**2 * op.gamma_weights)
+
+
+def _chi2_to_beta(op, eigen, beta, m) -> float:
+    return chi2_divergence(tilt(eigen.eta, GridMeasure(op.grid, np.clip(m, 0.0, None))), beta)
+
+
+def _flow_state(op, t, m, log_surv, chi2=None) -> FlowState:
+    return FlowState(
+        t=float(t),
+        mu_t=GridMeasure(op.grid, np.clip(m, 0.0, None)),
+        survival_weight=min(math.exp(log_surv), 1.0) if log_surv > -700 else 0.0,
+        log_survival=log_surv,
+        chi2_to_beta=chi2,
+    )
+
+
 def flow_curve(
     op: TridiagonalOperator,
     mu: GridMeasure,
@@ -248,7 +387,7 @@ def flow_curve(
     eigen: EigenPair = None,
     smooth_start: bool = True,
 ) -> list[FlowState]:
-    """Conditioned law at the requested times via checkpointed restarts.
+    """Conditioned law at the requested times via checkpointed Crank-Nicolson restarts.
 
     The evolution proceeds segment by segment (the semi-flow property makes
     restarting from the normalized state exact up to the recorded log of the
@@ -256,22 +395,14 @@ def flow_curve(
     generator by lambda0 and the chi-square distance of eta*mu_t to beta is
     recorded on each snapshot.  ``smooth_start`` applies the Rannacher
     startup once at t=0; disable it when composing flows whose initial
-    density already vanishes at the absorbing endpoints.
+    density already vanishes at the absorbing endpoints.  `flow_exponential`
+    evaluates the same flow without time steps.
     """
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size == 0:
-        raise ValueError("need a nonempty 1D array of times")
-    if np.any(times < 0.0) or np.any(np.diff(times) < 0.0):
-        raise ValueError("times must be nonnegative and nondecreasing")
+    times = _sample_times(op, mu, times)
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    if mu.grid != op.grid:
-        raise ValueError("measure lives on a different grid")
-
     shift = eigen.lambda0 if eigen is not None else 0.0
-    beta = None
-    if eigen is not None:
-        beta = GridMeasure(op.grid, eigen.eta**2 * op.gamma_weights)
+    beta = _beta(op, eigen) if eigen is not None else None
 
     cache = {}
     states = []
@@ -289,19 +420,83 @@ def flow_curve(
             smoothed = True
         log_surv += log_mass - shift * seg
         t_prev = t
-        mu_t = GridMeasure(op.grid, np.clip(m, 0.0, None))
-        chi2 = None
-        if beta is not None:
-            chi2 = chi2_divergence(tilt(eigen.eta, mu_t), beta)
-        states.append(
-            FlowState(
-                t=float(t),
-                mu_t=mu_t,
-                survival_weight=min(math.exp(log_surv), 1.0) if log_surv > -700 else 0.0,
-                log_survival=log_surv,
-                chi2_to_beta=chi2,
+        chi2 = None if eigen is None else _chi2_to_beta(op, eigen, beta, m)
+        states.append(_flow_state(op, t, m, log_surv, chi2))
+    return states
+
+
+def flow_exponential(
+    op: TridiagonalOperator,
+    mu: GridMeasure,
+    times,
+    eigen: EigenPair = None,
+) -> list[FlowState]:
+    """Conditioned law at the requested times, exp(t (M + shift)) m0 without time steps.
+
+    The law comes from one shift-and-invert Krylov space (`_krylov_run`) in
+    m itself, accurate to ``KRYLOV_TOL`` relative to the density's 2-norm.
+    With ``eigen`` supplied the generator is shifted by lambda0 and the
+    chi-square distance of eta*mu_t to beta is recorded on each snapshot.
+    That distance weights the density by 1/beta, which an error small in
+    the 2-norm of m does not bound where beta is tiny, so it comes from a
+    second Krylov space in the symmetric variable w = m / d, deflated by the
+    principal eigenvector: w(t) = c0 psi0 + exp(t (S + lambda0)) w_perp with
+    psi0 the unit eigenvector d * eta of S, c0 = <psi0, w0> and w_perp =
+    w0 - c0 psi0.  The generator is in detailed balance with gamma, so d^2
+    and beta / eta^2 are proportional to gamma, and the distance is
+    |w_perp(t)| / c0.  Holding the error estimate to ``KRYLOV_CHI_TOL``
+    relative to |w_perp(t)| keeps that relative accuracy as the distance
+    decays, up to a roundoff floor of about 1e-16 |w_perp(0)| / |w_perp(t)|,
+    large only for initial laws with much mass where beta is tiny.  The
+    ``NEGATIVE_DENSITY_TOL`` test and the mass-underflow check apply to
+    every snapshot; t = 0 returns the initial law.
+    """
+    times = _sample_times(op, mu, times)
+    m0 = mu.density
+    shift = eigen.lambda0 if eigen is not None else 0.0
+    beta = _beta(op, eigen) if eigen is not None else None
+    start = _flow_state(op, 0.0, m0, 0.0, None if eigen is None else _chi2_to_beta(op, eigen, beta, m0))
+    later = times[times > 0.0]
+    states = [start] * (times.size - later.size)
+    if later.size == 0:
+        return states
+    gamma = float(later[-1]) / 10.0
+    d, off = _symmetric_bands(op.off_upper, op.off_lower)
+    factors = _cn_factors(op.diag, off, gamma, shift)
+
+    chi2 = [None] * later.size
+    if eigen is not None:
+        psi = d * eigen.eta
+        psi /= np.linalg.norm(psi)
+        w0 = m0 / d
+        c0 = float(psi @ w0)
+        coeffs = _krylov_run(
+            w0 - c0 * psi, later, gamma,
+            lambda v: dpttrs(*factors, v)[0],
+            lambda v: tridiag_apply(op.diag, off, off, v) + shift * v,
+            KRYLOV_CHI_TOL,
+        )[1]
+        # the basis is orthonormal, so |w_perp(t)| is the norm of the coefficients
+        chi2 = [float(np.linalg.norm(c)) / c0 for c in coeffs]
+    basis, coeffs = _krylov_run(
+        m0, later, gamma,
+        lambda v: d * dpttrs(*factors, v / d)[0],
+        lambda v: tridiag_apply(op.diag, op.off_lower, op.off_upper, v) + shift * v,
+        KRYLOV_TOL,
+    )
+    mass0 = float(m0.sum())
+    for t, c, x in zip(later, coeffs, chi2):
+        m = c @ basis
+        mass = float(m.sum())
+        if not mass >= MASS_UNDERFLOW:
+            raise FlowError(
+                "total mass underflow; restart the flow from the "
+                "normalized state (semi-flow property)"
             )
-        )
+        low = float(m.min())
+        if not low >= NEGATIVE_DENSITY_TOL * max(float(m.max()), -low):
+            raise FlowError(f"negative density {low:.3e} at t={t:.6g}")
+        states.append(_flow_state(op, t, m, math.log(mass / mass0) - shift * t, x))
     return states
 
 

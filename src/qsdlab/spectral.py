@@ -187,7 +187,8 @@ def _second_eigenvalue(op: TridiagonalOperator) -> float:
     return lam1
 
 
-def principal_eigenpair(op: TridiagonalOperator, tol: float = 1e-14, max_iter: int = 500) -> EigenPair:
+def principal_eigenpair(op: TridiagonalOperator, tol: float = 1e-14, max_iter: int = 500,
+                        with_lambda1: bool = True) -> EigenPair:
     """Principal pair (lambda0 > 0, eta > 0) of -L_h, with lambda1 and a bracket.
 
     Inverse iteration from the ones vector solves with the GTH factors
@@ -197,7 +198,9 @@ def principal_eigenpair(op: TridiagonalOperator, tol: float = 1e-14, max_iter: i
     few-ulp roundoff of factors and solves); the iteration stops once the
     bracket's relative width is at most ``tol`` and takes lambda0 at its
     midpoint.  eta, scaled from y (of size 1/lambda0), is normalized so that
-    gamma(eta^2) = gamma(eta), i.e. alpha(eta) = 1.
+    gamma(eta^2) = gamma(eta), i.e. alpha(eta) = 1.  ``with_lambda1=False``
+    skips `_second_eigenvalue`, more than half of the cost, and leaves
+    ``lambda1`` None.
     """
     factors = _gth_factors(op)
     x = np.ones(op.grid.n)
@@ -213,9 +216,11 @@ def principal_eigenpair(op: TridiagonalOperator, tol: float = 1e-14, max_iter: i
     lam0 = 0.5 * (lo + hi)
     if not lam0 > 0.0:
         raise ConvergenceError(f"principal eigenvalue is not positive: {lam0}")
-    lam1 = _second_eigenvalue(op)
-    if not lam1 > lam0:
-        raise ConvergenceError(f"degenerate spectrum: lambda1={lam1} <= lambda0={lam0}")
+    lam1 = None
+    if with_lambda1:
+        lam1 = _second_eigenvalue(op)
+        if not lam1 > lam0:
+            raise ConvergenceError(f"degenerate spectrum: lambda1={lam1} <= lambda0={lam0}")
     eta = y / y.max()
     g_eta = quadrature(eta * op.gamma_weights, op.grid)
     g_eta2 = quadrature(eta**2 * op.gamma_weights, op.grid)

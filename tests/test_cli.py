@@ -243,3 +243,86 @@ class TestCommands:
                     "--t-max", "0.5", "--samples", "6", "--initial", "custom",
                     "--initial-path", str(mpath), "--output", str(out)])
         assert code == 0
+
+
+class TestFlowCommands:
+    BASE = ["--example", "ou", "--n", "300", "--t-max", "2.0", "--samples", "21",
+            "--initial", "gaussian-truncated", "--initial-center", "1.2", "--initial-width", "0.4"]
+
+    def test_evolve_and_report_write_the_same_curves(self, tmp_path):
+        for command in ("evolve", "report"):
+            assert run([command, *self.BASE, "--output", str(tmp_path / command)]) == 0
+        assert (tmp_path / "evolve" / "curves.csv").read_bytes() == \
+            (tmp_path / "report" / "curves.csv").read_bytes()
+
+    def test_evolve_writes_the_library_exponential_curves(self, tmp_path):
+        from qsdlab import spectral
+        from qsdlab.analytics import decay_curves, write_curves_csv
+        from qsdlab.grid_measure import GridMeasure, build_grid
+        from qsdlab.potential import quadratic_potential
+
+        out = tmp_path / "cli"
+        assert run(["evolve", *self.BASE, "--output", str(out)]) == 0
+        spec, grid = quadratic_potential(1.0), build_grid(0.0, 8.0, 300)
+        op = spectral.assemble_generator(spec, grid)
+        eigen = spectral.principal_eigenpair(op)
+        alpha = spectral.qsd_from_eigen(eigen, spec, grid)
+        mu = GridMeasure(grid, np.exp(-((grid.nodes - 1.2) ** 2) / (2.0 * 0.4**2)))
+        times = np.linspace(0.0, 2.0, 21)
+        lib = tmp_path / "lib.csv"
+        write_curves_csv(str(lib), times, decay_curves(op, eigen, alpha, mu, times))
+        assert (out / "curves.csv").read_bytes() == lib.read_bytes()
+
+    @pytest.mark.parametrize("command", ["evolve", "report"])
+    def test_flow_commands_reject_a_time_step(self, tmp_path, capsys, command):
+        out = tmp_path / command
+        assert run([command, *self.BASE, "--dt", "1e-3", "--output", str(out)]) == 1
+        assert capsys.readouterr().err == f"qsdlab: --dt: {command} evaluates the flow without time steps\n"
+        assert not out.exists()
+
+    def test_evolve_exits_two_at_the_krylov_cap(self, tmp_path, capsys, monkeypatch):
+        from qsdlab import doob
+
+        monkeypatch.setattr(doob, "KRYLOV_MAX_DIM", 2)
+        assert run(["evolve", *self.BASE, "--output", str(tmp_path / "evo")]) == 2
+        err = capsys.readouterr().err
+        assert "numerical failure: Krylov exponential not converged: basis size 2" in err
+        assert not (tmp_path / "evo" / "curves.csv").exists()
+
+
+class TestGridBounds:
+    @pytest.mark.parametrize("argv", [
+        ["--example", "ou", "--x-max", "0"],
+        ["--example", "ou", "--x-min", "1"],
+        ["--example", "brownian", "--x-min", "-5", "--x-max", "5"],
+        ["--potential", "shifted-power", "--x-min", "0.5"],
+        ["--potential", "quadratic", "--x-max", "-1"],
+        ["--potential", "zero", "--x-min", "0"],
+        ["--potential", "zero", "--x-min", "-1", "--x-max", "inf"],
+    ])
+    def test_ignored_or_empty_bounds_exit_one_without_outputs(self, tmp_path, capsys, argv):
+        out = tmp_path / "x"
+        assert run(["eigen", *argv, "--n", "50", "--output", str(out)]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("qsdlab: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, x_min, x_max", [
+        (["--example", "ou", "--x-max", "4"], 0.0, 4.0),
+        (["--potential", "quadratic", "--x-min", "1", "--x-max", "3"], 1.0, 3.0),
+    ])
+    def test_given_bounds_are_used(self, tmp_path, argv, x_min, x_max):
+        from qsdlab.grid_measure import build_grid
+
+        out = tmp_path / "eig"
+        assert run(["eigen", *argv, "--n", "49", "--output", str(out)]) == 0
+        nodes = np.loadtxt(out / "eta.csv", delimiter=",", skiprows=1)[:, 0]
+        np.testing.assert_array_equal(nodes, build_grid(x_min, x_max, 49).nodes)
+
+    def test_negative_values_in_scientific_notation(self, tmp_path):
+        base = ["eigen", "--potential", "zero", "--x-max", "1", "--n", "50"]
+        assert run([*base, "--x-min", "-1e-3", "--output", str(tmp_path / "a")]) == 0
+        assert run([*base, "--x-min=-1e-3", "--output", str(tmp_path / "b")]) == 0
+        assert (tmp_path / "a" / "eta.csv").read_bytes() == (tmp_path / "b" / "eta.csv").read_bytes()
+        assert np.loadtxt(tmp_path / "a" / "eta.csv", delimiter=",", skiprows=1)[0, 0] == \
+            pytest.approx(-1e-3 + 1.001 / 51)

@@ -17,6 +17,7 @@ from qsdlab.doob import (
     doob_generator,
     evolve_transformed,
     flow_curve,
+    flow_exponential,
 )
 from qsdlab.grid_measure import GridMeasure, build_grid, chi2_divergence, tilt, tv_distance
 from qsdlab.potential import quadratic_potential, shifted_power_potential, zero_potential
@@ -402,3 +403,128 @@ class TestChi2DecayCurve:
                 continue
             bound = (BOUND_A + BOUND_B) * chi0 * math.exp(-brownian.gap * st.t)
             assert tv_distance(st.mu_t, alpha) <= bound
+
+
+KRYLOV_CASES = {
+    "brownian": (zero_potential(domain=(-1.0, 1.0)), -1.0, 1.0, 2.0),
+    "ou": (quadratic_potential(1.0), 0.0, 8.0, 3.0),
+    "delta3": (shifted_power_potential(3.0), 0.0, 2.5, 1.0),
+}
+
+
+def initial_density(law, g):
+    if law == "uniform":
+        return np.ones(g.n)
+    if law == "spike":
+        spike = np.zeros(g.n)
+        spike[g.n // 3] = 1.0
+        return spike
+    center = 0.0 if g.x_min < 0.0 else 1.2
+    return np.exp(-((g.nodes - center) ** 2) / (2.0 * 0.25**2))
+
+
+def chi2_oracle(op, eigen, m0, times):
+    """chi2(eta * phi_t(m0) | beta) from the eigendecomposition of S + lambda0.
+
+    S = D^-1 M D is symmetric with eigenvector d * eta for lambda0, and
+    beta / eta^2 is proportional to d^2, so the distance at t is the norm of
+    exp(t (S + lambda0)) w0 off the top eigenvector over its component
+    along it (w0 = m0 / d): each term keeps its relative accuracy, where a
+    dense ``expm`` of M loses the tail that 1/beta weights.
+    """
+    d, off = doob._symmetric_bands(op.off_upper, op.off_lower)
+    lam, q = np.linalg.eigh(np.diag(op.diag + eigen.lambda0) + np.diag(off, 1) + np.diag(off, -1))
+    c = q.T @ (m0 / d)
+    return np.array([np.linalg.norm(np.exp(t * lam[:-1]) * c[:-1]) / abs(c[-1]) for t in times])
+
+
+class TestKrylovFlow:
+    """flow_exponential: the shift-and-invert Krylov exponential."""
+
+    @pytest.mark.parametrize("law", ["uniform", "spike", "gaussian"])
+    @pytest.mark.parametrize("case", sorted(KRYLOV_CASES))
+    def test_matches_matrix_exponential(self, case, law):
+        spec, x_min, x_max, t_max = KRYLOV_CASES[case]
+        g = build_grid(x_min, x_max, 200)
+        op = assemble_generator(spec, g)
+        eigen = principal_eigenpair(op)
+        mu = GridMeasure(g, initial_density(law, g))
+        # the measure-side generator, shifted by lambda0
+        gen = np.diag(op.diag + eigen.lambda0) + np.diag(op.off_lower, 1) + np.diag(op.off_upper, -1)
+        times = t_max * np.array([0.0, 0.005, 0.05, 0.3, 1.0])
+        states = flow_exponential(op, mu, times, eigen=eigen)
+        for t, state in zip(times, states):
+            m = expm(t * gen) @ mu.density
+            ref = GridMeasure(g, np.clip(m, 0.0, None)).density
+            assert np.max(np.abs(state.mu_t.density - ref)) <= 1e-9 * np.max(ref)
+            log_survival = math.log(m.sum() / mu.density.sum()) - eigen.lambda0 * t
+            assert abs(state.log_survival - log_survival) <= 1e-9
+        chi2 = [s.chi2_to_beta for s in states]
+        np.testing.assert_allclose(chi2, chi2_oracle(op, eigen, mu.density, times), rtol=1e-5, atol=1e-12)
+        assert states[0].log_survival == 0.0
+        np.testing.assert_allclose(states[0].mu_t.density, mu.density, rtol=1e-14)
+
+    def test_chi2_late_in_the_decay(self):
+        """Weighted by 1/beta, the chi-square distance of a uniform law under the
+        shifted power potential reaches 2e-9; it keeps its relative accuracy."""
+        g = build_grid(0.0, 2.5, 400)
+        op = assemble_generator(shifted_power_potential(3.0), g)
+        eigen = principal_eigenpair(op)
+        mu = GridMeasure(g, np.ones(g.n))
+        times = np.linspace(0.0, 2.0, 41)
+        refs = chi2_oracle(op, eigen, mu.density, times)
+        assert refs[-1] < 1e-8
+        got = [s.chi2_to_beta for s in flow_exponential(op, mu, times, eigen=eigen)]
+        np.testing.assert_allclose(got, refs, rtol=1e-5, atol=1e-12)
+
+    @pytest.mark.parametrize("case", ["ou", "delta3"])
+    def test_uniform_law_on_a_fine_grid(self, case):
+        spec, x_min, x_max, _ = KRYLOV_CASES[case]
+        g = build_grid(x_min, x_max, 8000)
+        op = assemble_generator(spec, g)
+        eigen = principal_eigenpair(op, with_lambda1=False)
+        states = flow_exponential(op, GridMeasure(g, np.ones(g.n)), np.linspace(0.0, 2.0, 41), eigen=eigen)
+        assert all(np.isfinite(s.chi2_to_beta) and s.chi2_to_beta >= 0.0 for s in states)
+        assert np.all(np.diff([s.log_survival for s in states]) <= 1e-12)
+
+    def test_unshifted_flow_matches_matrix_exponential(self):
+        g = build_grid(-1.0, 1.0, 200)
+        op = assemble_generator(zero_potential(domain=(-1, 1)), g)
+        mu = GridMeasure(g, initial_density("uniform", g))
+        gen = np.diag(op.diag) + np.diag(op.off_lower, 1) + np.diag(op.off_upper, -1)
+        state = flow_exponential(op, mu, [1.0])[-1]
+        m = expm(gen) @ mu.density
+        assert tv_distance(state.mu_t, GridMeasure(g, m)) <= 1e-10
+        assert state.log_survival == pytest.approx(math.log(m.sum() / mu.density.sum()), abs=1e-10)
+        assert state.chi2_to_beta is None
+
+    def test_qsd_initial_law_stays_put(self, ou):
+        alpha = qsd_from_eigen(ou.eigen, ou.spec, ou.grid)
+        states = flow_exponential(ou.op, alpha, [0.0, 0.5, 1.0], eigen=ou.eigen)
+        for s in states:
+            assert tv_distance(s.mu_t, alpha) <= 1e-10
+            assert s.chi2_to_beta <= 1e-10
+            assert s.log_survival == pytest.approx(-ou.lambda0 * s.t, abs=1e-10)
+
+    def test_basis_cap_raises(self, ou, monkeypatch):
+        monkeypatch.setattr(doob, "KRYLOV_MAX_DIM", 4)
+        mu = GridMeasure(ou.grid, initial_density("uniform", ou.grid))
+        with pytest.raises(FlowError, match="basis size 4"):
+            flow_exponential(ou.op, mu, [0.0, 1.0, 2.0], eigen=ou.eigen)
+
+    def test_basis_grows_past_one_chunk(self, ou, monkeypatch):
+        monkeypatch.setattr(doob, "KRYLOV_CHUNK", 3)
+        mu = GridMeasure(ou.grid, initial_density("gaussian", ou.grid))
+        times = np.linspace(0.0, 3.0, 7)
+        grown = flow_exponential(ou.op, mu, times, eigen=ou.eigen)
+        monkeypatch.undo()
+        for a, b in zip(grown, flow_exponential(ou.op, mu, times, eigen=ou.eigen)):
+            assert np.array_equal(a.mu_t.density, b.mu_t.density)
+            assert a.chi2_to_beta == b.chi2_to_beta
+
+    def test_all_times_zero_and_validation(self, brownian, uniform_measure):
+        mu = uniform_measure(brownian.grid)
+        states = flow_exponential(brownian.op, mu, [0.0, 0.0], eigen=brownian.eigen)
+        assert all(s.log_survival == 0.0 and s.survival_weight == 1.0 for s in states)
+        with pytest.raises(ValueError, match="nondecreasing"):
+            flow_exponential(brownian.op, mu, [1.0, 0.5])

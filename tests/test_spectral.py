@@ -313,3 +313,15 @@ class TestSerialization:
         lines = cpath.read_text().splitlines()
         assert lines[0] == "x,eta"
         assert len(lines) == brownian.grid.n + 1
+
+
+def test_lambda0_only_solve_skips_lambda1(monkeypatch):
+    from qsdlab import spectral
+
+    op = assemble_generator(quadratic_potential(1.0), build_grid(0.0, 8.0, 400))
+    full = principal_eigenpair(op)
+    monkeypatch.setattr(spectral, "_second_eigenvalue", lambda op: pytest.fail("lambda1 solved"))
+    only = principal_eigenpair(op, with_lambda1=False)
+    assert only.lambda1 is None
+    assert only.lambda0 == full.lambda0 and only.lambda0_bracket == full.lambda0_bracket
+    assert np.array_equal(only.eta, full.eta)
