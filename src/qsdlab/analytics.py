@@ -368,12 +368,18 @@ def _assemble_report(config: ReportConfig, curves: dict, burn: BurnIn, gap: floa
     """Fit the curves over the fit window and build the report.
 
     The default window starts after the burn-in, and no earlier than half a
-    relaxation time 1/gap, and ends at three relaxation times.
+    relaxation time 1/gap, and ends at three relaxation times, or at the last
+    sample time (with a note) when it would not start before that.
     """
     times = np.asarray(config.times, dtype=float)
     window = config.fit_window
     if window is None:
-        window = (max(burn.time, 0.5 / gap), 3.0 / gap)
+        start = max(burn.time, 0.5 / gap)
+        window = (start, 3.0 / gap if start < 3.0 / gap else float(times[-1]))
+        if start >= 3.0 / gap:
+            fields["notes"] += ("default fit window starts at max(burn-in, 0.5/gap) >= 3/gap: "
+                                + ("no width, so the fitted rates are NaN" if start >= window[1]
+                                   else "ended at the last sample time"),)
     return DecayReport(
         label=config.label,
         times=times,

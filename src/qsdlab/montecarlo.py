@@ -15,6 +15,10 @@ optional Fleming-Viot-style resampling restarts absorbed particles at a
 uniformly chosen survivor, drawn from the same step stream after the normals,
 and accumulates the log survival estimate; its output is meant for exit-rate
 estimation only.
+
+The survivors are kept as one contiguous array per coordinate j, stepped with
+column j of that block and stacked only at the end; the drift needs V' alone,
+and the potential's domain is checked once, before stepping.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import numpy as np
 
 from .artifacts import write_csv
 from .grid_measure import Grid1D, GridMeasure, ProductGridMeasure
-from .potential import PotentialSpec, evaluate
+from .potential import PotentialSpec, _first_derivative
 
 __all__ = [
     "SimConfig",
@@ -129,6 +133,9 @@ def simulate(config: SimConfig, initial_sampler, record_every: int = 1) -> Parti
     dt = config.horizon / steps
     sqdt = math.sqrt(dt)
 
+    if any(lo < spec.domain[0] or hi > spec.domain[1] for spec, (lo, hi) in coords):
+        raise ValueError("each simulation interval must lie inside its potential domain")
+
     rng0 = _step_rng(config.seed, 0)
     x = sample_measure(initial_sampler, n, rng0)
     if x.shape[1] != d:
@@ -137,7 +144,8 @@ def simulate(config: SimConfig, initial_sampler, record_every: int = 1) -> Parti
         if np.any(x[:, j] <= lo) or np.any(x[:, j] >= hi):
             raise ValueError("initial measure must be supported inside the open domain")
 
-    # x holds the survivors only, in particle-index order
+    # cols[j] holds coordinate j of the survivors only, in particle-index order
+    cols = [x[:, j] for j in range(d)]
     log_surv = 0.0
     history = [(0.0, 1.0, 0.0)]
     status = "ok"
@@ -145,41 +153,41 @@ def simulate(config: SimConfig, initial_sampler, record_every: int = 1) -> Parti
 
     for k in range(1, steps + 1):
         rng = _step_rng(config.seed, k)
-        m = x.shape[0]
+        m = cols[0].size
         xi = rng.standard_normal((m, d))
-        drift = np.empty_like(x)
-        for j, (spec, _) in enumerate(coords):
-            drift[:, j] = -0.5 * np.asarray(evaluate(spec, x[:, j])[1])
-        x = x + drift * dt + sqdt * xi
-
         exited = np.zeros(m, dtype=bool)
-        for j, (_, (lo, hi)) in enumerate(coords):
-            exited |= (x[:, j] <= lo) | (x[:, j] >= hi)
+        for j, (spec, (lo, hi)) in enumerate(coords):
+            vp = _first_derivative(spec, cols[j])  # None for V' == 0: x + (-0.0) == x
+            xj = cols[j] if vp is None else cols[j] + (-0.5 * vp) * dt
+            cols[j] = xj = xj + sqdt * xi[:, j]
+            exited |= (xj <= lo) | (xj >= hi)
         n_alive = m - int(np.count_nonzero(exited))
         t = k * dt
 
         if n_alive == 0:
             status = "all_absorbed"
             log_surv = -math.inf
-            x = x[:0]
+            cols = [c[:0] for c in cols]
             history.append((t, 0.0, log_surv))
             break
         if config.resample:
             log_surv += math.log(n_alive / m)
             dead = np.flatnonzero(exited)
             if dead.size:
-                x[dead] = x[rng.choice(np.flatnonzero(~exited), size=dead.size)]
+                donors = rng.choice(np.flatnonzero(~exited), size=dead.size)
+                for c in cols:
+                    c[dead] = c[donors]
         else:
             if n_alive < m:
-                x = x[~exited]
+                cols = [c[~exited] for c in cols]
             log_surv = math.log(n_alive / n)
 
         if k % record_every == 0 or k == steps:
-            history.append((t, x.shape[0] / n, log_surv))
+            history.append((t, cols[0].size / n, log_surv))
 
     return ParticleEnsemble(
-        positions=x,
-        alive_count=x.shape[0],
+        positions=np.stack(cols, axis=1),
+        alive_count=cols[0].size,
         t=t,
         initial_count=n,
         log_survival_estimate=log_surv,
@@ -251,4 +259,4 @@ def save_positions_csv(ensemble: ParticleEnsemble, path) -> None:
     """Write final positions as CSV ``particle_id,x1[,x2,...]``."""
     d = ensemble.positions.shape[1] if ensemble.positions.size else 1
     header = "particle_id," + ",".join(f"x{j + 1}" for j in range(d))
-    write_csv(path, header, ((i, *row) for i, row in enumerate(ensemble.positions.tolist())))
+    write_csv(path, header, zip(range(len(ensemble.positions)), *ensemble.positions.T.tolist()))

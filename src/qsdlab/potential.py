@@ -34,9 +34,6 @@ __all__ = [
     "cdfi_rate",
 ]
 
-_FAMILIES = ("zero", "quadratic", "shifted_power", "tabulated")
-
-
 @dataclass(frozen=True)
 class PotentialSpec:
     """A twice continuously differentiable potential on an open interval."""
@@ -99,32 +96,38 @@ def tabulated_from_csv(path) -> PotentialSpec:
     return tabulated_potential(data[:, 0], data[:, 1], data[:, 2], data[:, 3])
 
 
-def _check_domain(spec: PotentialSpec, x: np.ndarray) -> None:
-    lo, hi = spec.domain
-    # the closed interval is allowed: V extends continuously to the boundary
-    if np.any(x < lo) or np.any(x > hi):
-        raise ValueError(f"point outside potential domain [{lo}, {hi}]")
+def _first_derivative(spec: PotentialSpec, x: np.ndarray):
+    """V' at an array of points (no domain check), or None for V = 0."""
+    if spec.family == "zero":
+        return None
+    if spec.family == "quadratic":
+        return 2.0 * spec.lam * x
+    if spec.family == "shifted_power":
+        return spec.delta * (x + 1.0) ** (spec.delta - 1.0)
+    if spec.family == "tabulated":
+        return spec.table[1](x)
+    raise ValueError(f"unknown potential family {spec.family!r}")  # pragma: no cover
 
 
 def evaluate(spec: PotentialSpec, x):
     """Evaluate (V, V', V'') at a scalar or array of points."""
     x_arr = np.asarray(x, dtype=float)
-    _check_domain(spec, x_arr)
+    lo, hi = spec.domain
+    # the closed interval is allowed: V extends continuously to the boundary
+    if np.any(x_arr < lo) or np.any(x_arr > hi):
+        raise ValueError(f"point outside potential domain [{lo}, {hi}]")
+    vp = _first_derivative(spec, x_arr)
     if spec.family == "zero":
         z = np.zeros_like(x_arr)
         out = (z, z.copy(), z.copy())
     elif spec.family == "quadratic":
-        lam = spec.lam
-        out = (lam * x_arr**2, 2.0 * lam * x_arr, np.full_like(x_arr, 2.0 * lam))
+        out = (spec.lam * x_arr**2, vp, np.full_like(x_arr, 2.0 * spec.lam))
     elif spec.family == "shifted_power":
         d = spec.delta
         base = x_arr + 1.0
-        out = (base**d, d * base ** (d - 1.0), d * (d - 1.0) * base ** (d - 2.0))
-    elif spec.family == "tabulated":
-        sv, svp, svpp = spec.table
-        out = (sv(x_arr), svp(x_arr), svpp(x_arr))
-    else:  # pragma: no cover - factories prevent this
-        raise ValueError(f"unknown potential family {spec.family!r}")
+        out = (base**d, vp, d * (d - 1.0) * base ** (d - 2.0))
+    else:
+        out = (spec.table[0](x_arr), vp, spec.table[2](x_arr))
     if np.isscalar(x) or x_arr.ndim == 0:
         return tuple(float(v) for v in out)
     return out

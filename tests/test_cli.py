@@ -110,6 +110,26 @@ class TestCsvWriter:
         expected = per_value(header, [(float(i), *row) for i, row in enumerate(positions)])
         assert read(tmp_path / "positions.csv") == expected
 
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_chunk_boundaries_match_per_value_join(self, tmp_path, extra):
+        from qsdlab.artifacts import _CHUNK_ROWS
+
+        rng = np.random.default_rng(extra + 1)
+        rows = [(i, *vals) for i, vals in
+                enumerate((rng.standard_normal((_CHUNK_ROWS + extra, 2)) * 1e3).tolist())]
+        write_csv(str(tmp_path / "c.csv"), "i,a,b", rows)
+        expected = "".join(["i,a,b\n"] + [",".join(f"{v:.17g}" for v in row) + "\n" for row in rows])
+        assert read(tmp_path / "c.csv") == expected
+
+    @pytest.mark.parametrize("row", [(1.0, 2.0, 3.0), (1.0,)])
+    def test_row_length_mismatch_raises_and_keeps_target(self, tmp_path, row):
+        target = tmp_path / "t.csv"
+        target.write_text("old\n")
+        with pytest.raises(ValueError, match="value count"):
+            write_csv(str(target), "a,b", [(0.5, 1.5), row])
+        assert read(target) == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
+
 
 class TestCommands:
     def test_eigen_brownian(self, tmp_path):
@@ -165,6 +185,28 @@ class TestCommands:
         assert payload["gap"] == pytest.approx(2.0, abs=1e-4)
         assert payload["kappa"] == 2.0
         assert (out / "curves.csv").exists()
+
+    def test_default_report_fits_over_a_window_that_ends_at_the_last_sample(self, tmp_path):
+        # the default OU report has its burn-in (1.8) after 3/gap (1.5): the
+        # default window then ends at the last sample time, not before it starts
+        out = tmp_path / "rep"
+        assert run(["report", "--example", "ou", "--output", str(out)]) == 0
+        payload = json.loads(read(out / "report.json"))
+        start, end = payload["fit_window"]
+        assert start < end == 2.0
+        for name in ("fitted_rate_tv", "fitted_rate_w1", "fitted_rate_chi2"):
+            assert math.isfinite(payload[name]) and payload[name] > 0.0
+        assert any("ended at the last sample time" in note for note in payload["notes"])
+
+    def test_default_report_window_without_width_keeps_nan(self, tmp_path):
+        out = tmp_path / "rep"
+        assert run(["report", "--potential", "shifted-power", "--t-max", "0.3",
+                    "--samples", "4", "--output", str(out)]) == 0
+        payload = json.loads(read(out / "report.json"))
+        start, end = payload["fit_window"]
+        assert start == end == 0.3
+        assert math.isnan(payload["fitted_rate_tv"])
+        assert any("no width" in note for note in payload["notes"])
 
     def test_simulate_deterministic(self, tmp_path):
         args = ["simulate", "--example", "brownian", "--n", "200",

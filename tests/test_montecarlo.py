@@ -16,7 +16,12 @@ from qsdlab.montecarlo import (
     save_survival_csv,
     simulate,
 )
-from qsdlab.potential import evaluate, quadratic_potential, zero_potential
+from qsdlab.potential import (
+    evaluate,
+    quadratic_potential,
+    shifted_power_potential,
+    zero_potential,
+)
 
 
 def brownian_config(**kw):
@@ -92,7 +97,9 @@ def reference_simulate(cfg, mu, record_every=1):
         for j, (_, (lo, hi)) in enumerate(coords):
             alive[idx[(xa[:, j] <= lo) | (xa[:, j] >= hi)]] = False
         n_alive = int(alive.sum())
-        assert n_alive > 0, "reference covers runs with survivors only"
+        if n_alive == 0:
+            history.append((k * dt, 0.0, -math.inf))
+            break
         if cfg.resample:
             log_surv += math.log(n_alive / idx.size)
             dead = np.flatnonzero(~alive)
@@ -106,31 +113,84 @@ def reference_simulate(cfg, mu, record_every=1):
     return x[alive], np.array(history)
 
 
+def _draw_layout_case(case, uniform_measure, gaussian_measure):
+    """(config, initial law, record_every) of one draw-layout case."""
+    unit = uniform_measure(build_grid(-1.0, 1.0, 100))
+    ou_law = gaussian_measure(build_grid(0.0, 6.0, 100), 1.0, 0.5)
+    power_law = uniform_measure(build_grid(0.0, 2.5, 100))
+    power = shifted_power_potential(3.0)
+    if case == "absorb-1d":
+        return brownian_config(n_particles=300, horizon=0.3, seed=17), unit, 1
+    if case == "absorb-product":
+        cfg = SimConfig(spec=[zero_potential(domain=(-1, 1)), quadratic_potential(1.0)],
+                        domain=[(-1.0, 1.0), (0.0, math.inf)],
+                        dt=1e-3, horizon=0.3, n_particles=300, seed=18)
+        return cfg, ProductGridMeasure((unit, ou_law)), 1
+    if case == "resample":
+        return brownian_config(n_particles=300, horizon=0.3, seed=19, resample=True), unit, 7
+    if case == "absorb-shifted-power":
+        cfg = SimConfig(spec=power, domain=(0.0, 2.5), dt=1e-3, horizon=0.2,
+                        n_particles=300, seed=20)
+        return cfg, power_law, 1
+    if case == "resample-ou":
+        cfg = SimConfig(spec=quadratic_potential(1.0), domain=(0.0, math.inf), dt=1e-2,
+                        horizon=0.5, n_particles=300, seed=21, resample=True)
+        return cfg, ou_law, 3
+    if case in ("absorb-3d", "resample-3d"):
+        cfg = SimConfig(spec=[zero_potential(domain=(-1, 1)), quadratic_potential(1.0), power],
+                        domain=[(-1.0, 1.0), (0.0, math.inf), (0.0, 2.5)], dt=1e-3,
+                        horizon=0.1, n_particles=300, seed=22, resample=case == "resample-3d")
+        return cfg, ProductGridMeasure((unit, ou_law, power_law)), 1
+    assert case == "all-absorbed"
+    cfg = SimConfig(spec=zero_potential(domain=(-0.02, 0.02)), domain=(-0.02, 0.02),
+                    dt=1e-3, horizon=1.0, n_particles=200, seed=3)
+    return cfg, uniform_measure(build_grid(-0.02, 0.02, 50)), 1
+
+
 class TestDrawLayout:
-    @pytest.mark.parametrize("case", ["absorb-1d", "absorb-product", "resample"])
+    @pytest.mark.parametrize("case", ["absorb-1d", "absorb-product", "resample",
+                                      "absorb-shifted-power", "resample-ou", "absorb-3d",
+                                      "resample-3d", "all-absorbed"])
     def test_matches_reference_loop(self, case, uniform_measure, gaussian_measure):
-        g = build_grid(-1.0, 1.0, 100)
-        record_every = 1
-        if case == "absorb-1d":
-            cfg = brownian_config(n_particles=300, horizon=0.3, seed=17)
-            mu = uniform_measure(g)
-        elif case == "absorb-product":
-            cfg = SimConfig(spec=[zero_potential(domain=(-1, 1)), quadratic_potential(1.0)],
-                            domain=[(-1.0, 1.0), (0.0, math.inf)],
-                            dt=1e-3, horizon=0.3, n_particles=300, seed=18)
-            mu = ProductGridMeasure((uniform_measure(g),
-                                     gaussian_measure(build_grid(0.0, 6.0, 100), 1.0, 0.5)))
-        else:
-            cfg = brownian_config(n_particles=300, horizon=0.3, seed=19, resample=True)
-            mu = uniform_measure(g)
-            record_every = 7
+        cfg, mu, record_every = _draw_layout_case(case, uniform_measure, gaussian_measure)
         ens = simulate(cfg, mu, record_every=record_every)
         positions, curve = reference_simulate(cfg, mu, record_every=record_every)
-        if not cfg.resample:
-            assert 0 < ens.alive_count < cfg.n_particles
+        d = len(cfg.coordinates())
+        if case == "all-absorbed":
+            assert ens.status == "all_absorbed" and ens.alive_count == 0
+            assert ens.positions.shape == (0, d)
+        else:
+            assert ens.status == "ok"
+            if cfg.resample:  # some particles were restarted from donors
+                assert ens.log_survival_estimate < 0.0
+            else:
+                assert 0 < ens.alive_count < cfg.n_particles
         assert ens.alive_count == positions.shape[0]
+        assert ens.positions.shape == positions.shape == (ens.alive_count, d)
         assert np.array_equal(ens.positions, positions)
         assert np.array_equal(ens.survival_curve, curve)
+
+    def test_interval_outside_potential_domain_raises_before_stepping(
+            self, uniform_measure, monkeypatch):
+        import qsdlab.montecarlo as mc
+
+        def no_step(*args):
+            raise AssertionError("no step may be drawn")
+
+        monkeypatch.setattr(mc, "_step_rng", no_step)
+        g = build_grid(-1.0, 1.0, 100)
+        for spec, domain in ((quadratic_potential(1.0), (-1.0, 1.0)),
+                             (zero_potential(domain=(-1.0, 1.0)), (-1.0, 1.5)),
+                             (shifted_power_potential(3.0), (-0.5, math.inf))):
+            cfg = SimConfig(spec=spec, domain=domain, dt=1e-3, horizon=0.1,
+                            n_particles=200, seed=1)
+            with pytest.raises(ValueError, match="potential domain"):
+                simulate(cfg, uniform_measure(g))
+        product = SimConfig(spec=[zero_potential(), quadratic_potential(1.0)],
+                            domain=[(-1.0, 1.0), (-1.0, 1.0)], dt=1e-3, horizon=0.1,
+                            n_particles=200, seed=1)
+        with pytest.raises(ValueError, match="potential domain"):
+            simulate(product, ProductGridMeasure((uniform_measure(g), uniform_measure(g))))
 
 
 class TestSurvival:
@@ -326,3 +386,18 @@ class TestSerialization:
         plines = ppath.read_text().splitlines()
         assert plines[0] == "particle_id,x1"
         assert len(plines) == ens.alive_count + 1
+
+    @pytest.mark.parametrize("positions", [
+        np.array([[0.25], [-0.0], [1e-310], [-1.0 / 3.0]]),
+        np.array([[0.5, -0.25], [1e-300, -0.0], [-1.0 / 3.0, 2.0**-60]]),
+        np.empty((0, 1)),
+        np.empty((0, 2)),
+    ], ids=["d1", "d2", "empty-d1", "empty-d2"])
+    def test_positions_bytes_match_per_value_join(self, tmp_path, positions):
+        ens = ParticleEnsemble(positions=positions, alive_count=positions.shape[0], t=0.1,
+                               initial_count=4, log_survival_estimate=0.0)
+        save_positions_csv(ens, tmp_path / "p.csv")
+        d = positions.shape[1] if positions.size else 1
+        lines = ["particle_id," + ",".join(f"x{j + 1}" for j in range(d))]
+        lines += [",".join(f"{v:.17g}" for v in (i, *row)) for i, row in enumerate(positions)]
+        assert (tmp_path / "p.csv").read_text() == "\n".join(lines) + "\n"
