@@ -65,6 +65,7 @@ BOUND_B = 1.0 / (1.0 - math.sqrt(0.9))
 BOUND_A = 1.0 + BOUND_B
 
 DISTANCE_FLOOR = 1e-12
+FIT_MIN_SAMPLES = 5
 BURN_IN_THRESHOLD = 0.9
 CURVE_NAMES = ("tv", "w1", "chi2", "survival_weight", "log_survival")
 CURVES_HEADER = ",".join(("t",) + CURVE_NAMES)
@@ -84,13 +85,13 @@ class ClosedFormExample:
 
 
 def closed_form(example: str, N: float = 1.0, lam: float = 1.0, d: int = 1,
-                n: int = 2000, x_max: float = None) -> ClosedFormExample:
+                n: int = 2000) -> ClosedFormExample:
     """Analytic eigenpair, QSD and constants of a closed-form example.
 
     ``example`` is ``brownian_hypercube`` (box half-width N) or
-    ``ornstein_uhlenbeck`` (quadratic coefficient lam).  Multi-dimensional
-    versions are products of the returned 1D factor; constants that scale
-    with the dimension are reported for the given d.
+    ``ornstein_uhlenbeck`` (quadratic coefficient lam, on (0, 8/sqrt(lam))).
+    Multi-dimensional versions are products of the returned 1D factor;
+    constants that scale with the dimension are reported for the given d.
     """
     if d < 1:
         raise ValueError("dimension must be >= 1")
@@ -126,9 +127,7 @@ def closed_form(example: str, N: float = 1.0, lam: float = 1.0, d: int = 1,
     if example == "ornstein_uhlenbeck":
         if not lam > 0.0:
             raise ValueError("quadratic coefficient lam must be positive")
-        if x_max is None:
-            x_max = 8.0 / math.sqrt(lam)
-        grid = build_grid(0.0, x_max, n)
+        grid = build_grid(0.0, 8.0 / math.sqrt(lam), n)
         spec = quadratic_potential(lam, domain=(0.0, math.inf))
         c = 2.0 * math.sqrt(lam / math.pi)  # makes alpha(eta) = 1
         eta = c * grid.nodes
@@ -145,7 +144,7 @@ def closed_form(example: str, N: float = 1.0, lam: float = 1.0, d: int = 1,
         }
         return ClosedFormExample(
             example=example,
-            params={"lam": lam, "d": d, "n": n, "x_max": x_max},
+            params={"lam": lam, "d": d, "n": n, "x_max": grid.x_max},
             grid=grid,
             spec=spec,
             eigen=EigenPair(lambda0=lam, eta=eta, lambda1=3.0 * lam),
@@ -207,20 +206,15 @@ class BurnIn:
 
 
 def burn_in_time(eigen: EigenPair, alpha: GridMeasure, psi: np.ndarray,
-                 mu: GridMeasure, op, times=None, dt: float = None) -> BurnIn:
+                 mu: GridMeasure, op, times) -> BurnIn:
     """Smallest sampled t with alpha(psi^2/eta) chi2^2(eta*phi_t(mu)|beta) < 0.9.
 
-    Returns (horizon, reached=False) when the threshold is never crossed on
-    the sampled times.
+    Steps Crank-Nicolson at ``default_dt``; returns (times[-1], reached=False)
+    when the threshold is never crossed on the sampled times.
     """
     a_ratio = alpha_psi2_over_eta(psi, eigen, alpha)
-    if times is None:
-        horizon = 3.0 / eigen.lambda0
-        times = np.linspace(0.0, horizon, 31)
     times = np.asarray(times, dtype=float)
-    if dt is None:
-        dt = default_dt(op.grid, eigen.lambda0)
-    states = flow_curve(op, mu, times, dt, eigen=eigen)
+    states = flow_curve(op, mu, times, default_dt(op.grid, eigen.lambda0), eigen=eigen)
     return _scan_burn_in(a_ratio, times, [s.chi2_to_beta for s in states])
 
 
@@ -265,8 +259,8 @@ def fit_decay_rate(times, values, window: tuple[float, float]) -> FitResult:
     mask = (times >= lo) & (times <= hi)
     if np.any(values[mask] <= 0.0):
         raise ValueError("nonpositive values inside the fit window")
-    if mask.sum() < 5:
-        raise ValueError("need at least 5 points inside the fit window")
+    if mask.sum() < FIT_MIN_SAMPLES:
+        raise ValueError(f"need at least {FIT_MIN_SAMPLES} points inside the fit window")
     t = times[mask]
     y = np.log(values[mask])
     a = np.vstack([t, np.ones(t.size)]).T
@@ -284,7 +278,8 @@ class ReportConfig:
 
     For product examples pass per-coordinate lists in ``spec``/``grid`` and a
     ProductGridMeasure as the initial law; all distances are then sums over
-    marginals (exact for W1, an upper bound for TV).
+    marginals (exact for W1, an upper bound for TV).  The bound's weight psi = 1,
+    the fit window and the drift form of the ``cdfi`` rate are not settings.
     """
 
     label: str
@@ -292,12 +287,8 @@ class ReportConfig:
     grid: object
     initial: object
     times: np.ndarray
-    psi: str = "one"              # "one" or "one_plus_dist"
-    x0: float = None
     cdfi: bool = False
     lambda0_lower: float = None
-    use_drift_form: bool = True
-    fit_window: tuple = None
     kappa: float = None           # certified curvature rate, if known analytically
 
 
@@ -346,15 +337,6 @@ class DecayReport:
         return out
 
 
-def _psi_array(config: ReportConfig, grid: Grid1D) -> np.ndarray:
-    if config.psi == "one":
-        return np.ones(grid.n)
-    if config.psi == "one_plus_dist":
-        x0 = config.x0 if config.x0 is not None else 0.5 * (grid.x_min + grid.x_max)
-        return 1.0 + np.abs(grid.nodes - x0)
-    raise ValueError(f"unknown psi family {config.psi!r}")
-
-
 def _fit_or_nan(times, values, window) -> float:
     keep = values > DISTANCE_FLOOR
     try:
@@ -367,19 +349,22 @@ def _assemble_report(config: ReportConfig, curves: dict, burn: BurnIn, gap: floa
                      **fields) -> DecayReport:
     """Fit the curves over the fit window and build the report.
 
-    The default window starts after the burn-in, and no earlier than half a
-    relaxation time 1/gap, and ends at three relaxation times, or at the last
-    sample time (with a note) when it would not start before that.
+    The window starts after the burn-in, and no earlier than half a relaxation
+    time 1/gap, and ends at three relaxation times, or at the last sample time
+    (with a note) when it would not start before that.  A window with width
+    but fewer than ``FIT_MIN_SAMPLES`` samples gets a note too.
     """
     times = np.asarray(config.times, dtype=float)
-    window = config.fit_window
-    if window is None:
-        start = max(burn.time, 0.5 / gap)
-        window = (start, 3.0 / gap if start < 3.0 / gap else float(times[-1]))
-        if start >= 3.0 / gap:
-            fields["notes"] += ("default fit window starts at max(burn-in, 0.5/gap) >= 3/gap: "
-                                + ("no width, so the fitted rates are NaN" if start >= window[1]
-                                   else "ended at the last sample time"),)
+    start = max(burn.time, 0.5 / gap)
+    window = (start, 3.0 / gap if start < 3.0 / gap else float(times[-1]))
+    if start >= 3.0 / gap:
+        fields["notes"] += ("default fit window starts at max(burn-in, 0.5/gap) >= 3/gap: "
+                            + ("no width, so the fitted rates are NaN" if start >= window[1]
+                               else "ended at the last sample time"),)
+    held = int(np.count_nonzero((times >= window[0]) & (times <= window[1])))
+    if start < window[1] and held < FIT_MIN_SAMPLES:
+        fields["notes"] += (f"default fit window holds {held} sample(s), fewer than the "
+                            f"{FIT_MIN_SAMPLES} a fit needs, so the fitted rates are NaN",)
     return DecayReport(
         label=config.label,
         times=times,
@@ -392,7 +377,7 @@ def _assemble_report(config: ReportConfig, curves: dict, burn: BurnIn, gap: floa
         burn_in_reached=burn.reached,
         bound_a=BOUND_A,
         bound_b=BOUND_B,
-        fit_window=tuple(window),
+        fit_window=window,
         **fields,
     )
 
@@ -407,7 +392,7 @@ def _report_1d(config: ReportConfig) -> DecayReport:
     times = np.asarray(config.times, dtype=float)
     curves = decay_curves(op, eigen, alpha, mu, times)
 
-    bc = bound_constants(_psi_array(config, grid), eigen, alpha)
+    bc = bound_constants(np.ones(grid.n), eigen, alpha)
     burn = _scan_burn_in(bc.alpha_psi2_over_eta, times, curves["chi2"])
     notes = ["tensor eigenfunction: n/a (one factor)"]
     if not burn.reached:
@@ -424,7 +409,7 @@ def _report_1d(config: ReportConfig) -> DecayReport:
     kappa_tilde = None
     if config.cdfi:
         lam_low = config.lambda0_lower if config.lambda0_lower is not None else lam0
-        kappa_tilde = cdfi_rate(spec, lam_low, grid, use_drift_form=config.use_drift_form)
+        kappa_tilde = cdfi_rate(spec, lam_low, grid, use_drift_form=True)
 
     return _assemble_report(
         config, curves, burn, lam1 - lam0,

@@ -66,7 +66,6 @@ DEFAULTS = {
     "mc.dt": 1e-3,
     "mc.horizon": 1.0,
     "mc.particles": 10000,
-    "mc.seed": None,
     "mc.resample": False,
     "initial.family": "uniform",     # uniform | gaussian-truncated | qsd | custom
     "initial.lo": None,
@@ -75,23 +74,18 @@ DEFAULTS = {
     "initial.width": None,
     "initial.path": None,
     "rates.lambda0_lower": None,
-    "rates.use_drift_form": True,
     "output": ".",
     "seed": 0,
 }
 
-_BOOL_KEYS = {"mc.resample", "rates.use_drift_form"}
-_INT_KEYS = {"grid.n", "flow.samples", "mc.particles", "mc.seed", "seed"}
+_BOOL_KEYS = {"mc.resample"}
+_INT_KEYS = {"grid.n", "flow.samples", "mc.particles", "seed"}
 _STR_KEYS = {"example", "potential.family", "potential.table_path",
              "initial.family", "initial.path", "output"}
 
 
 class RunConfig(dict):
     """Flat configuration mapping with the DEFAULTS schema."""
-
-    @property
-    def command(self):
-        return self.get("command")
 
 
 class FlowFailure(RuntimeError):
@@ -295,16 +289,13 @@ def _cmd_evolve(config: RunConfig, outdir: str) -> None:
 def _cmd_simulate(config: RunConfig, outdir: str) -> None:
     spec, grid = _build_problem(config)
     mu = _initial_measure(config, spec, grid)
-    seed = config.get("mc.seed")
-    if seed is None:
-        seed = config["seed"]
     sim = montecarlo.SimConfig(
         spec=spec,
         domain=spec.domain,
         dt=config["mc.dt"],
         horizon=config["mc.horizon"],
         n_particles=config["mc.particles"],
-        seed=seed,
+        seed=config["seed"],
         resample=bool(config["mc.resample"]),
     )
     ensemble = montecarlo.simulate(sim, mu)
@@ -330,11 +321,10 @@ def _cmd_rates(config: RunConfig, outdir: str) -> None:
         "kappa_tilde_basic": cdfi_rate(spec, lam_used, grid, use_drift_form=False),
         "kappa_tilde_refined": None,
     }
-    if bool(config.get("rates.use_drift_form", True)):
-        try:
-            table["kappa_tilde_refined"] = cdfi_rate(spec, lam_used, grid, use_drift_form=True)
-        except ValueError:
-            pass
+    try:
+        table["kappa_tilde_refined"] = cdfi_rate(spec, lam_used, grid, use_drift_form=True)
+    except ValueError:  # the drift form needs V' > 0
+        pass
     write_json(os.path.join(outdir, "rates.json"), table)
     width = max(len(k) for k in table)
     for key, val in table.items():
@@ -350,8 +340,6 @@ def _cmd_report(config: RunConfig, outdir: str) -> None:
     kappa = None
     if config.get("example") == "brownian":
         kappa = (math.pi / (2.0 * config["example.N"])) ** 2
-    elif config.get("example") == "ou":
-        kappa = 2.0 * config["example.lambda"]
     rc = analytics.ReportConfig(
         label=config.get("example") or family,
         spec=spec,
@@ -360,7 +348,6 @@ def _cmd_report(config: RunConfig, outdir: str) -> None:
         times=times,
         cdfi=is_cdfi,
         lambda0_lower=config.get("rates.lambda0_lower"),
-        use_drift_form=bool(config.get("rates.use_drift_form", True)),
         kappa=kappa,
     )
     report = analytics.decay_report(rc)
@@ -382,9 +369,8 @@ _FLAGS = {
     "--x-max": "grid.x_max",
     "--n": "grid.n",
     "--t-max": "flow.t_max",
-    "--dt": "flow.dt",
+    "--dt": "mc.dt",
     "--samples": "flow.samples",
-    "--mc-dt": "mc.dt",
     "--horizon": "mc.horizon",
     "--particles": "mc.particles",
     "--resample": "mc.resample",
@@ -453,11 +439,8 @@ def _assemble_config(args: argparse.Namespace) -> RunConfig:
     if "example.lambda" in flags:
         config["potential.lambda"] = flags["example.lambda"]
     # --dt is the step of simulate; evolve and report evaluate the flow without steps
-    dt = config.pop("flow.dt", None)
-    if dt is not None and args.command in ("evolve", "report"):
+    if "mc.dt" in flags and args.command in ("evolve", "report"):
         raise ValueError(f"--dt: {args.command} evaluates the flow without time steps")
-    if dt is not None and args.command == "simulate":
-        config["mc.dt"] = dt
     return config
 
 

@@ -169,6 +169,17 @@ def _cn_factors(diag, off, a, shift):
     return factors
 
 
+def _check_density(m, mass, where: str) -> None:
+    """Raise `FlowError` on a mass underflow or a negative density; None skips a test."""
+    if mass is not None and not mass >= MASS_UNDERFLOW:
+        raise FlowError("total mass underflow; restart the flow from the "
+                        "normalized state (semi-flow property)")
+    if m is not None:
+        low = float(m.min())
+        if not low >= NEGATIVE_DENSITY_TOL * max(float(m.max()), -low):  # a NaN fails too
+            raise FlowError(f"negative density {low:.3e} {where}")
+
+
 def _cn_run(diag, off_upper, off_lower, m0, duration, dt, shift=0.0, conserve=False, startup=True,
             cache=None):
     """Run Crank-Nicolson over ``duration``; returns (state, accumulated log mass).
@@ -217,21 +228,11 @@ def _cn_run(diag, off_upper, off_lower, m0, duration, dt, shift=0.0, conserve=Fa
             y, _ = dpttrs(*cn, w)
             y -= w
             w = y
-        # "not >=" also sends a NaN to the test, which every comparison fails
-        if not w.min() >= 0.0:
-            m = d * w
-            low = float(m.min())
-            if not low >= NEGATIVE_DENSITY_TOL * max(float(m.max()), -low):
-                raise FlowError(
-                    f"negative density {low:.3e} after step {k + 1}; reduce dt"
-                )
+        if not w.min() >= 0.0:  # a NaN fails this test too
+            _check_density(d * w, None, f"after step {k + 1}; reduce dt")
         if (k + 1) % RENORM_EVERY == 0:
             mass = float(d @ w)
-            if mass < MASS_UNDERFLOW:
-                raise FlowError(
-                    "total mass underflow; restart the flow from the "
-                    "normalized state (semi-flow property)"
-                )
+            _check_density(None, mass, "")
             log_mass += math.log(mass / mass0)
             w *= mass0 / mass
     m = d * w
@@ -488,14 +489,7 @@ def flow_exponential(
     for t, c, x in zip(later, coeffs, chi2):
         m = c @ basis
         mass = float(m.sum())
-        if not mass >= MASS_UNDERFLOW:
-            raise FlowError(
-                "total mass underflow; restart the flow from the "
-                "normalized state (semi-flow property)"
-            )
-        low = float(m.min())
-        if not low >= NEGATIVE_DENSITY_TOL * max(float(m.max()), -low):
-            raise FlowError(f"negative density {low:.3e} at t={t:.6g}")
+        _check_density(m, mass, f"at t={t:.6g}")
         states.append(_flow_state(op, t, m, math.log(mass / mass0) - shift * t, x))
     return states
 

@@ -257,6 +257,5 @@ def save_survival_csv(ensemble: ParticleEnsemble, path) -> None:
 
 def save_positions_csv(ensemble: ParticleEnsemble, path) -> None:
     """Write final positions as CSV ``particle_id,x1[,x2,...]``."""
-    d = ensemble.positions.shape[1] if ensemble.positions.size else 1
-    header = "particle_id," + ",".join(f"x{j + 1}" for j in range(d))
+    header = "particle_id," + ",".join(f"x{j + 1}" for j in range(ensemble.positions.shape[1]))
     write_csv(path, header, zip(range(len(ensemble.positions)), *ensemble.positions.T.tolist()))

@@ -49,6 +49,8 @@ __all__ = [
     "save_eigen_csv",
 ]
 
+EIGEN_TOL = 1e-14  # bracket width, relative to lambda0, that ends inverse iteration
+
 
 class ConvergenceError(RuntimeError):
     """Raised when an eigensolve fails to converge or returns a bad vector."""
@@ -187,7 +189,7 @@ def _second_eigenvalue(op: TridiagonalOperator) -> float:
     return lam1
 
 
-def principal_eigenpair(op: TridiagonalOperator, tol: float = 1e-14, max_iter: int = 500,
+def principal_eigenpair(op: TridiagonalOperator, max_iter: int = 500,
                         with_lambda1: bool = True) -> EigenPair:
     """Principal pair (lambda0 > 0, eta > 0) of -L_h, with lambda1 and a bracket.
 
@@ -196,11 +198,11 @@ def principal_eigenpair(op: TridiagonalOperator, tol: float = 1e-14, max_iter: i
     positive numbers and the iterate stays positive.  For y = (-L_h)^-1 x the
     Collatz-Wielandt ratios bracket lambda0 in [min x/y, max x/y] (up to the
     few-ulp roundoff of factors and solves); the iteration stops once the
-    bracket's relative width is at most ``tol`` and takes lambda0 at its
-    midpoint.  eta, scaled from y (of size 1/lambda0), is normalized so that
-    gamma(eta^2) = gamma(eta), i.e. alpha(eta) = 1.  ``with_lambda1=False``
-    skips `_second_eigenvalue`, more than half of the cost, and leaves
-    ``lambda1`` None.
+    bracket's relative width is at most ``EIGEN_TOL`` and takes lambda0 at
+    its midpoint, or raises after ``max_iter`` solves.  eta, scaled from y
+    (of size 1/lambda0), is normalized so that gamma(eta^2) = gamma(eta),
+    i.e. alpha(eta) = 1.  ``with_lambda1=False`` skips `_second_eigenvalue`,
+    more than half of the cost, and leaves ``lambda1`` None.
     """
     factors = _gth_factors(op)
     x = np.ones(op.grid.n)
@@ -208,7 +210,7 @@ def principal_eigenpair(op: TridiagonalOperator, tol: float = 1e-14, max_iter: i
         y, _ = dgttrs(*factors, x)
         ratio = x / y
         lo, hi = float(ratio.min()), float(ratio.max())
-        if hi - lo <= tol * lo:
+        if hi - lo <= EIGEN_TOL * lo:
             break
         x = y / y.max()
     else:
@@ -227,9 +229,9 @@ def principal_eigenpair(op: TridiagonalOperator, tol: float = 1e-14, max_iter: i
     return EigenPair(lambda0=lam0, eta=eta * (g_eta / g_eta2), lambda1=lam1, lambda0_bracket=(lo, hi))
 
 
-def spectral_gap(op: TridiagonalOperator, tol: float = 1e-14, max_iter: int = 500) -> tuple[float, float]:
+def spectral_gap(op: TridiagonalOperator) -> tuple[float, float]:
     """Two smallest eigenvalues (lambda0, lambda1) of -L_h."""
-    pair = principal_eigenpair(op, tol=tol, max_iter=max_iter)
+    pair = principal_eigenpair(op)
     return pair.lambda0, pair.lambda1
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -186,6 +187,10 @@ def brownian_report():
 
 
 class TestDecayReport:
+    def test_config_keeps_only_the_fields_callers_set(self):
+        names = [f.name for f in dataclasses.fields(ReportConfig)]
+        assert names == ["label", "spec", "grid", "initial", "times", "cdfi", "lambda0_lower", "kappa"]
+
     def test_rates_and_constants(self, brownian_report):
         rep, cf = brownian_report
         assert rep.gap == pytest.approx(cf.constants["gap"], rel=1e-5)

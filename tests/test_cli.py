@@ -85,6 +85,32 @@ class TestConfigFile:
         assert code == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("line", ["mc.seed = 3", "rates.use_drift_form = false"])
+    def test_removed_keys_exit_one_without_outputs(self, tmp_path, capsys, line):
+        conf = tmp_path / "old.conf"
+        conf.write_text(f"example = ou\n{line}\n")
+        out = tmp_path / "x"
+        assert run(["simulate", "--config", str(conf), "--output", str(out)]) == 1
+        assert "unknown key" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_simulate_dt_flag_matches_config_key(self, tmp_path):
+        common = ["--example", "brownian", "--n", "100", "--particles", "300", "--horizon", "0.05"]
+        conf = tmp_path / "dt.conf"
+        conf.write_text("mc.dt = 2e-3\n")
+        flag, keyed = tmp_path / "flag", tmp_path / "key"
+        assert run(["simulate", *common, "--dt", "2e-3", "--output", str(flag)]) == 0
+        assert run(["simulate", *common, "--config", str(conf), "--output", str(keyed)]) == 0
+        for name in ("survival.csv", "positions.csv"):
+            assert (flag / name).read_bytes() == (keyed / name).read_bytes(), name
+        assert len(read(flag / "survival.csv").splitlines()) == 27  # header, t = 0 and 25 steps
+
+    def test_mc_dt_flag_is_gone(self, tmp_path):
+        out = tmp_path / "x"
+        assert run(["simulate", "--example", "brownian", "--mc-dt", "1e-3",
+                    "--output", str(out)]) == 1
+        assert not out.exists()
+
 
 class TestCsvWriter:
     def test_bytes_match_per_value_join(self, tmp_path):
@@ -207,6 +233,17 @@ class TestCommands:
         assert start == end == 0.3
         assert math.isnan(payload["fitted_rate_tv"])
         assert any("no width" in note for note in payload["notes"])
+
+    def test_report_window_with_too_few_samples_has_a_note(self, tmp_path):
+        # burn-in is not reached by t = 1, so the window (1.0, 1.5) holds one sample
+        out = tmp_path / "rep"
+        assert run(["report", "--example", "ou", "--n", "300", "--t-max", "1",
+                    "--output", str(out)]) == 0
+        payload = json.loads(read(out / "report.json"))
+        assert payload["fit_window"] == [1.0, pytest.approx(1.5, rel=1e-5)]
+        assert math.isnan(payload["fitted_rate_tv"])
+        assert "default fit window holds 1 sample(s), fewer than the 5 a fit needs, " \
+            "so the fitted rates are NaN" in payload["notes"]
 
     def test_simulate_deterministic(self, tmp_path):
         args = ["simulate", "--example", "brownian", "--n", "200",

@@ -397,7 +397,7 @@ class TestSerialization:
         ens = ParticleEnsemble(positions=positions, alive_count=positions.shape[0], t=0.1,
                                initial_count=4, log_survival_estimate=0.0)
         save_positions_csv(ens, tmp_path / "p.csv")
-        d = positions.shape[1] if positions.size else 1
+        d = positions.shape[1]
         lines = ["particle_id," + ",".join(f"x{j + 1}" for j in range(d))]
         lines += [",".join(f"{v:.17g}" for v in (i, *row)) for i, row in enumerate(positions)]
         assert (tmp_path / "p.csv").read_text() == "\n".join(lines) + "\n"
