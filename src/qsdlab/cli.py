@@ -162,6 +162,8 @@ def validate(config: RunConfig) -> list[str]:
         bad.append("flow.samples must be >= 2")
     if not config.get("mc.dt", 0.0) > 0.0:
         bad.append("mc.dt must be positive")
+    if not math.isfinite(config.get("mc.horizon", 0.0)):
+        bad.append("mc.horizon must be finite")
     if config.get("mc.dt", 0.0) > config.get("mc.horizon", 0.0):
         bad.append("mc.dt must not exceed mc.horizon")
     if config.get("mc.particles", 0) < 100:

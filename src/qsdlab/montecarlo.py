@@ -1,24 +1,42 @@
 """Euler-Maruyama simulation of the absorbed diffusion, with empirical laws.
 
 Each particle follows ``X_{k+1} = X_k + sqrt(dt) xi - (1/2) V'(X_k) dt`` with
-independent standard Gaussians per coordinate and is absorbed when any
-coordinate leaves the open domain at a step boundary.  There is no
-Brownian-bridge exit correction, so survival carries the known O(sqrt(dt))
-monitoring bias; dt is exposed for that reason.
+independent standard Gaussians per coordinate.  Exits are tested with the
+Brownian bridge (Gobet, SPA 87, 2000): for each finite end b of coordinate j,
+with x the position before the step and y after it, let
+``g = (x - b)(y - b)``.  ``g <= 0`` means the step ended outside.  Otherwise
+the path between the two positions is a unit-variance bridge, which touches
+b with probability ``exp(-2 g / dt)``, so a particle is absorbed with
+probability ``p = 1 - prod(1 - exp(-2 g+ / dt))`` over every finite end of
+every coordinate (coordinates in order, lower end first), with ``g+ =
+max(g, 0)``.  Each end is taken on its own, which is exact for a half-line
+and leaves an exponentially small error once an interval is a few sqrt(dt)
+wide.  This removes the O(sqrt(dt)) survival bias of a test at step ends
+alone; the O(dt) error of the Euler drift remains.
 
-Randomness is drawn from counter-based Philox streams keyed by
-``(seed, step index)``, so results are a pure function of the configuration.
-Step k draws one standard normal per surviving particle and coordinate, as a
-``(survivors, coordinates)`` block with the survivors in particle-index order;
-absorbed particles are dropped from the ensemble and draw nothing.  The
-optional Fleming-Viot-style resampling restarts absorbed particles at a
-uniformly chosen survivor, drawn from the same step stream after the normals,
-and accumulates the log survival estimate; its output is meant for exit-rate
-estimation only.
+Only particles with ``g < BRIDGE_REACH * dt`` = 18.5 dt at some end draw a
+uniform u, and they are absorbed when ``u < p``.  At every other particle
+each end adds less than ``exp(-37) < 2**-53`` to p, below the resolution of
+a 53-bit uniform.
 
-The survivors are kept as one contiguous array per coordinate j, stepped with
-column j of that block and stacked only at the end; the drift needs V' alone,
-and the potential's domain is checked once, before stepping.
+Randomness is drawn from one SFC64 stream per step,
+``Generator(SFC64(SeedSequence((seed & (2**64 - 1), k))))`` for step k, so
+results are a pure function of the configuration.  Step 0 samples the initial
+law.  Step k draws, in this order: one standard normal per surviving particle
+and coordinate, as a ``(survivors, coordinates)`` block with the survivors in
+particle-index order; one uniform per survivor within the bridge reach of an
+end, in particle-index order; and, with resampling, the donors.  Absorbed
+particles are dropped from the ensemble and draw nothing.  The optional
+Fleming-Viot-style resampling restarts absorbed particles at a uniformly
+chosen survivor and accumulates the log survival estimate; its output is
+meant for exit-rate estimation only.
+
+The survivors are kept as one array per coordinate j and stacked only at the
+end.  A step draws its normal block into a reused ``(survivors,
+coordinates)`` buffer and turns column j into the new coordinate j in place;
+the exit test forms g at every survivor in a reused scratch buffer and the
+exact probability only at those within reach.  The drift needs V' alone, and
+the potential's domain is checked once, before stepping.
 """
 
 from __future__ import annotations
@@ -44,6 +62,12 @@ __all__ = [
 ]
 
 _KEY_MASK = (1 << 64) - 1
+# an end with (x - b)(y - b) >= BRIDGE_REACH * dt is touched with probability
+# at most exp(-2 * BRIDGE_REACH) < 2**-53: such particles draw no uniform
+BRIDGE_REACH = 18.5
+# exp(-40) < 2**-54, so 1 - exp(a) rounds to 1 for every a <= -40; clipping
+# there keeps exp off its slow underflow path without changing a result
+_EXP_FLOOR = -40.0
 
 
 @dataclass(frozen=True)
@@ -52,7 +76,10 @@ class SimConfig:
 
     ``spec`` and ``domain`` may be single objects (1D) or per-coordinate
     sequences (product potentials / product domains).  Open domain ends may
-    be infinite.
+    be infinite.  Every finite end absorbs with the Brownian-bridge exit test
+    of the module docstring: a particle within 18.5 dt of an end in
+    ``(x - b)(y - b)`` draws a uniform from the step's SFC64 stream, keyed by
+    ``(seed, step)``.  The horizon must be finite.
     """
 
     spec: object
@@ -66,6 +93,8 @@ class SimConfig:
     def __post_init__(self):
         if not self.dt > 0.0:
             raise ValueError("dt must be positive")
+        if not math.isfinite(self.horizon):
+            raise ValueError("horizon must be finite")
         if self.dt > self.horizon:
             raise ValueError("dt must not exceed the horizon")
         if self.n_particles < 100:
@@ -99,8 +128,8 @@ class ParticleEnsemble:
 
 
 def _step_rng(seed: int, step_index: int) -> np.random.Generator:
-    key = (int(seed) & _KEY_MASK) | (int(step_index) << 64)
-    return np.random.Generator(np.random.Philox(key=key))
+    entropy = (int(seed) & _KEY_MASK, int(step_index))
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(entropy)))
 
 
 def sample_measure(measure, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -122,6 +151,54 @@ def sample_measure(measure, n: int, rng: np.random.Generator) -> np.ndarray:
     return np.clip(x, grid.x_min + eps, grid.x_max - eps)[:, None]
 
 
+def _euler_step(coords, cols, ys, dt: float) -> None:
+    """Turn the normals xi_j in ``ys`` into ``y = x - (1/2) V'(x) dt + sqrt(dt) xi_j``."""
+    sqdt = math.sqrt(dt)
+    for j, (spec, _) in enumerate(coords):
+        x, y = cols[j], ys[j]
+        y *= sqdt
+        vp = _first_derivative(spec, x)  # a new array, or None for V' == 0
+        if vp is None:
+            y += x
+        else:
+            vp *= -0.5 * dt
+            vp += x
+            y += vp
+
+
+def _bridge_exits(rng, cols, ys, ends, dt: float, scratch, masks) -> np.ndarray:
+    """Indices of the survivors that the Brownian-bridge exit test absorbs.
+
+    ``g = (x - b)(y - b)`` is formed at each finite end in ``scratch``, which
+    also holds ``y - b`` where b != 0.  The survivors with
+    ``g < BRIDGE_REACH * dt`` at some end draw one uniform each, in
+    particle-index order, and are absorbed when it falls below
+    ``1 - prod(1 - exp(-2 g+ / dt))``; an end with g <= 0 makes that 1.
+    """
+    m = ys[0].size
+    near, below = masks[0][:m], masks[1][:m]
+    g, y_minus_b = scratch[:m], scratch[m:2 * m]
+    near.fill(False)
+    for j, b in ends:
+        if b == 0.0:  # x - 0.0 == x, also for x == -0.0
+            np.multiply(cols[j], ys[j], out=g)
+        else:
+            np.multiply(np.subtract(cols[j], b, out=g), np.subtract(ys[j], b, out=y_minus_b), out=g)
+        near |= np.less(g, BRIDGE_REACH * dt, out=below)
+
+    near = np.flatnonzero(near)
+    x_near = [x[near] for x in cols]
+    y_near = [y[near] for y in ys]
+    f = scratch[:near.size]
+    stay = np.ones(near.size)
+    for j, b in ends:
+        np.multiply(np.subtract(x_near[j], b, out=f), np.subtract(y_near[j], b), out=f)
+        f *= -2.0 / dt
+        np.clip(f, _EXP_FLOOR, 0.0, out=f)
+        stay *= np.subtract(1.0, np.exp(f, out=f), out=f)
+    return near[rng.random(out=f) < np.subtract(1.0, stay, out=stay)]
+
+
 def simulate(config: SimConfig, initial_sampler, record_every: int = 1) -> ParticleEnsemble:
     """Run the absorbed Euler-Maruyama scheme from a sampled initial law."""
     coords = config.coordinates()
@@ -131,7 +208,6 @@ def simulate(config: SimConfig, initial_sampler, record_every: int = 1) -> Parti
     if steps < 1:
         raise ValueError("horizon shorter than one step")
     dt = config.horizon / steps
-    sqdt = math.sqrt(dt)
 
     if any(lo < spec.domain[0] or hi > spec.domain[1] for spec, (lo, hi) in coords):
         raise ValueError("each simulation interval must lie inside its potential domain")
@@ -144,8 +220,16 @@ def simulate(config: SimConfig, initial_sampler, record_every: int = 1) -> Parti
         if np.any(x[:, j] <= lo) or np.any(x[:, j] >= hi):
             raise ValueError("initial measure must be supported inside the open domain")
 
-    # cols[j] holds coordinate j of the survivors only, in particle-index order
-    cols = [x[:, j] for j in range(d)]
+    # (coordinate, end) pairs of the finite ends, in the order of the product
+    ends = [(j, b) for j, (_, dom) in enumerate(coords) for b in dom if math.isfinite(b)]
+    # buffers reused by every step, so that a run allocates few large arrays:
+    # a step draws its (survivors, coordinates) normals into the block that
+    # does not hold cols and turns column j into the new coordinate j in place
+    blocks = [x, np.empty((n, d))]
+    cols = list(x.T)  # survivors' coordinates, particle-index order
+    scratch = np.empty(n if all(b == 0.0 for _, b in ends) else 2 * n)  # for the exit test
+    masks = (np.empty(n, dtype=bool), np.empty(n, dtype=bool))
+    m = n
     log_surv = 0.0
     history = [(0.0, 1.0, 0.0)]
     status = "ok"
@@ -153,15 +237,11 @@ def simulate(config: SimConfig, initial_sampler, record_every: int = 1) -> Parti
 
     for k in range(1, steps + 1):
         rng = _step_rng(config.seed, k)
-        m = cols[0].size
-        xi = rng.standard_normal((m, d))
-        exited = np.zeros(m, dtype=bool)
-        for j, (spec, (lo, hi)) in enumerate(coords):
-            vp = _first_derivative(spec, cols[j])  # None for V' == 0: x + (-0.0) == x
-            xj = cols[j] if vp is None else cols[j] + (-0.5 * vp) * dt
-            cols[j] = xj = xj + sqdt * xi[:, j]
-            exited |= (xj <= lo) | (xj >= hi)
-        n_alive = m - int(np.count_nonzero(exited))
+        blocks.reverse()
+        ys = list(rng.standard_normal(out=blocks[0][:m]).T)
+        _euler_step(coords, cols, ys, dt)
+        dead = _bridge_exits(rng, cols, ys, ends, dt, scratch, masks)
+        n_alive = m - dead.size
         t = k * dt
 
         if n_alive == 0:
@@ -170,20 +250,27 @@ def simulate(config: SimConfig, initial_sampler, record_every: int = 1) -> Parti
             cols = [c[:0] for c in cols]
             history.append((t, 0.0, log_surv))
             break
+        cols = ys
         if config.resample:
             log_surv += math.log(n_alive / m)
-            dead = np.flatnonzero(exited)
             if dead.size:
-                donors = rng.choice(np.flatnonzero(~exited), size=dead.size)
+                # the r-th survivor sits at r plus the number of dead before it
+                ahead = dead - np.arange(dead.size)
+                r = rng.integers(0, n_alive, size=dead.size)
+                donors = r + np.searchsorted(ahead, r, side="right")
                 for c in cols:
                     c[dead] = c[donors]
         else:
-            if n_alive < m:
-                cols = [c[~exited] for c in cols]
-            log_surv = math.log(n_alive / n)
+            if dead.size:
+                keep = masks[0][:m]
+                keep.fill(True)
+                keep[dead] = False
+                cols = [c[keep] for c in cols]
+            m = n_alive
+            log_surv = math.log(m / n)
 
         if k % record_every == 0 or k == steps:
-            history.append((t, cols[0].size / n, log_surv))
+            history.append((t, m / n, log_surv))
 
     return ParticleEnsemble(
         positions=np.stack(cols, axis=1),
@@ -238,7 +325,11 @@ def estimate_lambda0(survival_curve: np.ndarray, window: tuple[float, float] = N
         raise ValueError("survival curve needs columns (t, value)")
     t = curve[:, 0]
     v = curve[:, -1]
-    log_s = v if np.all(v <= 0.0) else np.log(np.maximum(v, 1e-300))
+    if np.all(v <= 0.0):
+        log_s = v
+    else:
+        with np.errstate(divide="ignore"):  # a zero fraction is log 0 = -inf
+            log_s = np.log(v)
     if window is None:
         window = (t[-1] / 2.0, t[-1])
     lo, hi = window

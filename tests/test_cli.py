@@ -292,6 +292,15 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("qsdlab: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("horizon", ["inf", "nan"])
+    def test_non_finite_horizon_exits_one_without_outputs(self, tmp_path, capsys, horizon):
+        out = tmp_path / "x"
+        assert run(["simulate", "--example", "brownian", "--particles", "200",
+                    "--horizon", horizon, "--output", str(out)]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("qsdlab: mc.horizon ") and "Traceback" not in err
+
     def test_eigen_artifacts_match_library_savers(self, tmp_path):
         from qsdlab import spectral
         from qsdlab.grid_measure import build_grid, save_measure_csv

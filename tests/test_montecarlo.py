@@ -6,6 +6,7 @@ import pytest
 from qsdlab.doob import conditioned_flow, default_dt
 from qsdlab.grid_measure import ProductGridMeasure, build_grid, regrid, tv_distance
 from qsdlab.montecarlo import (
+    BRIDGE_REACH,
     ParticleEnsemble,
     SimConfig,
     _step_rng,
@@ -47,6 +48,11 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             brownian_config(n_particles=50)
 
+    @pytest.mark.parametrize("horizon", [math.inf, math.nan])
+    def test_non_finite_horizon_rejected(self, horizon):
+        with pytest.raises(ValueError, match="horizon must be finite"):
+            brownian_config(horizon=horizon)
+
     def test_product_coordinates(self):
         cfg = SimConfig(
             spec=[zero_potential(domain=(-1, 1)), quadratic_potential(1.0)],
@@ -73,7 +79,8 @@ class TestDeterminism:
 def reference_simulate(cfg, mu, record_every=1):
     """Plain loop of the documented scheme on a full-size array with an alive
     mask: step k draws one normal per survivor and coordinate, survivors in
-    particle-index order, then resampling draws its donors."""
+    particle-index order, then one uniform per survivor within the bridge
+    reach of an end, then resampling draws its donors."""
     coords = cfg.coordinates()
     d = len(coords)
     n = cfg.n_particles
@@ -92,10 +99,20 @@ def reference_simulate(cfg, mu, record_every=1):
         drift = np.empty_like(xa)
         for j, (spec, _) in enumerate(coords):
             drift[:, j] = -0.5 * np.asarray(evaluate(spec, xa[:, j])[1])
-        xa = xa + drift * dt + sqdt * xi
-        x[idx] = xa
+        ya = xa + drift * dt + sqdt * xi
+        x[idx] = ya
+        # bridge exit: p = 1 - prod over finite ends of (1 - exp(-2 g+ / dt)),
+        # g = (x - b)(y - b); only particles with g < BRIDGE_REACH dt draw
+        near = np.zeros(idx.size, dtype=bool)
+        stay = np.ones(idx.size)
         for j, (_, (lo, hi)) in enumerate(coords):
-            alive[idx[(xa[:, j] <= lo) | (xa[:, j] >= hi)]] = False
+            for b in (lo, hi):
+                if math.isfinite(b):
+                    g = (xa[:, j] - b) * (ya[:, j] - b)
+                    near |= g < BRIDGE_REACH * dt
+                    stay *= 1.0 - np.exp(np.maximum(g, 0.0) * (-2.0 / dt))
+        draw = np.flatnonzero(near)
+        alive[idx[draw[rng.random(draw.size) < 1.0 - stay[draw]]]] = False
         n_alive = int(alive.sum())
         if n_alive == 0:
             history.append((k * dt, 0.0, -math.inf))
@@ -195,8 +212,8 @@ class TestDrawLayout:
 
 class TestSurvival:
     def test_survivor_fraction_near_grid_oracle(self, uniform_measure):
-        # dt small enough that the step-boundary monitoring bias sits inside
-        # three standard errors of the binomial noise
+        # the Brownian-bridge exit test leaves no step-end monitoring bias, so
+        # survival sits within three standard errors of the binomial noise
         g = build_grid(-1.0, 1.0, 1000)
         op_spec = zero_potential(domain=(-1.0, 1.0))
         from qsdlab.spectral import assemble_generator, principal_eigenpair
@@ -241,6 +258,78 @@ class TestSurvival:
         ens = simulate(cfg, mu)
         assert ens.alive_count == cfg.n_particles
         assert ens.log_survival_estimate < 0.0
+
+
+def brownian_uniform_survival(t):
+    """P(T > t) for Brownian motion on (-1, 1) started uniformly."""
+    return sum(8.0 / (k * k * math.pi**2) * math.exp(-k * k * math.pi**2 * t / 8.0)
+               for k in range(1, 200, 2))
+
+
+def within_sd(frac, ref, n_particles, k=5.0):
+    return abs(frac - ref) <= k * math.sqrt(ref * (1.0 - ref) / n_particles)
+
+
+class TestBridgeExit:
+    """At dt = 1e-2 step-end monitoring alone overstates survival by many
+    standard errors; the bridge exit test leaves only the O(dt) Euler error."""
+
+    def test_brownian_survival_matches_series(self, uniform_measure):
+        mu = uniform_measure(build_grid(-1.0, 1.0, 2000))
+        cfg = brownian_config(dt=1e-2, horizon=0.5, n_particles=100_000, seed=31)
+        ens = simulate(cfg, mu)
+        assert within_sd(ens.alive_count / cfg.n_particles, brownian_uniform_survival(0.5),
+                         cfg.n_particles)
+
+    def test_ou_survival_matches_grid_flow(self, gaussian_measure):
+        from qsdlab.doob import flow_exponential
+        from qsdlab.spectral import assemble_generator
+
+        g = build_grid(0.0, 8.0, 2000)
+        mu = gaussian_measure(g, 1.0, 0.5)
+        ref = flow_exponential(assemble_generator(quadratic_potential(1.0), g), mu,
+                               [0.0, 0.5])[-1].survival_weight
+        cfg = SimConfig(spec=quadratic_potential(1.0), domain=(0.0, math.inf), dt=1e-2,
+                        horizon=0.5, n_particles=100_000, seed=32)
+        ens = simulate(cfg, mu)
+        assert within_sd(ens.alive_count / cfg.n_particles, ref, cfg.n_particles)
+
+    def test_fleming_viot_lambda0_within_one_percent(self, uniform_measure):
+        mu = uniform_measure(build_grid(-1.0, 1.0, 2000))
+        cfg = brownian_config(dt=1e-2, horizon=3.0, n_particles=100_000, seed=33,
+                              resample=True)
+        ens = simulate(cfg, mu, record_every=10)
+        lam = estimate_lambda0(ens.survival_curve, window=(1.0, 3.0))
+        assert abs(lam - math.pi**2 / 8.0) <= 1e-2 * math.pi**2 / 8.0
+
+    def test_product_domain_survives_as_product_of_1d_runs(self, uniform_measure,
+                                                           gaussian_measure):
+        # coordinates are independent, so the product of the two 1D runs and
+        # the product of their oracles both predict the 2D survival
+        from qsdlab.doob import flow_exponential
+        from qsdlab.spectral import assemble_generator
+
+        box = uniform_measure(build_grid(-1.0, 1.0, 2000))
+        g = build_grid(0.0, 8.0, 2000)
+        ou_law = gaussian_measure(g, 1.0, 0.5)
+        specs = [zero_potential(domain=(-1.0, 1.0)), quadratic_potential(1.0)]
+        domains = [(-1.0, 1.0), (0.0, math.inf)]
+        n = 100_000
+
+        def survival(spec, domain, mu, seed):
+            cfg = SimConfig(spec=spec, domain=domain, dt=1e-2, horizon=0.5,
+                            n_particles=n, seed=seed)
+            return simulate(cfg, mu).alive_count / n
+
+        s2 = survival(specs, domains, ProductGridMeasure((box, ou_law)), 34)
+        s_box = survival(specs[0], domains[0], box, 35)
+        s_ou = survival(specs[1], domains[1], ou_law, 36)
+        ref_ou = flow_exponential(assemble_generator(specs[1], g), ou_law,
+                                  [0.0, 0.5])[-1].survival_weight
+        ref = brownian_uniform_survival(0.5) * ref_ou
+        sd = math.sqrt(ref * (1.0 - ref) / n)
+        assert abs(s2 - s_box * s_ou) <= 5.0 * math.sqrt(2.0) * sd
+        assert within_sd(s2, ref, n)
 
 
 class TestEmpiricalLaw:
@@ -337,6 +426,13 @@ class TestLambda0Estimation:
         t = np.linspace(0.0, 3.0, 31)
         curve = np.column_stack([t, np.ones_like(t), -1.5 * t])
         assert estimate_lambda0(curve) == pytest.approx(1.5, abs=1e-12)
+
+    def test_zero_fractions_leave_the_fit(self):
+        t = np.linspace(0.0, 3.0, 31)
+        frac = np.exp(-2.0 * t)
+        frac[-3:] = 0.0
+        curve = np.column_stack([t, frac])
+        assert estimate_lambda0(curve) == pytest.approx(2.0, abs=1e-12)
 
     def test_window_needs_enough_samples(self):
         t = np.linspace(0.0, 1.0, 6)
