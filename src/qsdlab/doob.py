@@ -44,7 +44,7 @@ from scipy.linalg import expm
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .grid_measure import GridMeasure, chi2_divergence, tilt, tv_distance
-from .spectral import EigenPair, TridiagonalOperator, tridiag_apply
+from .spectral import EigenPair, TridiagonalOperator, _doob_rates, tridiag_apply
 
 __all__ = [
     "TransformedOperator",
@@ -103,8 +103,7 @@ def doob_generator(op: TridiagonalOperator, eigen: EigenPair) -> TransformedOper
     eta = np.asarray(eigen.eta, dtype=float)
     if np.any(eta <= 0.0):
         raise ValueError("eta must be positive on the grid interior")
-    t_up = op.off_upper * eta[1:] / eta[:-1]
-    t_low = op.off_lower * eta[:-1] / eta[1:]
+    t_up, t_low = _doob_rates(op, eta)
     diag = np.zeros(op.grid.n)
     diag[:-1] -= t_up
     diag[1:] -= t_low

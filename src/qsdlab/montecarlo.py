@@ -144,11 +144,10 @@ def sample_measure(measure, n: int, rng: np.random.Generator) -> np.ndarray:
     grid = measure.grid
     masses = measure.density * grid.h
     masses = masses / masses.sum()
-    idx = rng.choice(grid.n, size=n, p=masses)
-    jitter = rng.uniform(-0.5 * grid.h, 0.5 * grid.h, size=n)
-    x = grid.nodes[idx] + jitter
+    x = grid.nodes[rng.choice(grid.n, size=n, p=masses)]
+    x += rng.uniform(-0.5 * grid.h, 0.5 * grid.h, size=n)
     eps = 1e-12 * (grid.x_max - grid.x_min)
-    return np.clip(x, grid.x_min + eps, grid.x_max - eps)[:, None]
+    return np.clip(x, grid.x_min + eps, grid.x_max - eps, out=x)[:, None]
 
 
 def _euler_step(coords, cols, ys, dt: float) -> None:

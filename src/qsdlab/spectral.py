@@ -8,10 +8,11 @@ endpoints is discretized in divergence form,
 
 with Dirichlet rows at the two ends and midpoint potentials evaluated
 exactly.  The operator is symmetric under the weighted inner product with
-gamma = exp(-V).  One eigensolve returns lambda0 and eta, by inverse
-iteration on a subtraction-free (Grassmann-Taksar-Heyman) LU factorization
-of the M-matrix -L_h that keeps lambda0 relatively accurate even near
-eps ||L_h||, and lambda1, by Sturm bisection refined by a Rayleigh quotient.
+gamma = exp(-V).  One eigensolver, inverse iteration on a subtraction-free
+(Grassmann-Taksar-Heyman) LU factorization of a killed birth-death chain,
+returns lambda0 and eta from -L_h and the gap lambda1 - lambda0 from the
+edge chain of the Doob transform, each relatively accurate even far below
+eps ||L_h||.
 
 The principal eigenvector eta is stored with the normalization
 ``gamma(eta^2) = gamma(eta)``, i.e. the quasi-stationary distribution
@@ -24,8 +25,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dgttrs
 
 from .artifacts import write_csv, write_json
 from .grid_measure import Grid1D, GridMeasure, quadrature
@@ -143,90 +143,90 @@ def apply_operator(op: TridiagonalOperator, f: np.ndarray) -> np.ndarray:
     return tridiag_apply(op.diag, op.off_upper, op.off_lower, np.asarray(f, dtype=float))
 
 
-def _gth_factors(op: TridiagonalOperator) -> tuple:
-    """LAPACK ``gttrs`` factors of -L_h = LU without row interchanges.
+def _gth_factors(left: np.ndarray, right: np.ndarray) -> tuple:
+    """LAPACK ``gttrs`` factors, without row interchanges, of a killed chain.
 
-    With left_i, right_i the stencil weights of node i, the Grassmann-Taksar-
-    Heyman recurrence s_0 = left_0, u_i = s_i + right_i, s_{i+1} = left_{i+1}
-    s_i / u_i builds each pivot from the positive row margin s_i.  tau_i =
-    left_i / s_i obeys tau_0 = 1, tau_{i+1} = 1 + (right_i / left_i) tau_i,
-    i.e. tau_k = q_k sum_{j <= k} 1 / q_j with q_k the product of the first
-    k ratios, which is summed in the log domain; no entry is a difference.
+    The M-matrix has diagonal left + right and off-diagonals -left[1:] and
+    -right[:-1].  The Grassmann-Taksar-Heyman recurrence s_0 = left_0, u_i =
+    s_i + right_i, s_{i+1} = left_{i+1} s_i / u_i builds each pivot from the
+    positive row margin s_i.  tau_i = left_i / s_i obeys tau_0 = 1, tau_{i+1}
+    = 1 + (right_i / left_i) tau_i, i.e. tau_k = q_k sum_{j <= k} 1 / q_j with
+    q_k the product of the first k ratios, which is summed in the log domain;
+    no entry is a difference.  scipy's ``gttrs`` rejects size 2, so a
+    two-state chain gets a decoupled identity row.
     """
-    left = np.concatenate(([op.boundary_weights[0]], op.off_lower))
-    right = np.concatenate((op.off_upper, [op.boundary_weights[1]]))
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        log_q = np.concatenate(([0.0], np.cumsum(np.log(right[:-1]) - np.log(left[:-1]))))
-        log_tau = log_q + np.logaddexp.accumulate(-log_q)
-        pivots = left * np.exp(-log_tau) + right
-    if not (np.isfinite(pivots).all() and pivots.min() > 0.0):
-        raise ConvergenceError("non-finite or non-positive GTH pivot; check the potential")
-    ipiv = np.arange(1, left.size + 1, dtype=np.int32)  # no row interchanges
-    return -left[1:] / pivots[:-1], pivots, -right[:-1], np.zeros(left.size - 2), ipiv
+    log_q = np.concatenate(([0.0], np.cumsum(np.log(right[:-1]) - np.log(left[:-1]))))
+    log_tau = log_q + np.logaddexp.accumulate(-log_q)
+    pivots = left * np.exp(-log_tau) + right
+    lower, upper = -left[1:] / pivots[:-1], -right[:-1]
+    if pivots.size == 2:
+        lower, pivots, upper = np.append(lower, 0.0), np.append(pivots, 1.0), np.append(upper, 0.0)
+    ipiv = np.arange(1, pivots.size + 1, dtype=np.int32)  # no row interchanges
+    return lower, pivots, upper, np.zeros(pivots.size - 2), ipiv
 
 
-def _second_eigenvalue(op: TridiagonalOperator) -> float:
-    """lambda1 of -L_h: Sturm bisection refined by a Rayleigh quotient.
+def _inverse_iteration(left: np.ndarray, right: np.ndarray, max_iter: int) -> tuple:
+    """Bracket (lo, hi) of a killed chain's principal eigenvalue, and the iterate.
 
-    ``eigh_tridiagonal`` certifies by a Sturm count that sigma is the second
-    eigenvalue of M = sqrt(gamma) (-L_h) / sqrt(gamma), to eps ||M||.  Two
-    solves with M - sigma (LAPACK ``gttrf``/``gttrs``) give its eigenvector,
-    whose Rayleigh quotient must stay within the bisection's error band.
+    Inverse iteration from the ones vector solves with `_gth_factors`, so it
+    only adds and divides positive numbers and the iterate stays positive.
+    For y = M^-1 x the Collatz-Wielandt ratios x/y bracket the eigenvalue (up
+    to the few-ulp roundoff of factors and solves); the iteration stops once
+    the bracket's relative width is at most ``EIGEN_TOL``.
     """
-    m_diag, m_off = -op.diag, np.sqrt(op.off_upper * op.off_lower)  # spectrum ignores the off sign
-    sigma = float(eigh_tridiagonal(m_diag, m_off, eigvals_only=True, select="i", select_range=(1, 1))[0])
-    *factors, info = dgttrf(m_off, m_diag - sigma, m_off)
-    if info > 0:  # M - sigma is exactly singular: sigma is exact
-        return sigma
-    x = np.linspace(-0.5, 1.5, m_diag.size)  # neither even nor odd about the midpoint
-    for _ in range(2):
-        x, _ = dgttrs(*factors, x)
-        x /= np.linalg.norm(x)
-    lam1 = float(x @ tridiag_apply(m_diag, m_off, m_off, x))
-    band = 16.0 * np.finfo(float).eps * (m_diag.max() + 2.0 * m_off.max())
-    if not abs(lam1 - sigma) <= band:
-        raise ConvergenceError(f"lambda1 refinement {lam1} left the Sturm bracket around {sigma}")
-    return lam1
-
-
-def principal_eigenpair(op: TridiagonalOperator, max_iter: int = 500,
-                        with_lambda1: bool = True) -> EigenPair:
-    """Principal pair (lambda0 > 0, eta > 0) of -L_h, with lambda1 and a bracket.
-
-    Inverse iteration from the ones vector solves with the GTH factors
-    (`_gth_factors`) through LAPACK ``gttrs``, so it only adds and divides
-    positive numbers and the iterate stays positive.  For y = (-L_h)^-1 x the
-    Collatz-Wielandt ratios bracket lambda0 in [min x/y, max x/y] (up to the
-    few-ulp roundoff of factors and solves); the iteration stops once the
-    bracket's relative width is at most ``EIGEN_TOL`` and takes lambda0 at
-    its midpoint, or raises after ``max_iter`` solves.  eta, scaled from y
-    (of size 1/lambda0), is normalized so that gamma(eta^2) = gamma(eta),
-    i.e. alpha(eta) = 1.  ``with_lambda1=False`` skips `_second_eigenvalue`,
-    more than half of the cost, and leaves ``lambda1`` None.
-    """
-    factors = _gth_factors(op)
-    x = np.ones(op.grid.n)
+    if not all(np.isfinite(w).all() and w.min() > 0.0 for w in (left, right)):
+        raise ConvergenceError("non-finite or non-positive chain weight; check the potential")
+    factors = _gth_factors(left, right)
+    m = left.size
+    x = np.ones(factors[1].size)
+    x[m:] = 0.0  # the padding row of a two-state chain solves to 0
     for _ in range(max_iter):
         y, _ = dgttrs(*factors, x)
-        ratio = x / y
+        ratio = x[:m] / y[:m]
         lo, hi = float(ratio.min()), float(ratio.max())
         if hi - lo <= EIGEN_TOL * lo:
             break
         x = y / y.max()
     else:
         raise ConvergenceError(f"inverse iteration did not converge in {max_iter} steps")
+    if not lo > 0.0:
+        raise ConvergenceError(f"principal eigenvalue is not positive: {lo}")
+    return lo, hi, y[:m]
+
+
+def _doob_rates(op: TridiagonalOperator, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rates of the Doob transform: B_i from node i up, D_{i+1} from node i + 1 down."""
+    return op.off_upper * eta[1:] / eta[:-1], op.off_lower * eta[:-1] / eta[1:]
+
+
+def principal_eigenpair(op: TridiagonalOperator, max_iter: int = 500,
+                        with_lambda1: bool = True) -> EigenPair:
+    """Principal pair (lambda0 > 0, eta > 0) of -L_h, with lambda1 and a bracket.
+
+    lambda0 is the midpoint of the `_inverse_iteration` bracket on the chain
+    -L_h.  eta, scaled from the iterate, is normalized so that gamma(eta^2) =
+    gamma(eta), i.e. alpha(eta) = 1.  The gap is the principal eigenvalue of
+    the edge chain (Diaconis & Fill, Ann. Probab. 18, 1990; Miclo, MPRF 5,
+    1999): the differences g_{i+1} - g_i of the Doob transform's
+    eigenfunctions solve a killed chain on the n - 1 edges with left weights
+    B_i and right weights D_{i+1} (`_doob_rates`), and lambda1 = lambda0 +
+    gap.  ``with_lambda1=False`` skips that solve and leaves ``lambda1`` None.
+    """
+    left = np.concatenate(([op.boundary_weights[0]], op.off_lower))
+    right = np.concatenate((op.off_upper, [op.boundary_weights[1]]))
+    lo, hi, y = _inverse_iteration(left, right, max_iter)
     lam0 = 0.5 * (lo + hi)
-    if not lam0 > 0.0:
-        raise ConvergenceError(f"principal eigenvalue is not positive: {lam0}")
-    lam1 = None
-    if with_lambda1:
-        lam1 = _second_eigenvalue(op)
-        if not lam1 > lam0:
-            raise ConvergenceError(f"degenerate spectrum: lambda1={lam1} <= lambda0={lam0}")
     eta = y / y.max()
     g_eta = quadrature(eta * op.gamma_weights, op.grid)
     g_eta2 = quadrature(eta**2 * op.gamma_weights, op.grid)
-    return EigenPair(lambda0=lam0, eta=eta * (g_eta / g_eta2), lambda1=lam1, lambda0_bracket=(lo, hi))
+    eta = eta * (g_eta / g_eta2)
+    lam1 = None
+    if with_lambda1:
+        gap_lo, gap_hi, _ = _inverse_iteration(*_doob_rates(op, eta), max_iter)
+        lam1 = lam0 + 0.5 * (gap_lo + gap_hi)
+        if not lam1 > lam0:
+            raise ConvergenceError(f"degenerate spectrum: lambda1={lam1} <= lambda0={lam0}")
+    return EigenPair(lambda0=lam0, eta=eta, lambda1=lam1, lambda0_bracket=(lo, hi))
 
 
 def spectral_gap(op: TridiagonalOperator) -> tuple[float, float]:

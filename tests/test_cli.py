@@ -320,6 +320,20 @@ class TestCommands:
         assert list(json.loads(read(out / "eigen.json"))) == [
             "lambda0", "lambda1", "gap", "normalization"]
 
+    # lambda1 - lambda0 of V = a (x^2 - 1)^2 tabulated at 2001 points on
+    # (-2, 2), at n = 150: the 100-digit Sturm references of
+    # test_spectral.TestMetastable, far below eps * ||L_h||
+    @pytest.mark.parametrize("a, gap", [(48.0, 6.109903677247741e-20), (64.0, 9.186338627057832e-27)])
+    def test_eigen_metastable_gap(self, tmp_path, a, gap):
+        x = np.linspace(-2.0, 2.0, 2001)
+        table = tmp_path / "well.csv"
+        write_csv(str(table), "x,V,Vp,Vpp",
+                  zip(x, a * (x * x - 1.0) ** 2, 4.0 * a * x * (x * x - 1.0), a * (12.0 * x * x - 4.0)))
+        out = tmp_path / "eig"
+        assert run(["eigen", "--potential", "tabulated", "--table-path", str(table),
+                    "--n", "150", "--output", str(out)]) == 0
+        assert abs(json.loads(read(out / "eigen.json"))["gap"] - gap) / gap <= 1e-12
+
     def test_custom_initial_measure(self, tmp_path):
         from qsdlab.grid_measure import GridMeasure, build_grid, save_measure_csv
 

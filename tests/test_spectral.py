@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -10,7 +11,9 @@ from qsdlab.doob import conditioned_flow, default_dt
 from qsdlab.potential import quadratic_potential, shifted_power_potential, tabulated_potential, zero_potential
 from qsdlab.spectral import (
     ConvergenceError,
+    _doob_rates,
     _gth_factors,
+    _inverse_iteration,
     assemble_generator,
     apply_operator,
     eigen_residual,
@@ -106,7 +109,7 @@ class TestPrincipalEigenpair:
                 ref.append(s + right[i])
                 if i + 1 < left.size:
                     s = left[i + 1] * s / ref[i]
-            assert np.max(np.abs(_gth_factors(op)[1] / np.array(ref) - 1.0)) <= 1e-13
+            assert np.max(np.abs(_gth_factors(left, right)[1] / np.array(ref) - 1.0)) <= 1e-13
 
     def test_eigen_relation_residual(self):
         for spec, lo, hi in (
@@ -167,16 +170,20 @@ class TestSpectralGap:
             assert hi0 - lo0 <= 1e-14 * lo0
             assert lo0 - slack <= dense[0] <= hi0 + slack
 
-    @pytest.mark.parametrize("n", [3, 2000, 8000])
+    @pytest.mark.parametrize("n", [3, 2000, 8000, 32000])
     def test_brownian_exact_discrete_eigenvalues(self, n):
         # the discrete half Laplacian on (-1, 1) has eigenvalues
         # (2 / h^2) sin^2(k pi / (2 (n + 1))), k = 1, 2, ... exactly; at
-        # n = 3, lambda1 = 4 is a float, so the refining shift is singular
+        # n = 3 the gap comes from an edge chain of only two states
         g = build_grid(-1.0, 1.0, n)
         eig = principal_eigenpair(assemble_generator(zero_potential(), g))
         for k, lam in ((1, eig.lambda0), (2, eig.lambda1)):
             exact = (2.0 / g.h**2) * math.sin(k * math.pi / (2.0 * (n + 1))) ** 2
             assert abs(lam - exact) / exact <= 1e-12
+        # sin^2(2u) - sin^2(u) = sin(3u) sin(u), with no cancellation
+        u = math.pi / (2.0 * (n + 1))
+        exact_gap = (2.0 / g.h**2) * math.sin(3.0 * u) * math.sin(u)
+        assert abs((eig.lambda1 - eig.lambda0) - exact_gap) / exact_gap <= 1e-12
 
     def test_shifted_power_converges_at_n32000(self):
         g = build_grid(0.0, 2.5, 32000)
@@ -189,6 +196,20 @@ class TestSpectralGap:
     def test_iteration_budget_exhausted_raises(self, ou):
         with pytest.raises(ConvergenceError, match="did not converge"):
             principal_eigenpair(ou.op, max_iter=1)
+
+    @pytest.mark.parametrize("band", ["off_lower", "off_upper"])
+    @pytest.mark.parametrize("bad", [0.0, np.inf, np.nan])
+    def test_bad_chain_weight_raises(self, ou, band, bad):
+        # a zero weight splits the chain, and an eta ratio that under- or
+        # overflowed gives the edge chain a zero or non-finite weight
+        weights = getattr(ou.op, band).copy()
+        weights[5] = bad
+        with pytest.raises(ConvergenceError, match="chain weight"):
+            principal_eigenpair(dataclasses.replace(ou.op, **{band: weights}))
+        eta = ou.eigen.eta.copy()
+        eta[5] = bad
+        with np.errstate(divide="ignore"), pytest.raises(ConvergenceError, match="chain weight"):
+            _inverse_iteration(*_doob_rates(ou.op, eta), 500)
 
 
 class TestMetastable:
@@ -205,6 +226,26 @@ class TestMetastable:
         ref = self.STURM_LAMBDA0[a]
         assert abs(eig.lambda0 - ref) / ref <= 1e-12
         assert np.all(eig.eta > 0.0)
+
+    # lambda1 - lambda0 of the same float64 bands: both eigenvalues by Sturm
+    # bisection (counting negative LDL^T pivots, as in bench/oracles.sturm_lambda0,
+    # with the count >= 2 for lambda1) on the symmetrised matrix built in
+    # 100-digit mpmath from the stencil weights of assemble_generator at n = 150
+    STURM_GAP = {
+        4.0: 0.059557546642589006,
+        16.0: 1.5808271514607212e-06,
+        32.0: 3.6046396332845625e-13,
+        48.0: 6.109903677247741e-20,
+        64.0: 9.186338627057832e-27,
+    }
+
+    @pytest.mark.parametrize("a", [4.0, 16.0, 32.0, 48.0, 64.0])
+    def test_double_well_gap_matches_sturm_reference(self, a):
+        # the gap lies far below eps * ||L_h|| for a >= 16 and must still
+        # keep its relative accuracy
+        eig = principal_eigenpair(assemble_generator(double_well(a), build_grid(-2.0, 2.0, 150)))
+        ref = self.STURM_GAP[a]
+        assert abs((eig.lambda1 - eig.lambda0) - ref) / ref <= 1e-12
 
 
 class TestQsd:
@@ -320,8 +361,10 @@ def test_lambda0_only_solve_skips_lambda1(monkeypatch):
 
     op = assemble_generator(quadratic_potential(1.0), build_grid(0.0, 8.0, 400))
     full = principal_eigenpair(op)
-    monkeypatch.setattr(spectral, "_second_eigenvalue", lambda op: pytest.fail("lambda1 solved"))
+    solves = []
+    solve = spectral._inverse_iteration
+    monkeypatch.setattr(spectral, "_inverse_iteration", lambda *args: solves.append(args) or solve(*args))
     only = principal_eigenpair(op, with_lambda1=False)
-    assert only.lambda1 is None
+    assert only.lambda1 is None and len(solves) == 1
     assert only.lambda0 == full.lambda0 and only.lambda0_bracket == full.lambda0_bracket
     assert np.array_equal(only.eta, full.eta)
