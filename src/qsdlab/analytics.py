@@ -352,12 +352,15 @@ def _assemble_report(config: ReportConfig, curves: dict, burn: BurnIn, gap: floa
     The window starts after the burn-in, and no earlier than half a relaxation
     time 1/gap, and ends at three relaxation times, or at the last sample time
     (with a note) when it would not start before that.  A window with width
-    but fewer than ``FIT_MIN_SAMPLES`` samples gets a note too.
+    but fewer than ``FIT_MIN_SAMPLES`` samples gets a note too.  Each end is
+    snapped to a sample time within 1e-9 relative of it, so the roundoff in
+    the gap neither keeps nor drops a sample that lies on an end.
     """
     times = np.asarray(config.times, dtype=float)
-    start = max(burn.time, 0.5 / gap)
-    window = (start, 3.0 / gap if start < 3.0 / gap else float(times[-1]))
-    if start >= 3.0 / gap:
+    start, stop = (next((float(s) for s in times if abs(s - t) <= 1e-9 * t), t)
+                   for t in (max(burn.time, 0.5 / gap), 3.0 / gap))
+    window = (start, stop if start < stop else float(times[-1]))
+    if start >= stop:
         fields["notes"] += ("default fit window starts at max(burn-in, 0.5/gap) >= 3/gap: "
                             + ("no width, so the fitted rates are NaN" if start >= window[1]
                                else "ended at the last sample time"),)

@@ -19,6 +19,7 @@ numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -388,6 +389,7 @@ _FLAGS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qsdlab",

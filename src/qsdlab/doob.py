@@ -40,8 +40,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .grid_measure import GridMeasure, chi2_divergence, tilt, tv_distance
 from .spectral import EigenPair, TridiagonalOperator, _doob_rates, tridiag_apply
@@ -159,6 +157,7 @@ def _cn_factors(diag, off, a, shift):
     bands are rejected here; a zero or negative pivot (the matrix is not
     positive definite) is rejected as well.
     """
+    from scipy.linalg.lapack import dpttrf
     bands = (1.0 - a * (diag + shift), -a * off)
     if not all(np.isfinite(b).all() for b in bands):
         raise FlowError("non-finite generator band; check the potential and eigenpair")
@@ -186,7 +185,7 @@ def _cn_run(diag, off_upper, off_lower, m0, duration, dt, shift=0.0, conserve=Fa
     The steps act on w = m / d, with d and the symmetric bands from
     `_symmetric_bands`.  I - aS, a = step/2, is factored once per step size:
     ``cache``, a dict shared by the runs of one `flow_curve`, keeps d and the
-    factors of the latest step (the startup runs once per flow, so its
+    factors of every step value (the startup runs once per flow, so its
     factors are not kept).  Each step is one ``pttrs`` solve, y = (I - aS)^-1
     w, and w <- 2y - w, which equals (I - aS)^-1 (I + aS) w without the
     explicit multiply.  As d > 0, w has the sign of m: m = d w is formed for
@@ -202,6 +201,7 @@ def _cn_run(diag, off_upper, off_lower, m0, duration, dt, shift=0.0, conserve=Fa
     With ``conserve`` the mass is checked to stay within roundoff of its
     initial value before the final normalization (Markovian flows).
     """
+    from scipy.linalg.lapack import dpttrs
     log_mass = 0.0
     if duration == 0.0:
         return m0.copy(), log_mass
@@ -209,11 +209,11 @@ def _cn_run(diag, off_upper, off_lower, m0, duration, dt, shift=0.0, conserve=Fa
     step = duration / steps
     cache = {} if cache is None else cache
     d, off = cache.get("scaling") or _symmetric_bands(off_upper, off_lower)
-    if cache.get("step") != step:
+    if step not in cache:
         cn = _cn_factors(diag, off, 0.5 * step, shift)
         cn[0] *= 0.5  # halving the pivots (exact) makes each solve return 2y directly
-        cache.update(scaling=(d, off), step=step, cn=cn)
-    cn = cache["cn"]
+        cache.update({"scaling": (d, off), step: cn})
+    cn = cache[step]
     n_startup = min(2, steps) if startup else 0
     if n_startup:
         ie = _cn_factors(diag, off, 0.25 * step, shift)
@@ -258,6 +258,7 @@ def _krylov_coefficients(hess, gamma, times, residual, tol):
     the estimate taken on every sample.  Returns (None, estimate) when the
     first test fails.
     """
+    from scipy.linalg import expm
     k = hess.shape[1]
     h_inv = np.linalg.inv(hess[:k])
     b = (h_inv - np.eye(k)) / gamma
@@ -451,6 +452,7 @@ def flow_exponential(
     ``NEGATIVE_DENSITY_TOL`` test and the mass-underflow check apply to
     every snapshot; t = 0 returns the initial law.
     """
+    from scipy.linalg.lapack import dpttrs
     times = _sample_times(op, mu, times)
     m0 = mu.density
     shift = eigen.lambda0 if eigen is not None else 0.0

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dgttrs
 
 from .artifacts import write_csv, write_json
 from .grid_measure import Grid1D, GridMeasure, quadrature
@@ -174,6 +173,7 @@ def _inverse_iteration(left: np.ndarray, right: np.ndarray, max_iter: int) -> tu
     to the few-ulp roundoff of factors and solves); the iteration stops once
     the bracket's relative width is at most ``EIGEN_TOL``.
     """
+    from scipy.linalg.lapack import dgttrs
     if not all(np.isfinite(w).all() and w.min() > 0.0 for w in (left, right)):
         raise ConvergenceError("non-finite or non-positive chain weight; check the potential")
     factors = _gth_factors(left, right)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from qsdlab import analytics
 from qsdlab.analytics import (
     BOUND_A,
     BOUND_B,
@@ -20,7 +21,13 @@ from qsdlab.analytics import (
 )
 from qsdlab.grid_measure import GridMeasure, ProductGridMeasure, build_grid, quadrature, w1_distance
 from qsdlab.potential import shifted_power_potential
-from qsdlab.spectral import EigenPair, apply_operator, qsd_from_eigen
+from qsdlab.spectral import (
+    EigenPair,
+    apply_operator,
+    assemble_generator,
+    principal_eigenpair,
+    qsd_from_eigen,
+)
 
 
 class TestClosedForm:
@@ -217,6 +224,26 @@ class TestDecayReport:
         lines = cpath.read_text().splitlines()
         assert lines[0] == "t,tv,w1,chi2,survival_weight,log_survival"
         assert len(lines) == 42
+
+    def test_fit_window_ignores_the_gaps_last_digits(self, monkeypatch):
+        # samples lie on both ends of the default window [0.5/gap, 3/gap]:
+        # a roundoff change in the gap must neither keep nor drop them
+        cf = closed_form("brownian_hypercube", N=1.0, n=400)
+        g = cf.grid
+        eigen = principal_eigenpair(assemble_generator(cf.spec, g))
+        times = np.linspace(0.0, 6.0 / (eigen.lambda1 - eigen.lambda0), 121)
+        config = ReportConfig(label="brownian", spec=cf.spec, grid=g, times=times,
+                              initial=GridMeasure(g, np.exp(-((g.nodes - 0.3) ** 2) / 0.245)))
+        assemble = analytics._assemble_report
+        seen = set()
+        for rel in (-1e-11, 0.0, 1e-11):
+            monkeypatch.setattr(analytics, "_assemble_report", lambda c, curves, burn, gap, **kw:
+                                assemble(c, curves, burn, gap * (1.0 + rel), **kw))
+            rep = decay_report(config)
+            lo, hi = rep.fit_window
+            held = int(np.count_nonzero((times >= lo) & (times <= hi)))
+            seen.add((held, rep.fitted_rate_tv, rep.fitted_rate_w1, rep.fitted_rate_chi2))
+        assert len(seen) == 1 and seen.pop()[0] == 51
 
     def test_cdfi_report_attaches_improved_rate(self):
         spec = shifted_power_potential(3.0)

@@ -2,10 +2,13 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import qsdlab
 from qsdlab.artifacts import write_csv
 from qsdlab.cli import DEFAULTS, RunConfig, parse_config_file, run, validate
 
@@ -428,3 +431,50 @@ class TestGridBounds:
         assert (tmp_path / "a" / "eta.csv").read_bytes() == (tmp_path / "b" / "eta.csv").read_bytes()
         assert np.loadtxt(tmp_path / "a" / "eta.csv", delimiter=",", skiprows=1)[0, 0] == \
             pytest.approx(-1e-3 + 1.001 / 51)
+
+
+class TestProcess:
+    SIMULATE = ["simulate", "--example", "brownian", "--N", "1.0", "--particles", "1000",
+                "--dt", "0.001", "--horizon", "0.1", "--seed", "3"]
+
+    def python(self, code, *args):
+        # a fresh interpreter: this one has scipy loaded by the other tests
+        src = os.path.dirname(os.path.dirname(qsdlab.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    def test_simulate_runs_without_scipy(self, tmp_path):
+        code = (
+            "import json, sys\n"
+            "from qsdlab import cli\n"
+            "seen = ['scipy' in sys.modules]\n"
+            "for initial in ('uniform', 'gaussian-truncated'):\n"
+            f"    status = cli.run({self.SIMULATE!r} + ['--initial', initial, '--output', sys.argv[1] + initial])\n"
+            "    seen.append([status, 'scipy' in sys.modules])\n"
+            "print(json.dumps(seen))\n"
+        )
+        assert self.python(code, str(tmp_path / "sim-")) == [False, [0, False], [0, False]]
+
+    def test_solvers_import_scipy_at_their_first_solve(self, tmp_path):
+        code = (
+            "import json, sys\n"
+            "from qsdlab import cli\n"
+            "status = cli.run(['eigen', '--example', 'ou', '--lambda', '1.0', '--n', '50',"
+            " '--output', sys.argv[1]])\n"
+            "print(json.dumps([status, 'scipy.linalg' in sys.modules]))\n"
+        )
+        assert self.python(code, str(tmp_path / "eig")) == [0, True]
+
+    def test_consecutive_runs_share_no_state(self, tmp_path, capsys):
+        # the parser is built once per process; each run parses afresh
+        for flags, name in ((["--resample"], "fv"), ([], "plain")):
+            assert run([*self.SIMULATE, *flags, "--output", str(tmp_path / name)]) == 0
+        alive = {name: np.loadtxt(tmp_path / name / "survival.csv", delimiter=",", skiprows=1)[:, 1]
+                 for name in ("fv", "plain")}
+        assert np.all(alive["fv"] == 1.0) and alive["plain"][-1] < 1.0
+        for _ in range(2):
+            assert run(["simulate", "--no-such-flag"]) == 1
+        assert capsys.readouterr().err.count("unrecognized arguments: --no-such-flag") == 2

@@ -109,7 +109,9 @@ class TestStepper:
             t_prev = t
             assert np.array_equal(state.mu_t.density, GridMeasure(g, np.clip(m, 0.0, None)).density)
             assert state.log_survival == log_surv
-        assert shared < len(calls) - shared  # fewer factorizations than per segment
+        # one factorization per distinct step value, plus the startup's
+        steps = {seg / max(1, math.ceil(seg / dt)) for seg in np.diff(times)}
+        assert shared == len(steps) + 1 < len(calls) - shared
 
     def test_rejects_nonfinite_input(self, brownian, gaussian_measure):
         tilde = doob_generator(brownian.op, brownian.eigen)
