@@ -38,7 +38,6 @@ from .spectral import (
 )
 from .doob import (
     FlowState,
-    TransformedOperator,
     checkpoint_residual,
     chi2_decay_curve,
     conditioned_flow,

@@ -51,38 +51,39 @@ __all__ = ["RunConfig", "parse_config_file", "validate", "run", "main"]
 
 COMMANDS = ("eigen", "evolve", "simulate", "rates", "report")
 
-DEFAULTS = {
-    "example": None,                 # brownian | ou
-    "example.N": 1.0,
-    "example.lambda": 1.0,
-    "potential.family": None,        # zero | quadratic | shifted-power | tabulated
-    "potential.lambda": 1.0,
-    "potential.delta": 3.0,
-    "potential.table_path": None,
-    "grid.x_min": None,
-    "grid.x_max": None,
-    "grid.n": 2000,
-    "flow.t_max": 2.0,
-    "flow.samples": 41,
-    "mc.dt": 1e-3,
-    "mc.horizon": 1.0,
-    "mc.particles": 10000,
-    "mc.resample": False,
-    "initial.family": "uniform",     # uniform | gaussian-truncated | qsd | custom
-    "initial.lo": None,
-    "initial.hi": None,
-    "initial.center": None,
-    "initial.width": None,
-    "initial.path": None,
-    "rates.lambda0_lower": None,
-    "output": ".",
-    "seed": 0,
+# Every config key with its flag, type and default; every command takes every
+# flag.  A flag is parsed as text and converted by _coerce, as a config-file
+# value is, and its allowed values are checked by validate; a bool flag is a
+# bare switch that stores "true".
+_KEYS = {
+    "example": ("--example", str, None),  # brownian | ou
+    "example.N": ("--N", float, 1.0),
+    "example.lambda": ("--lambda", float, 1.0),
+    "potential.family": ("--potential", str, None),  # zero | quadratic | shifted-power | tabulated
+    "potential.lambda": (None, float, 1.0),  # --lambda sets it too
+    "potential.delta": ("--delta", float, 3.0),
+    "potential.table_path": ("--table-path", str, None),
+    "grid.x_min": ("--x-min", float, None),
+    "grid.x_max": ("--x-max", float, None),
+    "grid.n": ("--n", int, 2000),
+    "flow.t_max": ("--t-max", float, 2.0),
+    "flow.samples": ("--samples", int, 41),
+    "mc.dt": ("--dt", float, 1e-3),
+    "mc.horizon": ("--horizon", float, 1.0),
+    "mc.particles": ("--particles", int, 10000),
+    "mc.resample": ("--resample", bool, False),
+    "initial.family": ("--initial", str, "uniform"),  # uniform | gaussian-truncated | qsd | custom
+    "initial.lo": ("--initial-lo", float, None),
+    "initial.hi": ("--initial-hi", float, None),
+    "initial.center": ("--initial-center", float, None),
+    "initial.width": ("--initial-width", float, None),
+    "initial.path": ("--initial-path", str, None),
+    "rates.lambda0_lower": ("--lambda0-lower", float, None),
+    "output": ("--output", str, "."),
+    "seed": ("--seed", int, 0),
 }
-
-_BOOL_KEYS = {"mc.resample"}
-_INT_KEYS = {"grid.n", "flow.samples", "mc.particles", "seed"}
-_STR_KEYS = {"example", "potential.family", "potential.table_path",
-             "initial.family", "initial.path", "output"}
+DEFAULTS = {key: default for key, (_, _, default) in _KEYS.items()}
+_FLAGS = {flag: key for key, (flag, _, _) in _KEYS.items() if flag is not None}
 
 
 class RunConfig(dict):
@@ -94,16 +95,16 @@ class FlowFailure(RuntimeError):
 
 
 def _coerce(key: str, raw: str):
-    if key in _STR_KEYS:
+    kind = _KEYS[key][1]
+    if kind is str:
         return raw
-    if key in _BOOL_KEYS:
+    if kind is bool:
         low = raw.strip().lower()
         if low in ("1", "true", "yes", "on"):
             return True
         if low in ("0", "false", "no", "off"):
             return False
         raise ValueError(f"{key}: expected a boolean, got {raw!r}")
-    kind = int if key in _INT_KEYS else float
     try:
         return kind(raw)
     except ValueError:
@@ -159,6 +160,8 @@ def validate(config: RunConfig) -> list[str]:
     bad += _grid_bound_diagnostics(config)
     if not config.get("flow.t_max", 0.0) > 0.0:
         bad.append("flow.t_max must be positive")
+    elif not math.isfinite(config["flow.t_max"]):
+        bad.append("flow.t_max must be finite")
     if config.get("flow.samples", 0) < 2:
         bad.append("flow.samples must be >= 2")
     if not config.get("mc.dt", 0.0) > 0.0:
@@ -172,6 +175,8 @@ def validate(config: RunConfig) -> list[str]:
     fam = config.get("initial.family")
     if fam not in ("uniform", "gaussian-truncated", "qsd", "custom"):
         bad.append("initial.family must be uniform|gaussian-truncated|qsd|custom")
+    if config.get("initial.width") is not None and not config["initial.width"] > 0.0:
+        bad.append("initial.width must be positive")
     if fam == "custom":
         path = config.get("initial.path")
         if not path or not os.path.exists(path):
@@ -358,37 +363,6 @@ def _cmd_report(config: RunConfig, outdir: str) -> None:
     analytics.save_curves_csv(report, os.path.join(outdir, "curves.csv"))
 
 
-# Every command takes every flag.  A flag is parsed as text and converted by
-# _coerce, as a config-file value is, and its allowed values are checked by
-# validate; a bare switch stores "true".
-_FLAGS = {
-    "--example": "example",
-    "--N": "example.N",
-    "--lambda": "example.lambda",
-    "--potential": "potential.family",
-    "--delta": "potential.delta",
-    "--table-path": "potential.table_path",
-    "--x-min": "grid.x_min",
-    "--x-max": "grid.x_max",
-    "--n": "grid.n",
-    "--t-max": "flow.t_max",
-    "--dt": "mc.dt",
-    "--samples": "flow.samples",
-    "--horizon": "mc.horizon",
-    "--particles": "mc.particles",
-    "--resample": "mc.resample",
-    "--initial": "initial.family",
-    "--initial-lo": "initial.lo",
-    "--initial-hi": "initial.hi",
-    "--initial-center": "initial.center",
-    "--initial-width": "initial.width",
-    "--initial-path": "initial.path",
-    "--lambda0-lower": "rates.lambda0_lower",
-    "--output": "output",
-    "--seed": "seed",
-}
-
-
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -400,7 +374,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None)
         for flag, key in _FLAGS.items():
-            if key in _BOOL_KEYS:
+            if _KEYS[key][1] is bool:
                 p.add_argument(flag, dest=key, action="store_const", const="true")
             else:
                 p.add_argument(flag, dest=key)
@@ -415,8 +389,8 @@ def _join_negative_values(argv) -> list[str]:
     """
     out = []
     for arg in argv:
-        key = _FLAGS.get(out[-1]) if out else None
-        if key is not None and key not in _BOOL_KEYS and arg.startswith("-") and _is_number(arg):
+        kind = _KEYS[_FLAGS[out[-1]]][1] if out and out[-1] in _FLAGS else bool
+        if kind is not bool and arg.startswith("-") and _is_number(arg):
             out[-1] = f"{out[-1]}={arg}"
         else:
             out.append(arg)

@@ -2,9 +2,11 @@
 
 The transform conjugates the absorbed generator by the principal eigenfunction,
 ``Ltilde f = (1/eta) (L + lambda0) (eta f)``, producing a mass-conserving
-generator whose invariant measure is beta = eta^2 * gamma.  Evolution runs on
-the measure (adjoint) side.  Both generators are reversible (the absorbed one
-in L2(gamma), the transformed one in L2(beta)), so the measure-side matrix M
+generator whose invariant measure is beta = eta^2 * gamma; `doob_generator`
+returns it as a `TridiagonalOperator` with ``gamma_weights`` beta, so every
+function below takes either generator.  Evolution runs on the measure
+(adjoint) side.  Both generators are reversible (the absorbed one in
+L2(gamma), the transformed one in L2(beta)), so the measure-side matrix M
 is similar to a symmetric S = D^-1 M D with a positive diagonal D
 (sqrt(gamma), resp. sqrt(beta), up to a constant), and I - aS is symmetric
 positive definite for a > 0: both time integrators below solve only with its
@@ -37,7 +39,7 @@ time-discretization error).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,7 +47,6 @@ from .grid_measure import GridMeasure, chi2_divergence, tilt, tv_distance
 from .spectral import EigenPair, TridiagonalOperator, _doob_rates, tridiag_apply
 
 __all__ = [
-    "TransformedOperator",
     "FlowState",
     "FlowError",
     "doob_generator",
@@ -74,18 +75,6 @@ class FlowError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class TransformedOperator:
-    """Markovian generator obtained from the Doob transform of ``base``."""
-
-    base: TridiagonalOperator
-    eigen: EigenPair
-    diag: np.ndarray = field(repr=False)
-    off_upper: np.ndarray = field(repr=False)
-    off_lower: np.ndarray = field(repr=False)
-    beta_weights: np.ndarray = field(repr=False)
-
-
-@dataclass(frozen=True)
 class FlowState:
     """Snapshot of the conditioned law at time t."""
 
@@ -96,7 +85,7 @@ class FlowState:
     chi2_to_beta: float = None
 
 
-def doob_generator(op: TridiagonalOperator, eigen: EigenPair) -> TransformedOperator:
+def doob_generator(op: TridiagonalOperator, eigen: EigenPair) -> TridiagonalOperator:
     """Conjugate the generator by eta and enforce zero row sums exactly."""
     eta = np.asarray(eigen.eta, dtype=float)
     if np.any(eta <= 0.0):
@@ -105,20 +94,19 @@ def doob_generator(op: TridiagonalOperator, eigen: EigenPair) -> TransformedOper
     diag = np.zeros(op.grid.n)
     diag[:-1] -= t_up
     diag[1:] -= t_low
-    beta = eta**2 * op.gamma_weights
-    return TransformedOperator(
-        base=op,
-        eigen=eigen,
+    return TridiagonalOperator(
+        grid=op.grid,
         diag=diag,
         off_upper=t_up,
         off_lower=t_low,
-        beta_weights=beta,
+        gamma_weights=eta**2 * op.gamma_weights,
+        boundary_weights=(0.0, 0.0),
     )
 
 
-def beta_measure(tilde: TransformedOperator) -> GridMeasure:
+def beta_measure(tilde: TridiagonalOperator) -> GridMeasure:
     """Invariant measure beta = eta^2 * gamma of the transformed semigroup."""
-    return GridMeasure(tilde.base.grid, tilde.beta_weights)
+    return GridMeasure(tilde.grid, tilde.gamma_weights)
 
 
 def default_dt(grid, lambda0: float = None) -> float:
@@ -178,8 +166,7 @@ def _check_density(m, mass, where: str) -> None:
             raise FlowError(f"negative density {low:.3e} {where}")
 
 
-def _cn_run(diag, off_upper, off_lower, m0, duration, dt, shift=0.0, conserve=False, startup=True,
-            cache=None):
+def _cn_run(diag, off_upper, off_lower, m0, duration, dt, shift=0.0, startup=True, cache=None):
     """Run Crank-Nicolson over ``duration``; returns (state, accumulated log mass).
 
     The steps act on w = m / d, with d and the symmetric bands from
@@ -197,9 +184,6 @@ def _cn_run(diag, off_upper, off_lower, m0, duration, dt, shift=0.0, conserve=Fa
     the absorbing endpoints, and the L-stable startup damps the incompatible
     stiff content that Crank-Nicolson would carry as slowly decaying
     oscillations, without losing second-order accuracy overall.
-
-    With ``conserve`` the mass is checked to stay within roundoff of its
-    initial value before the final normalization (Markovian flows).
     """
     from scipy.linalg.lapack import dpttrs
     log_mass = 0.0
@@ -238,8 +222,6 @@ def _cn_run(diag, off_upper, off_lower, m0, duration, dt, shift=0.0, conserve=Fa
     mass = float(m.sum())
     log_mass += math.log(mass / mass0)
     m *= mass0 / mass
-    if conserve and abs(math.expm1(log_mass)) > 1e-8:
-        raise FlowError(f"mass drifted by {math.expm1(log_mass):.3e} during evolution")
     return m, log_mass
 
 
@@ -335,20 +317,23 @@ def _krylov_run(v0, times, gamma, solve, apply, tol):
     )
 
 
-def evolve_transformed(tilde: TransformedOperator, nu: GridMeasure, t: float, dt: float) -> GridMeasure:
-    """Evolve a measure under the transformed (Markovian) semigroup."""
+def evolve_transformed(tilde: TridiagonalOperator, nu: GridMeasure, t: float, dt: float) -> GridMeasure:
+    """Evolve a measure under the transformed (Markovian) semigroup by `flow_curve`.
+
+    A mass drift beyond roundoff before the final normalization raises `FlowError`.
+    """
     if t < 0.0:
         raise ValueError("time must be nonnegative")
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    if nu.grid != tilde.base.grid:
+    if nu.grid != tilde.grid:
         raise ValueError("measure lives on a different grid")
     if t == 0.0:
         return nu
-    m, _ = _cn_run(
-        tilde.diag, tilde.off_upper, tilde.off_lower, nu.density, t, dt, conserve=True
-    )
-    return GridMeasure(tilde.base.grid, np.clip(m, 0.0, None))
+    state = flow_curve(tilde, nu, [t], dt)[-1]
+    if abs(math.expm1(state.log_survival)) > 1e-8:
+        raise FlowError(f"mass drifted by {math.expm1(state.log_survival):.3e} during evolution")
+    return state.mu_t
 
 
 def _sample_times(op: TridiagonalOperator, mu: GridMeasure, times) -> np.ndarray:

@@ -57,12 +57,14 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class TridiagonalOperator:
-    """Tridiagonal discretization of the absorbed generator on a grid.
+    """Tridiagonal generator on a grid: the absorbed one or its Doob transform.
 
-    ``gamma_weights`` holds exp(-(V - v_shift)) at the nodes; the shift by
-    ``v_shift = min V`` guards against overflow and only rescales gamma, which
-    leaves every normalized quantity unchanged.  ``boundary_weights`` couple
-    the first and the last node to the absorbing ends (the row sums of -L_h).
+    ``gamma_weights`` are the weights the generator is reversible for:
+    exp(-(V - min V)) at the nodes from `assemble_generator` (the shift guards
+    against overflow and only rescales gamma, which leaves every normalized
+    quantity unchanged), beta = eta^2 * gamma from `doob.doob_generator`.
+    ``boundary_weights`` couple the first and the last node to the absorbing
+    ends (the row sums of -L_h); the Doob transform kills no mass: (0, 0).
     """
 
     grid: Grid1D
@@ -71,7 +73,6 @@ class TridiagonalOperator:
     off_lower: np.ndarray = field(repr=False)
     gamma_weights: np.ndarray = field(repr=False)
     boundary_weights: tuple[float, float]
-    v_shift: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -81,7 +82,6 @@ class EigenPair:
     lambda0: float
     eta: np.ndarray = field(repr=False)
     lambda1: float = None
-    normalization: str = "alpha(eta) = 1"
     lambda0_bracket: tuple[float, float] = None  # Collatz-Wielandt, see principal_eigenpair
 
 
@@ -95,6 +95,8 @@ class ProductEigenPair:
 
 def assemble_generator(spec: PotentialSpec, grid: Grid1D) -> TridiagonalOperator:
     """Assemble the divergence-form discretization of (1/2)(Lap - V' d/dx)."""
+    if not grid.h**2 >= np.finfo(float).tiny:  # so that 1 / (2 h^2) is finite
+        raise ValueError(f"grid spacing h = {grid.h:.3g} is too small: h^2 underflows")
     v_nodes, _, _ = evaluate(spec, grid.nodes)
     v_nodes = np.asarray(v_nodes, dtype=float)
     if not np.all(np.isfinite(v_nodes)):
@@ -125,7 +127,6 @@ def assemble_generator(spec: PotentialSpec, grid: Grid1D) -> TridiagonalOperator
         off_lower=off_lower,
         gamma_weights=gamma,
         boundary_weights=(float(left[0]), float(right[-1])),
-        v_shift=shift,
     )
 
 
@@ -337,7 +338,7 @@ def integral_identity_residual(
     etap[0] = (-3.0 * eta[0] + 4.0 * eta[1] - eta[2]) / (2.0 * h)
     etap[-1] = (3.0 * eta[-1] - 4.0 * eta[-2] + eta[-3]) / (2.0 * h)
     lhs1 = w * etap
-    tail = h * (0.5 * ew + np.concatenate((np.cumsum(ew[::-1])[-2::-1], [0.0])))
+    tail = h * (0.5 * ew + upper)
     rhs1 = 2.0 * lam0 * tail
     res_d1 = float(np.max(np.abs(lhs1 - rhs1)[keep]) / np.max(np.abs(lhs1)))
 
@@ -363,7 +364,7 @@ def save_eigen_json(eigen: EigenPair, path) -> None:
         "lambda0": eigen.lambda0,
         "lambda1": eigen.lambda1,
         "gap": None if eigen.lambda1 is None else eigen.lambda1 - eigen.lambda0,
-        "normalization": eigen.normalization,
+        "normalization": "alpha(eta) = 1",
     })
 
 

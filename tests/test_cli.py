@@ -287,6 +287,9 @@ class TestCommands:
         ["--example", "levy"],
         ["--potential", "cubic"],
         ["--example", "ou", "--initial", "dirac"],
+        ["--example", "ou", "--t-max", "inf"],
+        ["--example", "ou", "--initial", "gaussian-truncated", "--initial-width", "-1"],
+        ["--example", "ou", "--initial", "gaussian-truncated", "--initial-width", "0"],
     ])
     def test_invalid_values_exit_one_without_outputs(self, tmp_path, capsys, argv):
         out = tmp_path / "x"
@@ -294,6 +297,12 @@ class TestCommands:
         assert not out.exists()
         err = capsys.readouterr().err
         assert err.startswith("qsdlab: ") and "Traceback" not in err
+
+    def test_underflowing_grid_spacing_exits_one(self, tmp_path, capsys):
+        assert run(["eigen", "--example", "brownian", "--N", "1e-160",
+                    "--output", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("qsdlab: grid spacing") and "Traceback" not in err
 
     @pytest.mark.parametrize("horizon", ["inf", "nan"])
     def test_non_finite_horizon_exits_one_without_outputs(self, tmp_path, capsys, horizon):

@@ -21,7 +21,13 @@ from qsdlab.doob import (
 )
 from qsdlab.grid_measure import GridMeasure, build_grid, chi2_divergence, tilt, tv_distance
 from qsdlab.potential import quadratic_potential, shifted_power_potential, zero_potential
-from qsdlab.spectral import assemble_generator, principal_eigenpair, qsd_from_eigen, tridiag_apply
+from qsdlab.spectral import (
+    TridiagonalOperator,
+    assemble_generator,
+    principal_eigenpair,
+    qsd_from_eigen,
+    tridiag_apply,
+)
 
 
 def transformed_apply(tilde, f):
@@ -60,7 +66,7 @@ class TestStepper:
         tilde = doob_generator(op, eigen)
         nu = tilt(eigen.eta, mu)
         bands = (tilde.diag, tilde.off_upper, tilde.off_lower, nu.density, 1.3, 0.04)
-        m, log_mass = _cn_run(*bands, conserve=True)
+        m, log_mass = _cn_run(*bands)
         ref, ref_log = dense_cn(*bands)
         assert np.max(np.abs(m - ref)) <= 1e-12 * np.max(np.abs(ref))
         assert abs(log_mass - ref_log) <= 1e-12
@@ -154,7 +160,7 @@ class TestStepper:
         tilde = doob_generator(op, eigen)
         nu = tilt(eigen.eta, mu)
         bands = (tilde.diag, tilde.off_upper, tilde.off_lower, nu.density, 0.6, 0.005)
-        m, log_mass = _cn_run(*bands, conserve=True)
+        m, log_mass = _cn_run(*bands)
         ref, ref_log = dense_cn(*bands)
         assert np.max(np.abs(m - ref)) <= 1e-12 * np.max(np.abs(ref))
         assert abs(log_mass - ref_log) <= 1e-12
@@ -208,19 +214,25 @@ class TestDoobGenerator:
 
     def test_beta_symmetry(self, ou):
         tilde = doob_generator(ou.op, ou.eigen)
-        lhs = tilde.beta_weights[:-1] * tilde.off_upper
-        rhs = tilde.beta_weights[1:] * tilde.off_lower
+        lhs = tilde.gamma_weights[:-1] * tilde.off_upper
+        rhs = tilde.gamma_weights[1:] * tilde.off_lower
         assert np.max(np.abs(lhs - rhs) / np.abs(lhs)) < 1e-12
 
     def test_beta_invariance(self, brownian):
         tilde = doob_generator(brownian.op, brownian.eigen)
-        beta = tilde.beta_weights
+        beta = tilde.gamma_weights
         # column sums weighted by beta: beta L~ = 0
         resid = beta * tilde.diag
         resid[1:] += beta[:-1] * tilde.off_upper
         resid[:-1] += beta[1:] * tilde.off_lower
         scale = np.max(beta) * np.max(np.abs(tilde.diag))
         assert np.max(np.abs(resid)) <= 1e-10 * scale
+
+    def test_is_a_conservative_tridiagonal_operator(self, ou):
+        tilde = doob_generator(ou.op, ou.eigen)
+        assert isinstance(tilde, TridiagonalOperator) and tilde.grid == ou.grid
+        assert np.array_equal(tilde.gamma_weights, ou.eigen.eta**2 * ou.op.gamma_weights)
+        assert tilde.boundary_weights == (0.0, 0.0)
 
     def test_rejects_nonpositive_eta(self, brownian):
         bad = type(brownian.eigen)(lambda0=1.0, eta=np.zeros(brownian.grid.n))
@@ -259,6 +271,14 @@ class TestEvolveTransformed:
             evolve_transformed(tilde, nu, -1.0, 1e-2)
         with pytest.raises(ValueError):
             evolve_transformed(tilde, nu, 1.0, 0.0)
+        with pytest.raises(ValueError):
+            evolve_transformed(tilde, nu, 0.0, 0.0)
+
+    def test_rejects_a_generator_that_loses_mass(self, brownian, gaussian_measure):
+        # the absorbed generator kills mass: it is no Markovian semigroup
+        nu = gaussian_measure(brownian.grid, 0.2, 0.3)
+        with pytest.raises(FlowError, match="mass drifted"):
+            evolve_transformed(brownian.op, nu, 0.5, default_dt(brownian.grid, brownian.lambda0))
 
     def test_mass_conserved_before_normalization(self, brownian, gaussian_measure):
         tilde = doob_generator(brownian.op, brownian.eigen)
@@ -465,6 +485,22 @@ class TestKrylovFlow:
         np.testing.assert_allclose(chi2, chi2_oracle(op, eigen, mu.density, times), rtol=1e-5, atol=1e-12)
         assert states[0].log_survival == 0.0
         np.testing.assert_allclose(states[0].mu_t.density, mu.density, rtol=1e-14)
+
+    @pytest.mark.parametrize("case", sorted(KRYLOV_CASES))
+    def test_transformed_flow_matches_matrix_exponential(self, case):
+        # the Doob transform is a TridiagonalOperator, so the Krylov flow takes it
+        spec, x_min, x_max, _ = KRYLOV_CASES[case]
+        g = build_grid(x_min, x_max, 200)
+        op = assemble_generator(spec, g)
+        eigen = principal_eigenpair(op)
+        tilde = doob_generator(op, eigen)
+        nu = tilt(eigen.eta, GridMeasure(g, initial_density("gaussian", g)))
+        gen = np.diag(tilde.diag) + np.diag(tilde.off_lower, 1) + np.diag(tilde.off_upper, -1)
+        times = [0.0, 0.25, 1.0]
+        for t, state in zip(times, flow_exponential(tilde, nu, times)):
+            ref = GridMeasure(g, np.clip(expm(t * gen) @ nu.density, 0.0, None))
+            assert tv_distance(state.mu_t, ref) <= 1e-10
+            assert abs(state.log_survival) <= 1e-10
 
     def test_chi2_late_in_the_decay(self):
         """Weighted by 1/beta, the chi-square distance of a uniform law under the

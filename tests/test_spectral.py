@@ -57,6 +57,14 @@ class TestAssembly:
         with pytest.raises(Exception):
             assemble_generator(BadSpec(), g)
 
+    @pytest.mark.parametrize("half", [1e-160, 1e-152])
+    def test_grid_spacing_underflow_raises(self, half):
+        # h^2 is 0 (half = 1e-160) or subnormal (1e-152): the stencil weight
+        # 1 / (2 h^2) divides by zero or overflows
+        g = build_grid(-half, half, 2000)
+        with pytest.raises(ValueError, match="grid spacing"):
+            assemble_generator(zero_potential(domain=(-half, half)), g)
+
 
 class TestPrincipalEigenpair:
     def test_brownian_oracle(self):
