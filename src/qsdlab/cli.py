@@ -247,19 +247,12 @@ def _build_problem(config: RunConfig):
 def _initial_measure(config: RunConfig, spec, grid, eigen=None) -> GridMeasure:
     family = config["initial.family"]
     if family == "uniform":
-        lo = config.get("initial.lo")
-        hi = config.get("initial.hi")
-        lo = grid.x_min if lo is None else lo
-        hi = grid.x_max if hi is None else hi
+        lo, hi = _bound(config, "initial.lo", grid.x_min), _bound(config, "initial.hi", grid.x_max)
         dens = ((grid.nodes >= lo) & (grid.nodes <= hi)).astype(float)
         return GridMeasure(grid, dens)
     if family == "gaussian-truncated":
-        center = config.get("initial.center")
-        width = config.get("initial.width")
-        if center is None:
-            center = 0.5 * (grid.x_min + grid.x_max)
-        if width is None:
-            width = 0.125 * (grid.x_max - grid.x_min)
+        center = _bound(config, "initial.center", 0.5 * (grid.x_min + grid.x_max))
+        width = _bound(config, "initial.width", 0.125 * (grid.x_max - grid.x_min))
         dens = np.exp(-((grid.nodes - center) ** 2) / (2.0 * width**2))
         return GridMeasure(grid, dens)
     if family == "qsd":
@@ -445,9 +438,7 @@ def run(argv=None) -> int:
             for diag in diagnostics:
                 print(f"qsdlab: {diag}", file=sys.stderr)
             return 1
-        outdir = config["output"]
-        os.makedirs(outdir, exist_ok=True)
-        _COMMAND_IMPL[config["command"]](config, outdir)
+        _COMMAND_IMPL[config["command"]](config, config["output"])
         return 0
     except ValueError as exc:
         print(f"qsdlab: {exc}", file=sys.stderr)

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid_measure import GridMeasure, chi2_divergence, tilt, tv_distance
-from .spectral import EigenPair, TridiagonalOperator, _doob_rates, tridiag_apply
+from .spectral import EigenPair, TridiagonalOperator, _doob_rates, _symmetric_bands, tridiag_apply
 
 __all__ = [
     "FlowState",
@@ -117,26 +117,6 @@ def default_dt(grid, lambda0: float = None) -> float:
     return dt
 
 
-def _symmetric_bands(off_upper, off_lower):
-    """Scaling d and off band s of S = D^-1 M D, M the measure-side matrix.
-
-    M's sub band is ``off_upper`` and its super band ``off_lower`` (the
-    transpose of the operator acting on functions).  With
-    d_{i+1}/d_i = sqrt(off_upper_i / off_lower_i), S is symmetric with off
-    band sqrt(off_upper * off_lower) and the diagonal of M.  d is built in
-    the log domain and centered, so a weight spanning many decades neither
-    overflows nor underflows; equal bands (both zero included) give ratio 1.
-    """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        log_ratio = 0.5 * (np.log(off_upper) - np.log(off_lower))
-        log_ratio[off_upper == off_lower] = 0.0
-        log_d = np.concatenate(([0.0], np.cumsum(log_ratio)))
-        d = np.exp(log_d - 0.5 * (log_d.max() + log_d.min()))
-    if not (np.isfinite(d).all() and d.min() > 0.0):
-        raise FlowError("non-finite generator scaling; the generator must be reversible")
-    return d, np.sqrt(off_upper * off_lower)
-
-
 def _cn_factors(diag, off, a, shift):
     """LAPACK ``pttrf`` (LDL^T) factors of I - a (S + shift), for ``pttrs`` solves.
 
@@ -192,7 +172,7 @@ def _cn_run(diag, off_upper, off_lower, m0, duration, dt, shift=0.0, startup=Tru
     steps = max(1, math.ceil(duration / dt))
     step = duration / steps
     cache = {} if cache is None else cache
-    d, off = cache.get("scaling") or _symmetric_bands(off_upper, off_lower)
+    d, off = cache.get("scaling") or _symmetric_bands(off_upper, off_lower, FlowError)
     if step not in cache:
         cn = _cn_factors(diag, off, 0.5 * step, shift)
         cn[0] *= 0.5  # halving the pivots (exact) makes each solve return 2y directly
@@ -432,8 +412,9 @@ def flow_exponential(
     and beta / eta^2 are proportional to gamma, and the distance is
     |w_perp(t)| / c0.  Holding the error estimate to ``KRYLOV_CHI_TOL``
     relative to |w_perp(t)| keeps that relative accuracy as the distance
-    decays, up to a roundoff floor of about 1e-16 |w_perp(0)| / |w_perp(t)|,
-    large only for initial laws with much mass where beta is tiny.  The
+    decays.  Roundoff leaves w_perp a part of size eps |w_perp(0)| along
+    psi0 that does not decay, so psi0 is projected out of each result too,
+    with b, the basis applied to psi0, formed before the m-space run.  The
     ``NEGATIVE_DENSITY_TOL`` test and the mass-underflow check apply to
     every snapshot; t = 0 returns the initial law.
     """
@@ -448,7 +429,7 @@ def flow_exponential(
     if later.size == 0:
         return states
     gamma = float(later[-1]) / 10.0
-    d, off = _symmetric_bands(op.off_upper, op.off_lower)
+    d, off = _symmetric_bands(op.off_upper, op.off_lower, FlowError)
     factors = _cn_factors(op.diag, off, gamma, shift)
 
     chi2 = [None] * later.size
@@ -457,14 +438,17 @@ def flow_exponential(
         psi /= np.linalg.norm(psi)
         w0 = m0 / d
         c0 = float(psi @ w0)
-        coeffs = _krylov_run(
+        basis, coeffs = _krylov_run(
             w0 - c0 * psi, later, gamma,
             lambda v: dpttrs(*factors, v)[0],
             lambda v: tridiag_apply(op.diag, off, off, v) + shift * v,
             KRYLOV_CHI_TOL,
-        )[1]
-        # the basis is orthonormal, so |w_perp(t)| is the norm of the coefficients
-        chi2 = [float(np.linalg.norm(c)) / c0 for c in coeffs]
+        )
+        b = basis @ psi
+        del basis
+        # V orthonormal: psi . (c V) = b . c, and |c V - (b . c) psi|^2 as a sum of squares
+        bc = coeffs @ b
+        chi2 = np.sqrt(np.sum((coeffs - np.outer(bc, b)) ** 2, axis=1) + bc**2 * (1.0 - b @ b)) / c0
     basis, coeffs = _krylov_run(
         m0, later, gamma,
         lambda v: d * dpttrs(*factors, v / d)[0],

@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .artifacts import write_csv
+from .artifacts import float_values, format_column, text_values, write_csv
 
 __all__ = [
     "Grid1D",
@@ -73,6 +74,11 @@ class Grid1D:
 
     def __hash__(self):
         return hash((self.x_min, self.x_max, self.n))
+
+    @cached_property
+    def node_text(self) -> list[str]:
+        """The nodes as `format_column` text, formatted once for every file that lists them."""
+        return format_column(self.nodes)
 
 
 def build_grid(x_min: float, x_max: float, n: int) -> Grid1D:
@@ -286,7 +292,7 @@ def regrid(mu: GridMeasure, grid: Grid1D) -> GridMeasure:
 
 def save_measure_csv(mu: GridMeasure, path) -> None:
     """Write a measure as CSV ``x,density`` through :mod:`qsdlab.artifacts`."""
-    write_csv(path, "x,density", zip(mu.grid.nodes, mu.density))
+    write_csv(path, "x,density", zip(text_values(mu.grid.node_text), float_values(mu.density)))
 
 
 def load_measure_csv(path) -> GridMeasure:

@@ -348,4 +348,4 @@ def save_survival_csv(ensemble: ParticleEnsemble, path) -> None:
 def save_positions_csv(ensemble: ParticleEnsemble, path) -> None:
     """Write final positions as CSV ``particle_id,x1[,x2,...]``."""
     header = "particle_id," + ",".join(f"x{j + 1}" for j in range(ensemble.positions.shape[1]))
-    write_csv(path, header, zip(range(len(ensemble.positions)), *ensemble.positions.T.tolist()))
+    write_csv(path, header, zip(map(str, range(len(ensemble.positions))), *ensemble.positions.T.tolist()))

@@ -8,11 +8,11 @@ endpoints is discretized in divergence form,
 
 with Dirichlet rows at the two ends and midpoint potentials evaluated
 exactly.  The operator is symmetric under the weighted inner product with
-gamma = exp(-V).  One eigensolver, inverse iteration on a subtraction-free
-(Grassmann-Taksar-Heyman) LU factorization of a killed birth-death chain,
-returns lambda0 and eta from -L_h and the gap lambda1 - lambda0 from the
-edge chain of the Doob transform, each relatively accurate even far below
-eps ||L_h||.
+gamma = exp(-V).  One eigensolver, inverse iteration on the symmetric form
+of a killed birth-death chain with subtraction-free (Grassmann-Taksar-Heyman)
+LDL^T factors, returns lambda0 and eta from -L_h and the gap lambda1 -
+lambda0 from the edge chain of the Doob transform, each relatively accurate
+even far below eps ||L_h||.
 
 The principal eigenvector eta is stored with the normalization
 ``gamma(eta^2) = gamma(eta)``, i.e. the quasi-stationary distribution
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .artifacts import write_csv, write_json
+from .artifacts import float_values, text_values, write_csv, write_json
 from .grid_measure import Grid1D, GridMeasure, quadrature
 from .potential import PotentialSpec, evaluate
 
@@ -143,8 +143,28 @@ def apply_operator(op: TridiagonalOperator, f: np.ndarray) -> np.ndarray:
     return tridiag_apply(op.diag, op.off_upper, op.off_lower, np.asarray(f, dtype=float))
 
 
+def _symmetric_bands(off_upper, off_lower, error=ConvergenceError):
+    """Scaling d and off band s of S = D^-1 M D, M the measure-side matrix.
+
+    M's sub band is ``off_upper`` and its super band ``off_lower`` (the
+    transpose of the operator acting on functions).  With
+    d_{i+1}/d_i = sqrt(off_upper_i / off_lower_i), S is symmetric with off
+    band sqrt(off_upper * off_lower) and the diagonal of M.  d is built in
+    the log domain and centered, so a weight spanning many decades neither
+    overflows nor underflows; equal bands (both zero included) give ratio 1.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        log_ratio = 0.5 * (np.log(off_upper) - np.log(off_lower))
+        log_ratio[off_upper == off_lower] = 0.0
+        log_d = np.concatenate(([0.0], np.cumsum(log_ratio)))
+        d = np.exp(log_d - 0.5 * (log_d.max() + log_d.min()))
+    if not (np.isfinite(d).all() and d.min() > 0.0):
+        raise error("non-finite generator scaling: not reversible, or weights over too many decades")
+    return d, np.sqrt(off_upper * off_lower)
+
+
 def _gth_factors(left: np.ndarray, right: np.ndarray) -> tuple:
-    """LAPACK ``gttrs`` factors, without row interchanges, of a killed chain.
+    """LAPACK ``pttrs`` factors (e, pivots) of a killed chain's symmetric form.
 
     The M-matrix has diagonal left + right and off-diagonals -left[1:] and
     -right[:-1].  The Grassmann-Taksar-Heyman recurrence s_0 = left_0, u_i =
@@ -152,47 +172,47 @@ def _gth_factors(left: np.ndarray, right: np.ndarray) -> tuple:
     positive row margin s_i.  tau_i = left_i / s_i obeys tau_0 = 1, tau_{i+1}
     = 1 + (right_i / left_i) tau_i, i.e. tau_k = q_k sum_{j <= k} 1 / q_j with
     q_k the product of the first k ratios, which is summed in the log domain;
-    no entry is a difference.  scipy's ``gttrs`` rejects size 2, so a
-    two-state chain gets a decoupled identity row.
+    no entry is a difference.  The off-diagonals enter only through their
+    products, so these are also the LDL^T pivots of the symmetric form; its
+    off band -sqrt(right[:-1] left[1:]) over pivots[:-1] is the off band e of L.
     """
     log_q = np.concatenate(([0.0], np.cumsum(np.log(right[:-1]) - np.log(left[:-1]))))
     log_tau = log_q + np.logaddexp.accumulate(-log_q)
     pivots = left * np.exp(-log_tau) + right
-    lower, upper = -left[1:] / pivots[:-1], -right[:-1]
-    if pivots.size == 2:
-        lower, pivots, upper = np.append(lower, 0.0), np.append(pivots, 1.0), np.append(upper, 0.0)
-    ipiv = np.arange(1, pivots.size + 1, dtype=np.int32)  # no row interchanges
-    return lower, pivots, upper, np.zeros(pivots.size - 2), ipiv
+    return -np.sqrt(right[:-1] * left[1:]) / pivots[:-1], pivots
 
 
 def _inverse_iteration(left: np.ndarray, right: np.ndarray, max_iter: int) -> tuple:
-    """Bracket (lo, hi) of a killed chain's principal eigenvalue, and the iterate.
+    """Bracket (lo, hi) of a killed chain's principal eigenvalue, and its eigenvector.
 
-    Inverse iteration from the ones vector solves with `_gth_factors`, so it
-    only adds and divides positive numbers and the iterate stays positive.
-    For y = M^-1 x the Collatz-Wielandt ratios x/y bracket the eigenvalue (up
-    to the few-ulp roundoff of factors and solves); the iteration stops once
-    the bracket's relative width is at most ``EIGEN_TOL``.
+    Inverse iteration on the symmetric form S = D^-1 M D (`_symmetric_bands`)
+    from D^-1 1 solves with `_gth_factors`, so it only adds and divides
+    positive numbers and the iterate stays positive.  For y = S^-1 x the
+    Collatz-Wielandt ratios x/y, those of M, bracket the eigenvalue (up to
+    the few-ulp roundoff of factors and solves); the iteration stops once
+    the bracket's relative width is at most ``EIGEN_TOL``.  Returns D y.
     """
-    from scipy.linalg.lapack import dgttrs
+    from scipy.linalg.lapack import dpttrs
     if not all(np.isfinite(w).all() and w.min() > 0.0 for w in (left, right)):
         raise ConvergenceError("non-finite or non-positive chain weight; check the potential")
-    factors = _gth_factors(left, right)
-    m = left.size
-    x = np.ones(factors[1].size)
-    x[m:] = 0.0  # the padding row of a two-state chain solves to 0
-    for _ in range(max_iter):
-        y, _ = dgttrs(*factors, x)
-        ratio = x[:m] / y[:m]
-        lo, hi = float(ratio.min()), float(ratio.max())
-        if hi - lo <= EIGEN_TOL * lo:
-            break
-        x = y / y.max()
-    else:
-        raise ConvergenceError(f"inverse iteration did not converge in {max_iter} steps")
+    d, _ = _symmetric_bands(left[1:], right[:-1])
+    e, pivots = _gth_factors(left, right)
+    x = 1.0 / d
+    with np.errstate(all="ignore"):  # a y that underflowed makes a ratio non-finite: raised below
+        for _ in range(max_iter):
+            y, _ = dpttrs(pivots, e, x)
+            ratio = x / y
+            lo, hi = float(ratio.min()), float(ratio.max())
+            if not hi < math.inf:
+                raise ConvergenceError("the eigenvector spans more decades than float64 holds")
+            if hi - lo <= EIGEN_TOL * lo:
+                break
+            x = y / y.max()
+        else:
+            raise ConvergenceError(f"inverse iteration did not converge in {max_iter} steps")
     if not lo > 0.0:
         raise ConvergenceError(f"principal eigenvalue is not positive: {lo}")
-    return lo, hi, y[:m]
+    return lo, hi, d * y
 
 
 def _doob_rates(op: TridiagonalOperator, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -370,4 +390,4 @@ def save_eigen_json(eigen: EigenPair, path) -> None:
 
 def save_eigen_csv(eigen: EigenPair, grid: Grid1D, path) -> None:
     """Write the eigenvector as CSV ``x,eta`` through :mod:`qsdlab.artifacts`."""
-    write_csv(path, "x,eta", zip(grid.nodes, eigen.eta))
+    write_csv(path, "x,eta", zip(text_values(grid.node_text), float_values(eigen.eta)))

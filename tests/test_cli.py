@@ -150,6 +150,38 @@ class TestCsvWriter:
         expected = "".join(["i,a,b\n"] + [",".join(f"{v:.17g}" for v in row) + "\n" for row in rows])
         assert read(tmp_path / "c.csv") == expected
 
+    @pytest.mark.parametrize("rows", [
+        [(0.5, 1.5), (0.5, "1.5")],
+        [("0.5", 1.5), (0.5, 1.5)],
+        [("0.5", 1.5)] * 4096 + [(0.5, 1.5)],  # in the second chunk
+        [(0.5, 1.5)] * 4096 + [(0.5, "1.5")],
+    ])
+    def test_text_and_number_mixed_in_a_column_raise_and_keep_target(self, tmp_path, rows):
+        target = tmp_path / "t.csv"
+        target.write_text("old\n")
+        with pytest.raises(ValueError, match="column of 'a,b'"):
+            write_csv(str(target), "a,b", rows)
+        assert read(target) == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
+
+    def test_text_column_is_written_verbatim(self, tmp_path):
+        from qsdlab.artifacts import _CHUNK_ROWS, format_column, text_values
+
+        xs = np.random.default_rng(2).standard_normal(_CHUNK_ROWS + 3).tolist() + [-0.0, 1e-300, 2.0**-60]
+        write_csv(str(tmp_path / "t.csv"), "x,y", zip(text_values(format_column(xs)), xs))
+        assert read(tmp_path / "t.csv") == "x,y\n" + "".join(f"{x:.17g},{x:.17g}\n" for x in xs)
+
+    def test_positions_ids_keep_their_bytes(self, tmp_path):
+        from qsdlab.montecarlo import ParticleEnsemble, save_positions_csv
+
+        positions = np.random.default_rng(5).standard_normal((5000, 2))
+        ensemble = ParticleEnsemble(positions=positions, alive_count=5000, t=1.0, initial_count=5000,
+                                    log_survival_estimate=0.0, survival_curve=np.zeros((1, 3)))
+        save_positions_csv(ensemble, tmp_path / "p.csv")
+        expected = "".join(["particle_id,x1,x2\n"] + [f"{float(i):.17g},{a:.17g},{b:.17g}\n"
+                                                       for i, (a, b) in enumerate(positions)])
+        assert read(tmp_path / "p.csv") == expected
+
     @pytest.mark.parametrize("row", [(1.0, 2.0, 3.0), (1.0,)])
     def test_row_length_mismatch_raises_and_keeps_target(self, tmp_path, row):
         target = tmp_path / "t.csv"
@@ -298,6 +330,22 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("qsdlab: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("law", [
+        ["--initial", "gaussian-truncated", "--initial-center", "inf"],
+        ["--initial", "uniform", "--initial-lo", "5", "--initial-hi", "1"],
+    ])
+    def test_initial_law_without_mass_exits_one_without_outputs(self, tmp_path, capsys, law):
+        argv = ["evolve", "--example", "ou", "--n", "200", *law]
+        out = tmp_path / "x" / "y"
+        assert run([*argv, "--output", str(out)]) == 1
+        assert not (tmp_path / "x").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("qsdlab: ") and "Traceback" not in err
+        # a directory that was there before stays
+        out.mkdir(parents=True)
+        assert run([*argv, "--output", str(out)]) == 1
+        assert out.is_dir() and not list(out.iterdir())
+
     def test_underflowing_grid_spacing_exits_one(self, tmp_path, capsys):
         assert run(["eigen", "--example", "brownian", "--N", "1e-160",
                     "--output", str(tmp_path / "x")]) == 1
@@ -331,6 +379,44 @@ class TestCommands:
             assert (out / name).read_bytes() == (lib / name).read_bytes(), name
         assert list(json.loads(read(out / "eigen.json"))) == [
             "lambda0", "lambda1", "gap", "normalization"]
+
+    @pytest.mark.parametrize("n", [4096, 4097, 9000])
+    def test_eigen_csvs_match_savers_across_chunk_edges(self, tmp_path, n):
+        # eta.csv and alpha.csv share one formatting of the node column; a
+        # fresh grid formats it anew, and a per-value join is the reference
+        from qsdlab import spectral
+        from qsdlab.grid_measure import build_grid, save_measure_csv
+        from qsdlab.potential import quadratic_potential
+
+        out = tmp_path / "cli"
+        assert run(["eigen", "--example", "ou", "--n", str(n), "--output", str(out)]) == 0
+        spec, grid = quadratic_potential(1.0), build_grid(0.0, 8.0, n)
+        eigen = spectral.principal_eigenpair(spectral.assemble_generator(spec, grid))
+        alpha = spectral.qsd_from_eigen(eigen, spec, grid)
+        spectral.save_eigen_csv(eigen, build_grid(0.0, 8.0, n), tmp_path / "eta.csv")
+        save_measure_csv(alpha, tmp_path / "alpha.csv")
+        for name, header, values in (("eta.csv", "x,eta", eigen.eta),
+                                     ("alpha.csv", "x,density", alpha.density)):
+            rows = [f"{x:.17g},{v:.17g}\n" for x, v in zip(grid.nodes, values)]
+            expected = "".join([header + "\n"] + rows)
+            assert read(out / name) == read(tmp_path / name) == expected, name
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("a", [500.0, 1500.0])
+    def test_potential_range_beyond_float64_exits_two(self, tmp_path, capsys, a):
+        # V = a x^2 on (0, 2): for a = 500 the eigenvector of the symmetric
+        # form spans more decades than a float64 holds, for a = 1500 the
+        # symmetrising scale itself does
+        x = np.linspace(0.0, 2.0, 2001)
+        table = tmp_path / "steep.csv"
+        write_csv(str(table), "x,V,Vp,Vpp", zip(x, a * x * x, 2.0 * a * x, np.full_like(x, 2.0 * a)))
+        out = tmp_path / "eig"
+        assert run(["eigen", "--potential", "tabulated", "--table-path", str(table),
+                    "--n", "300", "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("qsdlab: numerical failure: ") and err.count("\n") == 1
+        assert "Traceback" not in err and "Warning" not in err
+        assert not out.exists()
 
     # lambda1 - lambda0 of V = a (x^2 - 1)^2 tabulated at 2001 points on
     # (-2, 2), at n = 150: the 100-digit Sturm references of

@@ -515,6 +515,22 @@ class TestKrylovFlow:
         got = [s.chi2_to_beta for s in flow_exponential(op, mu, times, eigen=eigen)]
         np.testing.assert_allclose(got, refs, rtol=1e-5, atol=1e-12)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_chi2_late_in_the_decay_survives_an_ulp_in_eta(self, seed):
+        """eta off by an ulp per node leaves a part of w_perp along the top
+        eigenvector that never decays; the flow projects it out, so the late
+        samples keep the accuracy of the exact eta."""
+        g = build_grid(0.0, 2.5, 400)
+        op = assemble_generator(shifted_power_potential(3.0), g)
+        eigen = principal_eigenpair(op)
+        k = np.random.default_rng(seed).integers(-1, 2, g.n)
+        eigen = dataclasses.replace(eigen, eta=eigen.eta * (1.0 + k * np.finfo(float).eps))
+        mu = GridMeasure(g, np.ones(g.n))
+        times = np.linspace(0.0, 2.0, 41)
+        refs = chi2_oracle(op, eigen, mu.density, times)
+        got = [s.chi2_to_beta for s in flow_exponential(op, mu, times, eigen=eigen)]
+        np.testing.assert_allclose(got, refs, rtol=1e-5, atol=1e-12)
+
     @pytest.mark.parametrize("case", ["ou", "delta3"])
     def test_uniform_law_on_a_fine_grid(self, case):
         spec, x_min, x_max, _ = KRYLOV_CASES[case]

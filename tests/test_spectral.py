@@ -256,6 +256,23 @@ class TestMetastable:
         assert abs((eig.lambda1 - eig.lambda0) - ref) / ref <= 1e-12
 
 
+def test_potential_with_a_range_of_800_matches_dense_solve():
+    # V = 200 x^2 tabulated on (0, 2): iterated on the unscaled edge chain,
+    # the gap's eigenvector spans more decades than a float64 holds, and on
+    # the symmetric form about half as many; lambda0 and the gap are far
+    # above eps * ||L_h||, so a dense solve of the same symmetrised bands is
+    # a 1e-10 oracle
+    x = np.linspace(0.0, 2.0, 2001)
+    spec = tabulated_potential(x, 200.0 * x * x, 400.0 * x, np.full_like(x, 400.0))
+    op = assemble_generator(spec, build_grid(0.0, 2.0, 300))
+    off = np.sqrt(op.off_upper * op.off_lower)
+    ref = np.linalg.eigvalsh(np.diag(-op.diag) - np.diag(off, 1) - np.diag(off, -1))
+    eig = principal_eigenpair(op)
+    assert eig.lambda0 == pytest.approx(ref[0], rel=1e-10)
+    assert eig.lambda1 - eig.lambda0 == pytest.approx(ref[1] - ref[0], rel=1e-10)
+    assert np.all(eig.eta > 0.0)
+
+
 class TestQsd:
     def test_brownian_density(self):
         g = build_grid(-1.0, 1.0, 3999)
