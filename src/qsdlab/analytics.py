@@ -53,6 +53,7 @@ __all__ = [
     "fit_decay_rate",
     "decay_curves",
     "decay_report",
+    "lambda0_lower_used",
     "save_report_json",
     "save_curves_csv",
     "write_curves_csv",
@@ -385,11 +386,19 @@ def _assemble_report(config: ReportConfig, curves: dict, burn: BurnIn, gap: floa
     )
 
 
+def lambda0_lower_used(eigen: EigenPair, lower: float = None) -> float:
+    """The lambda0 a CDFI rate uses: ``lower``, or lambda0 itself; a ``lower`` above the bracket raises."""
+    hi = eigen.lambda0_bracket[1]
+    if lower is not None and lower > hi:
+        raise ValueError(f"lambda0_lower = {lower:.12g} exceeds the upper bound {hi:.12g} on lambda0")
+    return eigen.lambda0 if lower is None else lower
+
+
 def _report_1d(config: ReportConfig) -> DecayReport:
     spec, grid, mu = config.spec, config.grid, config.initial
     op = assemble_generator(spec, grid)
     eigen = principal_eigenpair(op)
-    lam0, lam1 = eigen.lambda0, eigen.lambda1
+    lam_low = lambda0_lower_used(eigen, config.lambda0_lower)
     alpha = qsd_from_eigen(eigen, spec, grid)
 
     times = np.asarray(config.times, dtype=float)
@@ -411,15 +420,14 @@ def _report_1d(config: ReportConfig) -> DecayReport:
         kappa = be_constant(np.asarray(vpp))
     kappa_tilde = None
     if config.cdfi:
-        lam_low = config.lambda0_lower if config.lambda0_lower is not None else lam0
         kappa_tilde = cdfi_rate(spec, lam_low, grid, use_drift_form=True)
 
     return _assemble_report(
-        config, curves, burn, lam1 - lam0,
+        config, curves, burn, eigen.gap,
         kappa=float(kappa),
         kappa_tilde=kappa_tilde,
-        lambda0=lam0,
-        lambda1=lam1,
+        lambda0=eigen.lambda0,
+        lambda1=eigen.lambda1,
         bound_constant=bc.C_psi,
         alpha_psi=bc.alpha_psi,
         alpha_psi2_over_eta=bc.alpha_psi2_over_eta,
@@ -484,7 +492,7 @@ def save_report_json(report: DecayReport, path) -> None:
 
 def write_curves_csv(path, times, curves: dict) -> None:
     """Write decay curves as CSV ``t,tv,w1,chi2,survival_weight,log_survival``."""
-    write_csv(path, CURVES_HEADER, zip(times, *(curves[name] for name in CURVE_NAMES)))
+    write_csv(path, CURVES_HEADER, (times, *(curves[name] for name in CURVE_NAMES)))
 
 
 def save_curves_csv(report: DecayReport, path) -> None:

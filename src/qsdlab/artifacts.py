@@ -1,15 +1,16 @@
 """Artifact writer: the one place that fixes how results reach disk.
 
-CSV rows carry one value per header column at 17 significant digits, enough
-to round-trip every float64, and JSON is indented by two spaces.  Both go to
-a temp file in the target's directory that is renamed over the target, so a
-reader never sees a partial file and a failed write leaves the old one in
-place.  A new file gets the mode ``0o666 & ~umask``, as from a plain open.
-CSV rows are formatted a chunk at a time and each chunk is streamed to the
-temp file, so the whole text is never held in memory.  A column whose first
-value is a str is text, written verbatim, and a column that mixes text and
-numbers raises ValueError.  The target's directory is made at the first
-write, so a run that fails before it leaves no directory behind.
+A CSV is written from one 1-D array per header column: integer columns as
+``%d``, float columns at 17 significant digits, enough to round-trip every
+float64, and JSON is indented by two spaces.  Both go to a temp file in the
+target's directory that is renamed over the target, so a reader never sees a
+partial file and a failed write leaves the old one in place.  A new file gets
+the mode ``0o666 & ~umask``, as from a plain open.  CSV rows are formatted
+and streamed a chunk at a time, so the whole text is never held in memory.
+Columns of the wrong count, shape or length, or of another dtype (text,
+object, bool), raise ValueError before anything touches disk.  The target's
+directory is made at the first write, so a run that fails before it leaves
+no directory behind.
 """
 
 from __future__ import annotations
@@ -17,9 +18,10 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from itertools import chain, islice
 
-__all__ = ["float_values", "format_column", "text_values", "write_csv", "write_json"]
+import numpy as np
+
+__all__ = ["write_csv", "write_json"]
 
 _CHUNK_ROWS = 4096
 
@@ -46,43 +48,26 @@ def write_json(path, payload: dict) -> None:
     _atomic_write(path, [json.dumps(payload, indent=2) + "\n"])
 
 
-def format_column(values) -> list[str]:
-    """``values`` as `write_csv` writes them, one str of lines per chunk of rows."""
-    parts = (values[i:i + _CHUNK_ROWS] for i in range(0, len(values), _CHUNK_ROWS))
-    return ["%.17g\n" * len(part) % tuple(part) for part in parts]
-
-
-def text_values(column: list[str]):
-    """The values of a `format_column` column, as str, one chunk at a time."""
-    return chain.from_iterable(map(str.splitlines, column))
-
-
-def float_values(array):
-    """An array's values as Python floats (faster to format), one chunk at a time."""
-    parts = (array[i:i + _CHUNK_ROWS] for i in range(0, len(array), _CHUNK_ROWS))
-    return chain.from_iterable(part.tolist() for part in parts)
-
-
-def write_csv(path, header: str, rows) -> None:
-    """Write one line per row, one value per header column, at 17 digits or as text."""
-    ncols = header.count(",") + 1
+def write_csv(path, header: str, columns) -> None:
+    """Write one line per row from one 1-D numeric array per header column."""
+    columns = [np.asarray(col) for col in columns]
+    k = len(columns)
+    if k != header.count(",") + 1:
+        raise ValueError(f"{k} columns for the header {header!r}")
+    if any(col.ndim != 1 for col in columns) or len({len(col) for col in columns}) != 1:
+        raise ValueError(f"the columns of {header!r} are not 1-D or differ in length")
+    if any(col.dtype.kind not in "iuf" for col in columns):
+        raise ValueError(f"a column of {header!r} is not integer or float")
+    line = ",".join("%d" if col.dtype.kind in "iu" else "%.17g" for col in columns) + "\n"
+    n = len(columns[0])
 
     def chunks():
         yield header + "\n"
-        it = iter(rows)
-        line = None
-        while chunk := list(islice(it, _CHUNK_ROWS)):
-            if set(map(len, chunk)) != {ncols}:
-                raise ValueError(f"CSV row value count differs from the columns of {header!r}")
-            if line is None:
-                text = [j for j, v in enumerate(chunk[0]) if isinstance(v, str)]
-                line = ",".join("%s" if j in text else "%.17g" for j in range(ncols)) + "\n"
-            values = tuple(chain.from_iterable(chunk))
-            if any(not issubclass(kind, str) for j in text for kind in set(map(type, values[j::ncols]))):
-                raise ValueError(f"a number in a text column of {header!r}")
-            try:
-                yield (line * len(chunk)) % values
-            except TypeError:
-                raise ValueError(f"a non-number in a number column of {header!r}") from None
+        for i in range(0, n, _CHUNK_ROWS):
+            rows = min(_CHUNK_ROWS, n - i)
+            flat = [None] * (rows * k)
+            for j, col in enumerate(columns):
+                flat[j::k] = col[i:i + _CHUNK_ROWS].tolist()
+            yield line * rows % tuple(flat)
 
     _atomic_write(path, chunks())

@@ -310,12 +310,11 @@ def _cmd_rates(config: RunConfig, outdir: str) -> None:
     spec, grid = _build_problem(config)
     eigen = spectral.principal_eigenpair(spectral.assemble_generator(spec, grid))
     _, _, vpp = evaluate(spec, grid.nodes)
-    lam_low = config.get("rates.lambda0_lower")
-    lam_used = lam_low if lam_low is not None else eigen.lambda0
+    lam_used = analytics.lambda0_lower_used(eigen, config.get("rates.lambda0_lower"))
     table = {
         "lambda0": eigen.lambda0,
         "lambda1": eigen.lambda1,
-        "gap": eigen.lambda1 - eigen.lambda0,
+        "gap": eigen.gap,
         "kappa_classical_inf_Vpp": be_constant(np.asarray(vpp)),
         "kappa_effective_inf_Wpp": be_constant(effective_second_derivative(spec, eigen, grid)),
         "lambda0_lower_used": lam_used,

@@ -342,10 +342,10 @@ def estimate_lambda0(survival_curve: np.ndarray, window: tuple[float, float] = N
 
 def save_survival_csv(ensemble: ParticleEnsemble, path) -> None:
     """Write the survival history as CSV ``t,alive_fraction,log_survival``."""
-    write_csv(path, "t,alive_fraction,log_survival", ensemble.survival_curve.tolist())
+    write_csv(path, "t,alive_fraction,log_survival", ensemble.survival_curve.T)
 
 
 def save_positions_csv(ensemble: ParticleEnsemble, path) -> None:
     """Write final positions as CSV ``particle_id,x1[,x2,...]``."""
     header = "particle_id," + ",".join(f"x{j + 1}" for j in range(ensemble.positions.shape[1]))
-    write_csv(path, header, zip(map(str, range(len(ensemble.positions))), *ensemble.positions.T.tolist()))
+    write_csv(path, header, (np.arange(len(ensemble.positions)), *ensemble.positions.T))

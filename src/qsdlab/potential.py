@@ -21,7 +21,6 @@ import numpy as np
 
 __all__ = [
     "PotentialSpec",
-    "EffectivePotential",
     "zero_potential",
     "quadratic_potential",
     "shifted_power_potential",
@@ -30,7 +29,6 @@ __all__ = [
     "evaluate",
     "be_constant",
     "effective_second_derivative",
-    "effective_potential",
     "cdfi_rate",
 ]
 
@@ -167,20 +165,6 @@ def effective_second_derivative(spec: PotentialSpec, eigen, grid) -> np.ndarray:
         raise ValueError("eta must be positive at every interior node")
     _, _, vpp = evaluate(spec, grid.nodes)
     return vpp - 2.0 * _log_second_derivative(np.log(eta), grid.h)
-
-
-@dataclass(frozen=True)
-class EffectivePotential:
-    """Effective potential data W = V - 2 log(eta) on the grid interior."""
-
-    base: PotentialSpec
-    log_eta: np.ndarray
-    w_second: np.ndarray
-
-
-def effective_potential(spec: PotentialSpec, eigen, grid) -> EffectivePotential:
-    w2 = effective_second_derivative(spec, eigen, grid)
-    return EffectivePotential(base=spec, log_eta=np.log(eigen.eta), w_second=w2)
 
 
 def cdfi_rate(

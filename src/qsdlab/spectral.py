@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .artifacts import float_values, text_values, write_csv, write_json
+from .artifacts import write_csv, write_json
 from .grid_measure import Grid1D, GridMeasure, quadrature
 from .potential import PotentialSpec, evaluate
 
@@ -83,6 +83,11 @@ class EigenPair:
     eta: np.ndarray = field(repr=False)
     lambda1: float = None
     lambda0_bracket: tuple[float, float] = None  # Collatz-Wielandt, see principal_eigenpair
+
+    @property
+    def gap(self) -> float | None:
+        """The spectral gap lambda1 - lambda0, or None without lambda1."""
+        return None if self.lambda1 is None else self.lambda1 - self.lambda0
 
 
 @dataclass(frozen=True)
@@ -383,11 +388,11 @@ def save_eigen_json(eigen: EigenPair, path) -> None:
     write_json(path, {
         "lambda0": eigen.lambda0,
         "lambda1": eigen.lambda1,
-        "gap": None if eigen.lambda1 is None else eigen.lambda1 - eigen.lambda0,
+        "gap": eigen.gap,
         "normalization": "alpha(eta) = 1",
     })
 
 
 def save_eigen_csv(eigen: EigenPair, grid: Grid1D, path) -> None:
     """Write the eigenvector as CSV ``x,eta`` through :mod:`qsdlab.artifacts`."""
-    write_csv(path, "x,eta", zip(text_values(grid.node_text), float_values(eigen.eta)))
+    write_csv(path, "x,eta", (grid.nodes, eigen.eta))

@@ -258,6 +258,17 @@ class TestDecayReport:
         assert rep.kappa_tilde <= rep.gap
         assert rep.fitted_rate_chi2 >= rep.kappa_tilde - 0.05
 
+    @pytest.mark.parametrize("product", [False, True])
+    def test_lambda0_lower_above_lambda0_raises(self, product):
+        spec, g = shifted_power_potential(3.0), build_grid(0.0, 2.5, 400)
+        mu = GridMeasure(g, np.exp(-((g.nodes - 0.8) ** 2) / (2 * 0.25**2)))
+        config = ReportConfig(label="cdfi", spec=spec, grid=g, initial=mu,
+                              times=np.linspace(0.0, 0.6, 5), cdfi=True, lambda0_lower=50.0)
+        if product:
+            config = dataclasses.replace(config, spec=[spec, spec], grid=[g, g], initial=ProductGridMeasure((mu, mu)))
+        with pytest.raises(ValueError, match="lambda0_lower = 50 exceeds the upper bound 7.9589"):
+            decay_report(config)
+
     def test_product_report(self):
         cf = closed_form("brownian_hypercube", N=1.0, n=800)
         g = cf.grid

@@ -67,7 +67,9 @@ def test_new_file_mode_follows_umask(tmp_path, name):
 
 
 def test_eigen_json_gap_is_null_without_lambda1(tmp_path):
-    save_eigen_json(EigenPair(lambda0=1.25, eta=_EIGEN.eta), tmp_path / "e.json")
+    eigen = EigenPair(lambda0=1.25, eta=_EIGEN.eta)
+    assert eigen.gap is None and _EIGEN.gap == 3.75
+    save_eigen_json(eigen, tmp_path / "e.json")
     assert (tmp_path / "e.json").read_text() == (
         '{\n  "lambda0": 1.25,\n  "lambda1": null,\n  "gap": null,\n'
         '  "normalization": "alpha(eta) = 1"\n}\n')

@@ -127,15 +127,14 @@ class TestCsvWriter:
             (0.0, -0.0, 1e-300),
             (np.float64(1.0) / 3.0, 10**6, np.nextafter(1.0, 2.0)),
         ]
-        write_csv(str(tmp_path / "mixed.csv"), "a,b,c", mixed)
+        write_csv(str(tmp_path / "mixed.csv"), "a,b,c", [np.array(col) for col in zip(*mixed)])
         assert read(tmp_path / "mixed.csv") == per_value("a,b,c", mixed)
 
-        # the simulate command's position rows: int ids from tolist() against
-        # the float ids and numpy rows written before
+        # the simulate command's position columns: int ids against the float
+        # ids and numpy rows written before
         positions = np.array([[0.5, -0.25], [1e-300, -0.0], [-1.0 / 3.0, 2.0**-60]])
         header = "particle_id,x1,x2"
-        write_csv(str(tmp_path / "positions.csv"), header,
-                   [(i, *row) for i, row in enumerate(positions.tolist())])
+        write_csv(str(tmp_path / "positions.csv"), header, (np.arange(len(positions)), *positions.T))
         expected = per_value(header, [(float(i), *row) for i, row in enumerate(positions)])
         assert read(tmp_path / "positions.csv") == expected
 
@@ -144,32 +143,25 @@ class TestCsvWriter:
         from qsdlab.artifacts import _CHUNK_ROWS
 
         rng = np.random.default_rng(extra + 1)
-        rows = [(i, *vals) for i, vals in
-                enumerate((rng.standard_normal((_CHUNK_ROWS + extra, 2)) * 1e3).tolist())]
-        write_csv(str(tmp_path / "c.csv"), "i,a,b", rows)
+        vals = rng.standard_normal((_CHUNK_ROWS + extra, 2)) * 1e3
+        write_csv(str(tmp_path / "c.csv"), "i,a,b", (np.arange(len(vals)), *vals.T))
+        rows = [(i, *row) for i, row in enumerate(vals.tolist())]
         expected = "".join(["i,a,b\n"] + [",".join(f"{v:.17g}" for v in row) + "\n" for row in rows])
         assert read(tmp_path / "c.csv") == expected
 
-    @pytest.mark.parametrize("rows", [
-        [(0.5, 1.5), (0.5, "1.5")],
-        [("0.5", 1.5), (0.5, 1.5)],
-        [("0.5", 1.5)] * 4096 + [(0.5, 1.5)],  # in the second chunk
-        [(0.5, 1.5)] * 4096 + [(0.5, "1.5")],
-    ])
-    def test_text_and_number_mixed_in_a_column_raise_and_keep_target(self, tmp_path, rows):
+    @pytest.mark.parametrize("columns", [
+        (np.array([0.5, 1.5]), np.array(["0.5", "1.5"])),
+        (np.array([0.5, 1.5]), np.array([0.5, 1.5], dtype=object)),
+        (np.array([0.5, 1.5]), np.array([[0.5, 1.5]])),
+        (np.full(4097, 0.5), np.full(4096, 1.5)),  # rows past the first chunk
+    ], ids=["str", "object", "2d", "unequal-lengths"])
+    def test_bad_column_raises_and_keeps_target(self, tmp_path, columns):
         target = tmp_path / "t.csv"
         target.write_text("old\n")
-        with pytest.raises(ValueError, match="column of 'a,b'"):
-            write_csv(str(target), "a,b", rows)
+        with pytest.raises(ValueError, match="of 'a,b'"):
+            write_csv(str(target), "a,b", columns)
         assert read(target) == "old\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
-
-    def test_text_column_is_written_verbatim(self, tmp_path):
-        from qsdlab.artifacts import _CHUNK_ROWS, format_column, text_values
-
-        xs = np.random.default_rng(2).standard_normal(_CHUNK_ROWS + 3).tolist() + [-0.0, 1e-300, 2.0**-60]
-        write_csv(str(tmp_path / "t.csv"), "x,y", zip(text_values(format_column(xs)), xs))
-        assert read(tmp_path / "t.csv") == "x,y\n" + "".join(f"{x:.17g},{x:.17g}\n" for x in xs)
 
     def test_positions_ids_keep_their_bytes(self, tmp_path):
         from qsdlab.montecarlo import ParticleEnsemble, save_positions_csv
@@ -184,10 +176,12 @@ class TestCsvWriter:
 
     @pytest.mark.parametrize("row", [(1.0, 2.0, 3.0), (1.0,)])
     def test_row_length_mismatch_raises_and_keeps_target(self, tmp_path, row):
+        # rows of three values, or of one, under two header columns: one
+        # column per value
         target = tmp_path / "t.csv"
         target.write_text("old\n")
-        with pytest.raises(ValueError, match="value count"):
-            write_csv(str(target), "a,b", [(0.5, 1.5), row])
+        with pytest.raises(ValueError, match=f"{len(row)} columns for the header 'a,b'"):
+            write_csv(str(target), "a,b", [np.array([0.5, v]) for v in row])
         assert read(target) == "old\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
 
@@ -224,6 +218,18 @@ class TestCommands:
         assert table["kappa_tilde_basic"] >= 6.0
         assert table["kappa_tilde_refined"] >= table["kappa_tilde_basic"]
         assert table["lambda0_lower_used"] == 1.0
+
+    # lambda0 of delta = 3 on (0, 2.5) at n = 400 is 7.959: a lower bound of
+    # 50 would certify kappa_tilde = 35.88, above the gap 11.17
+    @pytest.mark.parametrize("command", ["rates", "report"])
+    def test_lambda0_lower_above_lambda0_exits_one_without_outputs(self, tmp_path, capsys, command):
+        out = tmp_path / "x"
+        assert run([command, "--potential", "shifted-power", "--delta", "3", "--lambda0-lower", "50",
+                    "--x-max", "2.5", "--n", "400", "--output", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("qsdlab: lambda0_lower = 50 exceeds the upper bound 7.9589")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert not out.exists()
 
     def test_evolve_curves(self, tmp_path):
         out = tmp_path / "evo"
@@ -382,8 +388,8 @@ class TestCommands:
 
     @pytest.mark.parametrize("n", [4096, 4097, 9000])
     def test_eigen_csvs_match_savers_across_chunk_edges(self, tmp_path, n):
-        # eta.csv and alpha.csv share one formatting of the node column; a
-        # fresh grid formats it anew, and a per-value join is the reference
+        # eta.csv and alpha.csv each format the node column, and a per-value
+        # join is the reference
         from qsdlab import spectral
         from qsdlab.grid_measure import build_grid, save_measure_csv
         from qsdlab.potential import quadratic_potential
@@ -409,7 +415,7 @@ class TestCommands:
         # symmetrising scale itself does
         x = np.linspace(0.0, 2.0, 2001)
         table = tmp_path / "steep.csv"
-        write_csv(str(table), "x,V,Vp,Vpp", zip(x, a * x * x, 2.0 * a * x, np.full_like(x, 2.0 * a)))
+        write_csv(str(table), "x,V,Vp,Vpp", (x, a * x * x, 2.0 * a * x, np.full_like(x, 2.0 * a)))
         out = tmp_path / "eig"
         assert run(["eigen", "--potential", "tabulated", "--table-path", str(table),
                     "--n", "300", "--output", str(out)]) == 2
@@ -426,7 +432,7 @@ class TestCommands:
         x = np.linspace(-2.0, 2.0, 2001)
         table = tmp_path / "well.csv"
         write_csv(str(table), "x,V,Vp,Vpp",
-                  zip(x, a * (x * x - 1.0) ** 2, 4.0 * a * x * (x * x - 1.0), a * (12.0 * x * x - 4.0)))
+                  (x, a * (x * x - 1.0) ** 2, 4.0 * a * x * (x * x - 1.0), a * (12.0 * x * x - 4.0)))
         out = tmp_path / "eig"
         assert run(["eigen", "--potential", "tabulated", "--table-path", str(table),
                     "--n", "150", "--output", str(out)]) == 0

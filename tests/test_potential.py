@@ -7,7 +7,6 @@ from qsdlab.grid_measure import build_grid
 from qsdlab.potential import (
     be_constant,
     cdfi_rate,
-    effective_potential,
     effective_second_derivative,
     evaluate,
     quadratic_potential,
@@ -154,12 +153,6 @@ class TestEffectiveSecondDerivative:
             w2 = effective_second_derivative(prob.spec, prob.eigen, prob.grid)
             _, _, vpp = evaluate(prob.spec, prob.grid.nodes)
             assert np.min(w2 - np.asarray(vpp)) >= -2e-8
-
-    def test_effective_potential_bundle(self, ou):
-        eff = effective_potential(ou.spec, ou.eigen, ou.grid)
-        assert eff.base is ou.spec
-        np.testing.assert_allclose(eff.log_eta, np.log(ou.eigen.eta))
-        assert eff.w_second.shape == (ou.grid.n,)
 
 
 class TestCdfiRate:
