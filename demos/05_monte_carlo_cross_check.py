@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from qsdlab.doob import conditioned_flow, default_dt
+from qsdlab.doob import default_dt, flow_curve
 from qsdlab.grid_measure import GridMeasure, build_grid, regrid, tv_distance
 from qsdlab.montecarlo import SimConfig, conditioned_empirical, estimate_lambda0, simulate
 from qsdlab.potential import zero_potential
@@ -33,7 +33,7 @@ eigen = principal_eigenpair(op)
 mu = GridMeasure(grid, np.ones(grid.n))
 n_particles = 100_000
 
-oracle = conditioned_flow(op, mu, 1.0, default_dt(grid, eigen.lambda0), eigen=eigen)
+oracle = flow_curve(op, mu, [1.0], default_dt(grid, eigen.lambda0), eigen=eigen)[-1]
 print(f"grid flow: survival(t=1) = {oracle.survival_weight:.5f}, "
       f"lambda0 = {eigen.lambda0:.6f} (pi^2/8 = {math.pi**2 / 8:.6f})")
 sd = math.sqrt(oracle.survival_weight * (1.0 - oracle.survival_weight) / n_particles)

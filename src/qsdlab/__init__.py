@@ -33,14 +33,11 @@ from .spectral import (
     integral_identity_residual,
     principal_eigenpair,
     qsd_from_eigen,
-    spectral_gap,
     tensor_eigen,
 )
 from .doob import (
     FlowState,
     checkpoint_residual,
-    chi2_decay_curve,
-    conditioned_flow,
     doob_generator,
     evolve_transformed,
     flow_curve,

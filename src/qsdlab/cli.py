@@ -157,7 +157,6 @@ def validate(config: RunConfig) -> list[str]:
         bad.append("example.lambda must be positive")
     if config.get("grid.n", 0) < 3:
         bad.append("grid.n must be >= 3")
-    bad += _grid_bound_diagnostics(config)
     if not config.get("flow.t_max", 0.0) > 0.0:
         bad.append("flow.t_max must be positive")
     elif not math.isfinite(config["flow.t_max"]):
@@ -184,50 +183,39 @@ def validate(config: RunConfig) -> list[str]:
     return bad
 
 
-def _grid_bound_diagnostics(config: RunConfig) -> list[str]:
-    """Reject grid bounds that the problem would ignore or that leave no interval.
-
-    The Brownian example takes its domain (-N, N) from example.N, and the OU
-    example and the shifted-power family start at the absorbing point 0; the
-    OU and quadratic problems put the lower bound at 0 when it is unset.
-    """
-    problem = config.get("example") or config.get("potential.family")
-    xmin, xmax = config.get("grid.x_min"), config.get("grid.x_max")
-    if problem == "brownian" and (xmin is not None or xmax is not None):
-        return ["example = brownian takes its domain (-N, N) from example.N; "
-                "unset grid.x_min and grid.x_max"]
-    if problem == "zero" and (xmin is None or xmax is None):
-        return ["potential.family = zero needs grid.x_min and grid.x_max"]
-    if any(x is not None and not math.isfinite(x) for x in (xmin, xmax)):
-        return ["grid.x_min and grid.x_max must be finite"]
-    if problem in ("ou", "shifted-power") and xmin not in (None, 0.0):
-        return [f"grid.x_min must be 0 or unset: the {problem} domain starts at 0"]
-    if xmin is None and problem in ("ou", "quadratic", "shifted-power"):
-        xmin = 0.0
-    if xmin is not None and xmax is not None and not xmin < xmax:
-        return [f"grid.x_min ({xmin:g}) must be < grid.x_max ({xmax:g})"]
-    return []
-
-
 def _bound(config: RunConfig, key: str, default: float) -> float:
     value = config.get(key)
     return default if value is None else value
 
 
 def _build_problem(config: RunConfig):
-    """Resolve (spec, grid) from the example or potential block."""
+    """Resolve (spec, grid) from the example or potential block.
+
+    The Brownian example takes its domain (-N, N) from example.N, and the OU
+    example and the shifted-power family start at the absorbing point 0, so
+    bounds these problems would ignore are rejected; `build_grid` rejects
+    bounds that are not finite or leave no interval.
+    """
     example = config.get("example")
     n = config["grid.n"]
+    xmin, xmax = config.get("grid.x_min"), config.get("grid.x_max")
     if example == "brownian":
+        if xmin is not None or xmax is not None:
+            raise ValueError("example = brownian takes its domain (-N, N) from example.N; "
+                             "unset grid.x_min and grid.x_max")
         half = config["example.N"]
         return zero_potential(domain=(-half, half)), build_grid(-half, half, n)
+    problem = example or config["potential.family"]
+    if problem in ("ou", "shifted-power") and xmin not in (None, 0.0):
+        raise ValueError(f"grid.x_min must be 0 or unset: the {problem} domain starts at 0")
     if example == "ou":
         lam = config["example.lambda"]
         x_max = _bound(config, "grid.x_max", 8.0 / math.sqrt(lam))
         return quadratic_potential(lam), build_grid(0.0, x_max, n)
     family = config["potential.family"]
     if family == "zero":
-        xmin, xmax = config["grid.x_min"], config["grid.x_max"]
+        if xmin is None or xmax is None:
+            raise ValueError("potential.family = zero needs grid.x_min and grid.x_max")
         return zero_potential(domain=(xmin, xmax)), build_grid(xmin, xmax, n)
     if family == "quadratic":
         lam = config["potential.lambda"]
@@ -262,9 +250,12 @@ def _initial_measure(config: RunConfig, spec, grid, eigen=None) -> GridMeasure:
         return spectral.qsd_from_eigen(eigen, spec, grid)
     if family == "custom":
         measure = load_measure_csv(config["initial.path"])
-        if measure.grid != grid:
-            measure = regrid(measure, grid)
-        return measure
+        # the CSV's grid ends are rebuilt from its nodes and may be an ulp off
+        # the run's; regrid would smooth a law given on the run's own nodes
+        if measure.grid.n == grid.n and np.allclose(measure.grid.nodes, grid.nodes,
+                                                    rtol=0.0, atol=1e-9 * grid.h):
+            return GridMeasure(grid, measure.density)
+        return regrid(measure, grid)
     raise ValueError(f"unresolved initial family {family!r}")
 
 

@@ -33,7 +33,9 @@ lambda0; the shift is removed analytically from the recorded survival weight,
 keeps the unnormalized mass O(1), and makes the rational time step commute
 exactly with the eta-conjugation (so the conditioned flow followed by an
 eta-tilt reproduces the transformed flow to roundoff rather than to the
-time-discretization error).
+time-discretization error).  Both flows return one `FlowState` per sample
+time, with the chi-square distance of eta*mu_t to beta when the eigenpair
+is given; the law at a single time t is the last state for ``[t]``.
 """
 
 from __future__ import annotations
@@ -50,13 +52,10 @@ __all__ = [
     "FlowState",
     "FlowError",
     "doob_generator",
-    "beta_measure",
     "evolve_transformed",
-    "conditioned_flow",
     "flow_curve",
     "flow_exponential",
     "checkpoint_residual",
-    "chi2_decay_curve",
     "default_dt",
 ]
 
@@ -102,11 +101,6 @@ def doob_generator(op: TridiagonalOperator, eigen: EigenPair) -> TridiagonalOper
         gamma_weights=eta**2 * op.gamma_weights,
         boundary_weights=(0.0, 0.0),
     )
-
-
-def beta_measure(tilde: TridiagonalOperator) -> GridMeasure:
-    """Invariant measure beta = eta^2 * gamma of the transformed semigroup."""
-    return GridMeasure(tilde.grid, tilde.gamma_weights)
 
 
 def default_dt(grid, lambda0: float = None) -> float:
@@ -464,20 +458,6 @@ def flow_exponential(
     return states
 
 
-def conditioned_flow(
-    op: TridiagonalOperator,
-    mu: GridMeasure,
-    t: float,
-    dt: float,
-    eigen: EigenPair = None,
-    smooth_start: bool = True,
-) -> FlowState:
-    """Conditioned law phi_t(mu) with its survival weight."""
-    if t < 0.0:
-        raise ValueError("time must be nonnegative")
-    return flow_curve(op, mu, [t], dt, eigen=eigen, smooth_start=smooth_start)[-1]
-
-
 def checkpoint_residual(
     op: TridiagonalOperator,
     eigen: EigenPair,
@@ -490,21 +470,8 @@ def checkpoint_residual(
     Both sides use the same Crank-Nicolson stepper and step count, so the
     residual reflects only the inexactness of the discrete conjugation.
     """
-    lhs = tilt(eigen.eta, conditioned_flow(op, mu, t, dt, eigen=eigen).mu_t)
+    lhs = tilt(eigen.eta, flow_curve(op, mu, [t], dt, eigen=eigen)[-1].mu_t)
     tilde = doob_generator(op, eigen)
     rhs = evolve_transformed(tilde, tilt(eigen.eta, mu), t, dt)
     return tv_distance(lhs, rhs)
 
-
-def chi2_decay_curve(
-    op: TridiagonalOperator,
-    eigen: EigenPair,
-    mu: GridMeasure,
-    times,
-    dt: float = None,
-) -> np.ndarray:
-    """chi2(eta * phi_t(mu) | beta) at each requested time, as a (t, chi2) array."""
-    if dt is None:
-        dt = default_dt(op.grid, eigen.lambda0)
-    states = flow_curve(op, mu, times, dt, eigen=eigen)
-    return np.array([(s.t, s.chi2_to_beta) for s in states])

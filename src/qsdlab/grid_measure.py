@@ -142,10 +142,6 @@ class GridMeasure:
             raise ValueError("density has zero or non-finite mass")
         object.__setattr__(self, "density", dens / mass)
 
-    @property
-    def mass(self) -> float:
-        return quadrature(self.density, self.grid)
-
 
 @dataclass(frozen=True)
 class ProductGridMeasure:

@@ -38,7 +38,6 @@ __all__ = [
     "assemble_generator",
     "tridiag_apply",
     "principal_eigenpair",
-    "spectral_gap",
     "eigen_residual",
     "qsd_from_eigen",
     "tensor_eigen",
@@ -49,6 +48,7 @@ __all__ = [
 ]
 
 EIGEN_TOL = 1e-14  # bracket width, relative to lambda0, that ends inverse iteration
+MAX_ITER = 500  # inverse-iteration steps before ConvergenceError
 
 
 class ConvergenceError(RuntimeError):
@@ -143,11 +143,6 @@ def tridiag_apply(diag: np.ndarray, upper: np.ndarray, lower: np.ndarray, f: np.
     return out
 
 
-def apply_operator(op: TridiagonalOperator, f: np.ndarray) -> np.ndarray:
-    """Apply the discretized generator to a grid function."""
-    return tridiag_apply(op.diag, op.off_upper, op.off_lower, np.asarray(f, dtype=float))
-
-
 def _symmetric_bands(off_upper, off_lower, error=ConvergenceError):
     """Scaling d and off band s of S = D^-1 M D, M the measure-side matrix.
 
@@ -187,7 +182,7 @@ def _gth_factors(left: np.ndarray, right: np.ndarray) -> tuple:
     return -np.sqrt(right[:-1] * left[1:]) / pivots[:-1], pivots
 
 
-def _inverse_iteration(left: np.ndarray, right: np.ndarray, max_iter: int) -> tuple:
+def _inverse_iteration(left: np.ndarray, right: np.ndarray) -> tuple:
     """Bracket (lo, hi) of a killed chain's principal eigenvalue, and its eigenvector.
 
     Inverse iteration on the symmetric form S = D^-1 M D (`_symmetric_bands`)
@@ -195,7 +190,8 @@ def _inverse_iteration(left: np.ndarray, right: np.ndarray, max_iter: int) -> tu
     positive numbers and the iterate stays positive.  For y = S^-1 x the
     Collatz-Wielandt ratios x/y, those of M, bracket the eigenvalue (up to
     the few-ulp roundoff of factors and solves); the iteration stops once
-    the bracket's relative width is at most ``EIGEN_TOL``.  Returns D y.
+    the bracket's relative width is at most ``EIGEN_TOL``, within ``MAX_ITER``
+    steps.  Returns D y.
     """
     from scipy.linalg.lapack import dpttrs
     if not all(np.isfinite(w).all() and w.min() > 0.0 for w in (left, right)):
@@ -204,7 +200,7 @@ def _inverse_iteration(left: np.ndarray, right: np.ndarray, max_iter: int) -> tu
     e, pivots = _gth_factors(left, right)
     x = 1.0 / d
     with np.errstate(all="ignore"):  # a y that underflowed makes a ratio non-finite: raised below
-        for _ in range(max_iter):
+        for _ in range(MAX_ITER):
             y, _ = dpttrs(pivots, e, x)
             ratio = x / y
             lo, hi = float(ratio.min()), float(ratio.max())
@@ -214,7 +210,7 @@ def _inverse_iteration(left: np.ndarray, right: np.ndarray, max_iter: int) -> tu
                 break
             x = y / y.max()
         else:
-            raise ConvergenceError(f"inverse iteration did not converge in {max_iter} steps")
+            raise ConvergenceError(f"inverse iteration did not converge in {MAX_ITER} steps")
     if not lo > 0.0:
         raise ConvergenceError(f"principal eigenvalue is not positive: {lo}")
     return lo, hi, d * y
@@ -225,8 +221,7 @@ def _doob_rates(op: TridiagonalOperator, eta: np.ndarray) -> tuple[np.ndarray, n
     return op.off_upper * eta[1:] / eta[:-1], op.off_lower * eta[:-1] / eta[1:]
 
 
-def principal_eigenpair(op: TridiagonalOperator, max_iter: int = 500,
-                        with_lambda1: bool = True) -> EigenPair:
+def principal_eigenpair(op: TridiagonalOperator, with_lambda1: bool = True) -> EigenPair:
     """Principal pair (lambda0 > 0, eta > 0) of -L_h, with lambda1 and a bracket.
 
     lambda0 is the midpoint of the `_inverse_iteration` bracket on the chain
@@ -240,7 +235,7 @@ def principal_eigenpair(op: TridiagonalOperator, max_iter: int = 500,
     """
     left = np.concatenate(([op.boundary_weights[0]], op.off_lower))
     right = np.concatenate((op.off_upper, [op.boundary_weights[1]]))
-    lo, hi, y = _inverse_iteration(left, right, max_iter)
+    lo, hi, y = _inverse_iteration(left, right)
     lam0 = 0.5 * (lo + hi)
     eta = y / y.max()
     g_eta = quadrature(eta * op.gamma_weights, op.grid)
@@ -248,22 +243,16 @@ def principal_eigenpair(op: TridiagonalOperator, max_iter: int = 500,
     eta = eta * (g_eta / g_eta2)
     lam1 = None
     if with_lambda1:
-        gap_lo, gap_hi, _ = _inverse_iteration(*_doob_rates(op, eta), max_iter)
+        gap_lo, gap_hi, _ = _inverse_iteration(*_doob_rates(op, eta))
         lam1 = lam0 + 0.5 * (gap_lo + gap_hi)
         if not lam1 > lam0:
             raise ConvergenceError(f"degenerate spectrum: lambda1={lam1} <= lambda0={lam0}")
     return EigenPair(lambda0=lam0, eta=eta, lambda1=lam1, lambda0_bracket=(lo, hi))
 
 
-def spectral_gap(op: TridiagonalOperator) -> tuple[float, float]:
-    """Two smallest eigenvalues (lambda0, lambda1) of -L_h."""
-    pair = principal_eigenpair(op)
-    return pair.lambda0, pair.lambda1
-
-
 def eigen_residual(op: TridiagonalOperator, eigen: EigenPair) -> float:
     """Sup-norm residual ||L_h eta + lambda0 eta|| / ||eta||."""
-    r = apply_operator(op, eigen.eta) + eigen.lambda0 * eigen.eta
+    r = tridiag_apply(op.diag, op.off_upper, op.off_lower, eigen.eta) + eigen.lambda0 * eigen.eta
     return float(np.max(np.abs(r)) / np.max(np.abs(eigen.eta)))
 
 

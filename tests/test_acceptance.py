@@ -19,7 +19,7 @@ from qsdlab.analytics import (
     closed_form,
     decay_report,
 )
-from qsdlab.doob import checkpoint_residual, conditioned_flow, default_dt
+from qsdlab.doob import checkpoint_residual, default_dt, flow_curve
 from qsdlab.grid_measure import (
     GridMeasure,
     ProductGridMeasure,
@@ -40,7 +40,6 @@ from qsdlab.spectral import (
     integral_identity_residual,
     principal_eigenpair,
     qsd_from_eigen,
-    spectral_gap,
     tensor_eigen,
 )
 
@@ -59,8 +58,8 @@ def brownian_3999():
     grid = build_grid(-1.0, 1.0, 3999)
     spec = zero_potential(domain=(-1.0, 1.0))
     op = assemble_generator(spec, grid)
-    lam0, lam1 = spectral_gap(op)
     eigen = principal_eigenpair(op)
+    lam0, lam1 = eigen.lambda0, eigen.lambda1
     elapsed = time.perf_counter() - t0
     return dict(grid=grid, spec=spec, op=op, lam0=lam0, lam1=lam1,
                 eigen=eigen, elapsed=elapsed)
@@ -279,7 +278,7 @@ def test_criterion_9_monte_carlo():
     op = assemble_generator(spec, grid)
     eigen = principal_eigenpair(op)
     mu = GridMeasure(grid, np.ones(grid.n))
-    oracle = conditioned_flow(op, mu, 1.0, default_dt(grid, eigen.lambda0), eigen=eigen)
+    oracle = flow_curve(op, mu, [1.0], default_dt(grid, eigen.lambda0), eigen=eigen)[-1]
 
     cfg = SimConfig(spec=spec, domain=(-1.0, 1.0), dt=1e-3, horizon=1.0,
                     n_particles=100_000, seed=4, resample=False)
@@ -330,7 +329,8 @@ def test_criterion_11_small_n_oracles():
     ):
         g = build_grid(lo, hi, n)
         op = assemble_generator(spec, g)
-        lam0, lam1 = spectral_gap(op)
+        eigen = principal_eigenpair(op)
+        lam0, lam1 = eigen.lambda0, eigen.lambda1
         dense = eigh_tridiagonal(-op.diag, -np.sqrt(op.off_upper * op.off_lower),
                                  eigvals_only=True, select="i", select_range=(0, 1))
         worst = max(worst, abs(lam0 - dense[0]), abs(lam1 - dense[1]))
@@ -342,7 +342,7 @@ def test_criterion_11_small_n_oracles():
     dense_l = np.diag(op.diag) + np.diag(op.off_upper, 1) + np.diag(op.off_lower, -1)
     evolved = expm(dense_l.T) @ mu.density
     oracle = GridMeasure(g, np.clip(evolved, 0.0, None))
-    state = conditioned_flow(op, mu, 1.0, 1e-3)
+    state = flow_curve(op, mu, [1.0], 1e-3)[-1]
     flow_tv = tv_distance(state.mu_t, oracle)
     flow_ok = flow_tv <= 1e-6
 

@@ -23,10 +23,10 @@ from qsdlab.grid_measure import GridMeasure, ProductGridMeasure, build_grid, qua
 from qsdlab.potential import shifted_power_potential
 from qsdlab.spectral import (
     EigenPair,
-    apply_operator,
     assemble_generator,
     principal_eigenpair,
     qsd_from_eigen,
+    tridiag_apply,
 )
 
 
@@ -49,7 +49,8 @@ class TestClosedForm:
 
         cf = closed_form("brownian_hypercube", N=1.0, n=2000)
         op = assemble_generator(cf.spec, cf.grid)
-        resid = apply_operator(op, cf.eigen.eta) + cf.constants["lambda0"] * cf.eigen.eta
+        resid = tridiag_apply(op.diag, op.off_upper, op.off_lower, cf.eigen.eta) \
+            + cf.constants["lambda0"] * cf.eigen.eta
         assert np.max(np.abs(resid)) / np.max(cf.eigen.eta) < 1e-5
 
     def test_ou_constants_and_normalization(self):
@@ -132,7 +133,7 @@ class TestBurnIn:
         assert 0.0 < burn.time < 3.0
 
     def test_matches_threshold_crossing_of_chi2_curve(self, brownian, gaussian_measure):
-        from qsdlab.doob import chi2_decay_curve, default_dt
+        from qsdlab.doob import default_dt, flow_curve
 
         g = brownian.grid
         mu = gaussian_measure(g, -0.6, 0.12)
@@ -141,9 +142,10 @@ class TestBurnIn:
         times = np.linspace(0.0, 2.0, 41)
         burn = burn_in_time(brownian.eigen, alpha, psi, mu, brownian.op, times=times)
         a_ratio = alpha_psi2_over_eta(psi, brownian.eigen, alpha)
-        curve = chi2_decay_curve(brownian.op, brownian.eigen, mu, times,
-                                 dt=default_dt(g, brownian.lambda0))
-        crossing = times[np.argmax(a_ratio * curve[:, 1] ** 2 < 0.9)]
+        states = flow_curve(brownian.op, mu, times, default_dt(g, brownian.lambda0),
+                            eigen=brownian.eigen)
+        chi2 = np.array([s.chi2_to_beta for s in states])
+        crossing = times[np.argmax(a_ratio * chi2**2 < 0.9)]
         assert burn.reached
         assert burn.time == pytest.approx(crossing, abs=1e-12)
 

@@ -306,8 +306,7 @@ class TestCommands:
     def test_rates_convergence_failure_exits_two(self, tmp_path, monkeypatch):
         from qsdlab import spectral
 
-        solve = spectral.principal_eigenpair
-        monkeypatch.setattr(spectral, "principal_eigenpair", lambda op: solve(op, max_iter=1))
+        monkeypatch.setattr(spectral, "MAX_ITER", 1)
         code = run(["rates", "--potential", "shifted-power", "--delta", "3",
                     "--lambda0-lower", "1", "--n", "200", "--x-max", "2.5",
                     "--output", str(tmp_path / "rates")])
@@ -449,6 +448,36 @@ class TestCommands:
                     "--t-max", "0.5", "--samples", "6", "--initial", "custom",
                     "--initial-path", str(mpath), "--output", str(out)])
         assert code == 0
+
+    BROWNIAN_50 = ["--example", "brownian", "--N", "1", "--n", "50"]
+
+    def evolve_custom_tv0(self, tmp_path, law):
+        out = tmp_path / "evo"
+        assert run(["evolve", *self.BROWNIAN_50, "--samples", "2", "--initial", "custom",
+                    "--initial-path", str(law), "--output", str(out)]) == 0
+        return np.loadtxt(out / "curves.csv", delimiter=",", skiprows=1)[0, 1]
+
+    def test_custom_law_on_the_run_nodes_round_trips(self, tmp_path):
+        # alpha.csv's grid ends, rebuilt from its nodes, come out an ulp off
+        # (-1, 1) at n = 50; regridding would smooth the QSD by TV 2e-3
+        assert run(["eigen", *self.BROWNIAN_50, "--output", str(tmp_path / "eig")]) == 0
+        assert self.evolve_custom_tv0(tmp_path, tmp_path / "eig" / "alpha.csv") <= 1e-12
+
+    def test_custom_law_on_other_nodes_is_regridded(self, tmp_path):
+        from qsdlab import spectral
+        from qsdlab.grid_measure import (
+            GridMeasure, build_grid, load_measure_csv, regrid, save_measure_csv, tv_distance,
+        )
+        from qsdlab.potential import zero_potential
+
+        law = tmp_path / "mu.csv"
+        g60 = build_grid(-1.0, 1.0, 60)
+        save_measure_csv(GridMeasure(g60, np.exp(-4.0 * g60.nodes**2)), law)
+        spec, grid = zero_potential(domain=(-1.0, 1.0)), build_grid(-1.0, 1.0, 50)
+        eigen = spectral.principal_eigenpair(spectral.assemble_generator(spec, grid))
+        alpha = spectral.qsd_from_eigen(eigen, spec, grid)
+        expected = tv_distance(regrid(load_measure_csv(law), grid), alpha)
+        assert self.evolve_custom_tv0(tmp_path, law) == pytest.approx(expected, rel=1e-12)
 
 
 class TestFlowCommands:

@@ -9,10 +9,7 @@ from qsdlab import doob
 from qsdlab.doob import (
     FlowError,
     _cn_run,
-    beta_measure,
     checkpoint_residual,
-    chi2_decay_curve,
-    conditioned_flow,
     default_dt,
     doob_generator,
     evolve_transformed,
@@ -185,7 +182,7 @@ class TestStepper:
         spike = np.zeros(ou.grid.n)
         spike[ou.grid.n // 4] = 1.0
         with pytest.raises(FlowError, match="negative density"):
-            conditioned_flow(ou.op, GridMeasure(ou.grid, spike), 1.0, 0.5, smooth_start=False)
+            flow_curve(ou.op, GridMeasure(ou.grid, spike), [1.0], 0.5, smooth_start=False)
         density = np.exp(-((ou.grid.nodes - 2.0) ** 2))
         density[ou.grid.n // 2] = np.nan
         with pytest.raises(FlowError):
@@ -243,7 +240,7 @@ class TestDoobGenerator:
 class TestEvolveTransformed:
     def test_invariant_measure_is_fixed(self, brownian):
         tilde = doob_generator(brownian.op, brownian.eigen)
-        beta = beta_measure(tilde)
+        beta = GridMeasure(tilde.grid, tilde.gamma_weights)
         for t in (0.1, 1.0):
             out = evolve_transformed(tilde, beta, t, default_dt(brownian.grid, brownian.lambda0))
             assert tv_distance(out, beta) <= 1e-8
@@ -255,7 +252,7 @@ class TestEvolveTransformed:
 
     def test_chi2_contraction_at_gap_rate(self, brownian, gaussian_measure):
         tilde = doob_generator(brownian.op, brownian.eigen)
-        beta = beta_measure(tilde)
+        beta = GridMeasure(tilde.grid, tilde.gamma_weights)
         nu = tilt(brownian.eigen.eta, gaussian_measure(brownian.grid, 0.3, 0.35))
         dt = default_dt(brownian.grid, brownian.lambda0)
         chi0 = chi2_divergence(nu, beta)
@@ -295,14 +292,14 @@ class TestConditionedFlow:
         alpha = qsd_from_eigen(brownian.eigen, brownian.spec, brownian.grid)
         dt = default_dt(brownian.grid, brownian.lambda0)
         for t in (0.5, 1.0, 2.0):
-            state = conditioned_flow(brownian.op, alpha, t, dt, eigen=brownian.eigen)
+            state = flow_curve(brownian.op, alpha, [t], dt, eigen=brownian.eigen)[-1]
             assert tv_distance(state.mu_t, alpha) <= 1e-8
             exact = math.exp(-brownian.lambda0 * t)
             assert abs(state.survival_weight / exact - 1.0) <= 1e-6
 
     def test_time_zero_returns_initial(self, brownian, uniform_measure):
         mu = uniform_measure(brownian.grid)
-        state = conditioned_flow(brownian.op, mu, 0.0, 1e-2)
+        state = flow_curve(brownian.op, mu, [0.0], 1e-2)[-1]
         np.testing.assert_allclose(state.mu_t.density, mu.density)
         assert state.survival_weight == 1.0
 
@@ -316,7 +313,7 @@ class TestConditionedFlow:
         dense += np.diag(op.off_lower, -1)
         evolved = expm(dense.T) @ mu.density
         oracle = GridMeasure(g, np.clip(evolved, 0.0, None))
-        state = conditioned_flow(op, mu, 1.0, 1e-3)
+        state = flow_curve(op, mu, [1.0], 1e-3)[-1]
         assert tv_distance(state.mu_t, oracle) <= 1e-6
 
     def test_survival_rate_tail_slope(self, brownian, uniform_measure):
@@ -335,13 +332,13 @@ class TestConditionedFlow:
         mu = gaussian_measure(brownian.grid, -0.2, 0.25)
         dt = 2e-3
         s, t = 0.4, 0.6
-        oneshot = conditioned_flow(brownian.op, mu, s + t, dt, eigen=brownian.eigen)
+        oneshot = flow_curve(brownian.op, mu, [s + t], dt, eigen=brownian.eigen)[-1]
         curve = flow_curve(brownian.op, mu, [s, s + t], dt, eigen=brownian.eigen)
         assert tv_distance(curve[-1].mu_t, oneshot.mu_t) <= 1e-9
-        middle = conditioned_flow(brownian.op, mu, s, dt, eigen=brownian.eigen)
-        composed = conditioned_flow(
-            brownian.op, middle.mu_t, t, dt, eigen=brownian.eigen, smooth_start=False
-        )
+        middle = flow_curve(brownian.op, mu, [s], dt, eigen=brownian.eigen)[-1]
+        composed = flow_curve(
+            brownian.op, middle.mu_t, [t], dt, eigen=brownian.eigen, smooth_start=False
+        )[-1]
         assert tv_distance(composed.mu_t, oneshot.mu_t) <= 1e-9
 
     def test_negative_density_rejection(self, brownian):
@@ -352,14 +349,14 @@ class TestConditionedFlow:
         spike[g.n // 2] = 1.0
         mu = GridMeasure(g, spike)
         with pytest.raises(FlowError):
-            conditioned_flow(brownian.op, mu, 1.0, 0.5, smooth_start=False)
+            flow_curve(brownian.op, mu, [1.0], 0.5, smooth_start=False)
 
     def test_times_validation(self, brownian, uniform_measure):
         mu = uniform_measure(brownian.grid)
         with pytest.raises(ValueError):
             flow_curve(brownian.op, mu, [0.5, 0.2], 1e-2)
         with pytest.raises(ValueError):
-            conditioned_flow(brownian.op, mu, -0.5, 1e-2)
+            flow_curve(brownian.op, mu, [-0.5], 1e-2)
 
 
 class TestCheckpointIdentity:
@@ -382,13 +379,16 @@ class TestCheckpointIdentity:
 class TestChi2DecayCurve:
     def test_qsd_initial_is_flat_zero(self, brownian):
         alpha = qsd_from_eigen(brownian.eigen, brownian.spec, brownian.grid)
-        curve = chi2_decay_curve(brownian.op, brownian.eigen, alpha, [0.0, 0.5, 1.0])
-        assert np.all(curve[:, 1] <= 1e-8)
+        dt = default_dt(brownian.grid, brownian.lambda0)
+        states = flow_curve(brownian.op, alpha, [0.0, 0.5, 1.0], dt, eigen=brownian.eigen)
+        assert all(s.chi2_to_beta <= 1e-8 for s in states)
 
     def test_monotone_and_gap_rate(self, brownian, gaussian_measure):
         mu = gaussian_measure(brownian.grid, 0.3, 0.35)
         times = np.linspace(0.0, 2.0, 21)
-        curve = chi2_decay_curve(brownian.op, brownian.eigen, mu, times)
+        dt = default_dt(brownian.grid, brownian.lambda0)
+        states = flow_curve(brownian.op, mu, times, dt, eigen=brownian.eigen)
+        curve = np.array([(s.t, s.chi2_to_beta) for s in states])
         assert np.all(np.diff(curve[:, 1]) <= 1e-12)
         # log-slope over [0.5, 2] is at least the gap (up to fit tolerance)
         w = curve[:, 0] >= 0.5

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qsdlab.doob import conditioned_flow, default_dt
+from qsdlab.doob import default_dt, flow_curve
 from qsdlab.grid_measure import ProductGridMeasure, build_grid, regrid, tv_distance
 from qsdlab.montecarlo import (
     BRIDGE_REACH,
@@ -221,7 +221,7 @@ class TestSurvival:
         op = assemble_generator(op_spec, g)
         eig = principal_eigenpair(op)
         mu = uniform_measure(g)
-        oracle = conditioned_flow(op, mu, 0.5, default_dt(g, eig.lambda0), eigen=eig)
+        oracle = flow_curve(op, mu, [0.5], default_dt(g, eig.lambda0), eigen=eig)[-1]
         cfg = brownian_config(dt=1e-4, horizon=0.5, n_particles=5000, seed=42)
         ens = simulate(cfg, mu)
         frac = ens.alive_count / ens.initial_count
@@ -361,7 +361,7 @@ class TestEmpiricalLaw:
         op = assemble_generator(zero_potential(domain=(-1, 1)), g)
         eig = principal_eigenpair(op)
         mu = uniform_measure(g)
-        oracle = conditioned_flow(op, mu, 0.5, default_dt(g, eig.lambda0), eigen=eig)
+        oracle = flow_curve(op, mu, [0.5], default_dt(g, eig.lambda0), eigen=eig)[-1]
         cfg = brownian_config(dt=5e-4, horizon=0.5, n_particles=30_000, seed=11)
         ens = simulate(cfg, mu)
         coarse = build_grid(-1.0, 1.0, 6)
@@ -377,7 +377,7 @@ class TestEmpiricalLaw:
         op = assemble_generator(zero_potential(domain=(-1, 1)), g)
         eig = principal_eigenpair(op)
         mu = uniform_measure(g)
-        oracle = conditioned_flow(op, mu, 0.25, default_dt(g, eig.lambda0), eigen=eig)
+        oracle = flow_curve(op, mu, [0.25], default_dt(g, eig.lambda0), eigen=eig)[-1]
         coarse = build_grid(-1.0, 1.0, 8)
         proj = regrid(oracle.mu_t, coarse)
 

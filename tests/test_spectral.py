@@ -7,7 +7,7 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 
 from qsdlab.grid_measure import build_grid, quadrature, tv_distance
-from qsdlab.doob import conditioned_flow, default_dt
+from qsdlab.doob import default_dt, flow_curve
 from qsdlab.potential import quadratic_potential, shifted_power_potential, tabulated_potential, zero_potential
 from qsdlab.spectral import (
     ConvergenceError,
@@ -15,15 +15,14 @@ from qsdlab.spectral import (
     _gth_factors,
     _inverse_iteration,
     assemble_generator,
-    apply_operator,
     eigen_residual,
     integral_identity_residual,
     principal_eigenpair,
     qsd_from_eigen,
     save_eigen_csv,
     save_eigen_json,
-    spectral_gap,
     tensor_eigen,
+    tridiag_apply,
 )
 
 
@@ -44,7 +43,7 @@ class TestAssembly:
         assert np.max(rel) < 1e-12
 
     def test_constant_function_in_kernel_away_from_boundary(self, ou):
-        image = apply_operator(ou.op, np.ones(ou.grid.n))
+        image = tridiag_apply(ou.op.diag, ou.op.off_upper, ou.op.off_lower, np.ones(ou.grid.n))
         interior = np.abs(image[1:-1]) / np.max(np.abs(ou.op.diag))
         assert np.max(interior) < 1e-10
 
@@ -140,7 +139,8 @@ def double_well(a):
 class TestSpectralGap:
     def test_brownian_gap(self):
         g = build_grid(-1.0, 1.0, 3999)
-        lam0, lam1 = spectral_gap(assemble_generator(zero_potential(), g))
+        eig = principal_eigenpair(assemble_generator(zero_potential(), g))
+        lam0, lam1 = eig.lambda0, eig.lambda1
         exact = 3.0 * math.pi**2 / 8.0
         assert abs(lam1 - lam0 - exact) / exact < 1e-4
 
@@ -148,7 +148,8 @@ class TestSpectralGap:
         gaps = []
         for N in (1.0, 2.0):
             g = build_grid(-N, N, 2000)
-            lam0, lam1 = spectral_gap(assemble_generator(zero_potential(domain=(-N, N)), g))
+            eig = principal_eigenpair(assemble_generator(zero_potential(domain=(-N, N)), g))
+            lam0, lam1 = eig.lambda0, eig.lambda1
             gaps.append(lam1 - lam0)
         assert gaps[0] / gaps[1] == pytest.approx(4.0, rel=1e-5)
 
@@ -165,7 +166,8 @@ class TestSpectralGap:
         ):
             g = build_grid(lo, hi, n)
             op = assemble_generator(spec, g)
-            lam0, lam1 = spectral_gap(op)
+            eig = principal_eigenpair(op)
+            lam0, lam1 = eig.lambda0, eig.lambda1
             m_diag = -op.diag
             m_off = -np.sqrt(op.off_upper * op.off_lower)
             dense = eigh_tridiagonal(m_diag, m_off, eigvals_only=True, select="i", select_range=(0, 1))
@@ -173,7 +175,7 @@ class TestSpectralGap:
             assert abs(lam1 - dense[1]) < 1e-10
             # the bracket is at most 1e-14 wide, while the dense solve is
             # only accurate to its error bound eps * ||M||_1
-            lo0, hi0 = principal_eigenpair(op).lambda0_bracket
+            lo0, hi0 = eig.lambda0_bracket
             slack = np.finfo(float).eps * (m_diag.max() + 2.0 * np.abs(m_off).max())
             assert hi0 - lo0 <= 1e-14 * lo0
             assert lo0 - slack <= dense[0] <= hi0 + slack
@@ -201,9 +203,12 @@ class TestSpectralGap:
         assert lo <= eig.lambda0 <= hi and hi - lo <= 1e-14 * lo
         assert eig.lambda1 > eig.lambda0
 
-    def test_iteration_budget_exhausted_raises(self, ou):
+    def test_iteration_budget_exhausted_raises(self, ou, monkeypatch):
+        from qsdlab import spectral
+
+        monkeypatch.setattr(spectral, "MAX_ITER", 1)
         with pytest.raises(ConvergenceError, match="did not converge"):
-            principal_eigenpair(ou.op, max_iter=1)
+            principal_eigenpair(ou.op)
 
     @pytest.mark.parametrize("band", ["off_lower", "off_upper"])
     @pytest.mark.parametrize("bad", [0.0, np.inf, np.nan])
@@ -217,7 +222,7 @@ class TestSpectralGap:
         eta = ou.eigen.eta.copy()
         eta[5] = bad
         with np.errstate(divide="ignore"), pytest.raises(ConvergenceError, match="chain weight"):
-            _inverse_iteration(*_doob_rates(ou.op, eta), 500)
+            _inverse_iteration(*_doob_rates(ou.op, eta))
 
 
 class TestMetastable:
@@ -292,10 +297,10 @@ class TestQsd:
 
     def test_stationarity_under_conditioned_flow(self, brownian):
         alpha = qsd_from_eigen(brownian.eigen, brownian.spec, brownian.grid)
-        state = conditioned_flow(
-            brownian.op, alpha, 0.01, default_dt(brownian.grid, brownian.lambda0),
+        state = flow_curve(
+            brownian.op, alpha, [0.01], default_dt(brownian.grid, brownian.lambda0),
             eigen=brownian.eigen,
-        )
+        )[-1]
         assert tv_distance(state.mu_t, alpha) <= 1e-6
 
 
