@@ -29,7 +29,7 @@ op = assemble_generator(spec, grid)
 
 eigen = principal_eigenpair(op)
 lam0, lam1 = eigen.lambda0, eigen.lambda1
-alpha = qsd_from_eigen(eigen, spec, grid)
+alpha = qsd_from_eigen(op, eigen)
 
 cf = closed_form("brownian_hypercube", N=N, n=n)
 exact = cf.constants

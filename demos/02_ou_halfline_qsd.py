@@ -22,7 +22,7 @@ op = assemble_generator(spec, grid)
 
 eigen = principal_eigenpair(op)
 lam0, lam1 = eigen.lambda0, eigen.lambda1
-alpha = qsd_from_eigen(eigen, spec, grid)
+alpha = qsd_from_eigen(op, eigen)
 
 print(f"domain truncated at x_max = 8 (gamma tail below 1e-26); {grid.n} nodes")
 print()

@@ -13,7 +13,7 @@ from infinity, and the spectral gap).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -76,8 +76,6 @@ CURVES_HEADER = ",".join(("t",) + CURVE_NAMES)
 class ClosedFormExample:
     """Analytic data of a closed-form example, sampled on a 1D factor grid."""
 
-    example: str
-    params: dict
     grid: Grid1D
     spec: PotentialSpec
     eigen: EigenPair
@@ -117,8 +115,6 @@ def closed_form(example: str, N: float = 1.0, lam: float = 1.0, d: int = 1,
             "prefactor_Cd": None,
         }
         return ClosedFormExample(
-            example=example,
-            params={"N": N, "d": d, "n": n},
             grid=grid,
             spec=spec,
             eigen=EigenPair(lambda0=lam0, eta=eta, lambda1=lam1),
@@ -144,8 +140,6 @@ def closed_form(example: str, N: float = 1.0, lam: float = 1.0, d: int = 1,
             "prefactor_Cd": d * (d - 1) / (4.0 * lam) * (math.pi / 2.0) ** d if d >= 2 else None,
         }
         return ClosedFormExample(
-            example=example,
-            params={"lam": lam, "d": d, "n": n, "x_max": grid.x_max},
             grid=grid,
             spec=spec,
             eigen=EigenPair(lambda0=lam, eta=eta, lambda1=3.0 * lam),
@@ -175,27 +169,22 @@ def alpha_psi2_over_eta(psi: np.ndarray, eigen: EigenPair, alpha: GridMeasure) -
 
 @dataclass(frozen=True)
 class BoundConstants:
-    """Explicit constants of the weighted-distance bound for a weight psi."""
+    """Constants of the weighted-distance bound for psi; its coefficients are BOUND_A, BOUND_B."""
 
-    a: float
-    b: float
     C_psi: float
     alpha_psi: float
     alpha_psi2_over_eta: float
 
 
 def bound_constants(psi: np.ndarray, eigen: EigenPair, alpha: GridMeasure) -> BoundConstants:
-    """Constants (a, b, C_psi, alpha(psi), alpha(psi^2/eta)) for a weight psi >= 1."""
+    """Constants (C_psi, alpha(psi), alpha(psi^2/eta)) for a weight psi >= 1."""
     psi = np.asarray(psi, dtype=float)
     if np.any(psi < 1.0):
         raise ValueError("psi must be >= 1 everywhere")
     a_psi = quadrature(psi * alpha.density, alpha.grid)
     a_ratio = alpha_psi2_over_eta(psi, eigen, alpha)
     c_psi = (BOUND_A + BOUND_B * a_psi) * math.sqrt(a_ratio)
-    return BoundConstants(
-        a=BOUND_A, b=BOUND_B, C_psi=c_psi,
-        alpha_psi=float(a_psi), alpha_psi2_over_eta=a_ratio,
-    )
+    return BoundConstants(C_psi=c_psi, alpha_psi=float(a_psi), alpha_psi2_over_eta=a_ratio)
 
 
 @dataclass(frozen=True)
@@ -324,19 +313,6 @@ class DecayReport:
     notes: tuple = ()
     marginals: tuple = field(default=(), repr=False)
 
-    def to_dict(self) -> dict:
-        out = {}
-        for key, val in self.__dict__.items():
-            if key == "marginals":
-                out[key] = [m.to_dict() for m in self.marginals]
-            elif isinstance(val, np.ndarray):
-                out[key] = val.tolist()
-            elif isinstance(val, tuple):
-                out[key] = list(val)
-            else:
-                out[key] = val
-        return out
-
 
 def _fit_or_nan(times, values, window) -> float:
     keep = values > DISTANCE_FLOOR
@@ -387,8 +363,8 @@ def _assemble_report(config: ReportConfig, curves: dict, burn: BurnIn, gap: floa
 
 
 def lambda0_lower_used(eigen: EigenPair, lower: float = None) -> float:
-    """The lambda0 a CDFI rate uses: ``lower``, or lambda0 itself; a ``lower`` above the bracket raises."""
-    hi = eigen.lambda0_bracket[1]
+    """The lambda0 a CDFI rate uses: ``lower``, or lambda0; one above the bracket (or lambda0) raises."""
+    hi = eigen.lambda0 if eigen.lambda0_bracket is None else eigen.lambda0_bracket[1]
     if lower is not None and lower > hi:
         raise ValueError(f"lambda0_lower = {lower:.12g} exceeds the upper bound {hi:.12g} on lambda0")
     return eigen.lambda0 if lower is None else lower
@@ -399,7 +375,7 @@ def _report_1d(config: ReportConfig) -> DecayReport:
     op = assemble_generator(spec, grid)
     eigen = principal_eigenpair(op)
     lam_low = lambda0_lower_used(eigen, config.lambda0_lower)
-    alpha = qsd_from_eigen(eigen, spec, grid)
+    alpha = qsd_from_eigen(op, eigen)
 
     times = np.asarray(config.times, dtype=float)
     curves = decay_curves(op, eigen, alpha, mu, times)
@@ -487,7 +463,7 @@ def decay_report(config: ReportConfig) -> DecayReport:
 
 def save_report_json(report: DecayReport, path) -> None:
     """Write the report as JSON through :mod:`qsdlab.artifacts`."""
-    write_json(path, report.to_dict())
+    write_json(path, asdict(report))
 
 
 def write_curves_csv(path, times, curves: dict) -> None:

@@ -2,15 +2,15 @@
 
 A CSV is written from one 1-D array per header column: integer columns as
 ``%d``, float columns at 17 significant digits, enough to round-trip every
-float64, and JSON is indented by two spaces.  Both go to a temp file in the
-target's directory that is renamed over the target, so a reader never sees a
-partial file and a failed write leaves the old one in place.  A new file gets
-the mode ``0o666 & ~umask``, as from a plain open.  CSV rows are formatted
-and streamed a chunk at a time, so the whole text is never held in memory.
-Columns of the wrong count, shape or length, or of another dtype (text,
-object, bool), raise ValueError before anything touches disk.  The target's
-directory is made at the first write, so a run that fails before it leaves
-no directory behind.
+float64, and JSON is indented by two spaces, with numpy arrays as lists.
+Both go to a temp file in the target's directory that is renamed over the
+target, so a reader never sees a partial file and a failed write leaves the
+old one in place.  A new file gets the mode ``0o666 & ~umask``, as from a
+plain open.  CSV rows are formatted and streamed a chunk at a time, so the
+whole text is never held in memory.  Columns of the wrong count, shape or
+length, or of another dtype (text, object, bool), raise ValueError before
+anything touches disk.  The target's directory is made at the first write,
+so a run that fails before it leaves no directory behind.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ def _atomic_write(path, chunks) -> None:
 
 
 def write_json(path, payload: dict) -> None:
-    _atomic_write(path, [json.dumps(payload, indent=2) + "\n"])
+    _atomic_write(path, [json.dumps(payload, indent=2, default=np.ndarray.tolist) + "\n"])
 
 
 def write_csv(path, header: str, columns) -> None:

@@ -208,31 +208,26 @@ def _build_problem(config: RunConfig):
     problem = example or config["potential.family"]
     if problem in ("ou", "shifted-power") and xmin not in (None, 0.0):
         raise ValueError(f"grid.x_min must be 0 or unset: the {problem} domain starts at 0")
-    if example == "ou":
-        lam = config["example.lambda"]
+    if problem in ("ou", "quadratic"):
+        lam = config["example.lambda" if example else "potential.lambda"]
         x_max = _bound(config, "grid.x_max", 8.0 / math.sqrt(lam))
-        return quadratic_potential(lam), build_grid(0.0, x_max, n)
-    family = config["potential.family"]
-    if family == "zero":
+        return quadratic_potential(lam), build_grid(_bound(config, "grid.x_min", 0.0), x_max, n)
+    if problem == "zero":
         if xmin is None or xmax is None:
             raise ValueError("potential.family = zero needs grid.x_min and grid.x_max")
         return zero_potential(domain=(xmin, xmax)), build_grid(xmin, xmax, n)
-    if family == "quadratic":
-        lam = config["potential.lambda"]
-        x_max = _bound(config, "grid.x_max", 8.0 / math.sqrt(lam))
-        return quadratic_potential(lam), build_grid(_bound(config, "grid.x_min", 0.0), x_max, n)
-    if family == "shifted-power":
+    if problem == "shifted-power":
         delta = config["potential.delta"]
         return shifted_power_potential(delta), build_grid(0.0, _bound(config, "grid.x_max", 2.5), n)
-    if family == "tabulated":
+    if problem == "tabulated":
         spec = tabulated_from_csv(config["potential.table_path"])
         xmin = _bound(config, "grid.x_min", spec.domain[0])
         xmax = _bound(config, "grid.x_max", spec.domain[1])
         return spec, build_grid(xmin, xmax, n)
-    raise ValueError(f"unresolved potential family {family!r}")
+    raise ValueError(f"unresolved potential family {problem!r}")
 
 
-def _initial_measure(config: RunConfig, spec, grid, eigen=None) -> GridMeasure:
+def _initial_measure(config: RunConfig, spec, grid, alpha=None) -> GridMeasure:
     family = config["initial.family"]
     if family == "uniform":
         lo, hi = _bound(config, "initial.lo", grid.x_min), _bound(config, "initial.hi", grid.x_max)
@@ -244,14 +239,14 @@ def _initial_measure(config: RunConfig, spec, grid, eigen=None) -> GridMeasure:
         dens = np.exp(-((grid.nodes - center) ** 2) / (2.0 * width**2))
         return GridMeasure(grid, dens)
     if family == "qsd":
-        if eigen is None:
+        if alpha is None:
             op = spectral.assemble_generator(spec, grid)
-            eigen = spectral.principal_eigenpair(op, with_lambda1=False)
-        return spectral.qsd_from_eigen(eigen, spec, grid)
+            alpha = spectral.qsd_from_eigen(op, spectral.principal_eigenpair(op, with_lambda1=False))
+        return alpha
     if family == "custom":
         measure = load_measure_csv(config["initial.path"])
-        # the CSV's grid ends are rebuilt from its nodes and may be an ulp off
-        # the run's; regrid would smooth a law given on the run's own nodes
+        # a law on the run's own nodes, to a rounding of 1e-9 h in the CSV, is
+        # taken as written; regrid would smooth it
         if measure.grid.n == grid.n and np.allclose(measure.grid.nodes, grid.nodes,
                                                     rtol=0.0, atol=1e-9 * grid.h):
             return GridMeasure(grid, measure.density)
@@ -261,18 +256,19 @@ def _initial_measure(config: RunConfig, spec, grid, eigen=None) -> GridMeasure:
 
 def _cmd_eigen(config: RunConfig, outdir: str) -> None:
     spec, grid = _build_problem(config)
-    eigen = spectral.principal_eigenpair(spectral.assemble_generator(spec, grid))
+    op = spectral.assemble_generator(spec, grid)
+    eigen = spectral.principal_eigenpair(op)
     spectral.save_eigen_json(eigen, os.path.join(outdir, "eigen.json"))
     spectral.save_eigen_csv(eigen, grid, os.path.join(outdir, "eta.csv"))
-    save_measure_csv(spectral.qsd_from_eigen(eigen, spec, grid), os.path.join(outdir, "alpha.csv"))
+    save_measure_csv(spectral.qsd_from_eigen(op, eigen), os.path.join(outdir, "alpha.csv"))
 
 
 def _cmd_evolve(config: RunConfig, outdir: str) -> None:
     spec, grid = _build_problem(config)
     op = spectral.assemble_generator(spec, grid)
     eigen = spectral.principal_eigenpair(op, with_lambda1=False)
-    alpha = spectral.qsd_from_eigen(eigen, spec, grid)
-    mu = _initial_measure(config, spec, grid, eigen)
+    alpha = spectral.qsd_from_eigen(op, eigen)
+    mu = _initial_measure(config, spec, grid, alpha)
     times = np.linspace(0.0, config["flow.t_max"], config["flow.samples"])
     curves = analytics.decay_curves(op, eigen, alpha, mu, times)
     analytics.write_curves_csv(os.path.join(outdir, "curves.csv"), times, curves)

@@ -325,14 +325,14 @@ def _beta(op: TridiagonalOperator, eigen: EigenPair) -> GridMeasure:
     return GridMeasure(op.grid, eigen.eta**2 * op.gamma_weights)
 
 
-def _chi2_to_beta(op, eigen, beta, m) -> float:
-    return chi2_divergence(tilt(eigen.eta, GridMeasure(op.grid, np.clip(m, 0.0, None))), beta)
-
-
-def _flow_state(op, t, m, log_surv, chi2=None) -> FlowState:
+def _flow_state(op, t, m, log_surv, chi2=None, eigen=None, beta=None) -> FlowState:
+    """The sample's law; with ``eigen`` and no ``chi2``, the law's chi-square distance to ``beta``."""
+    law = GridMeasure(op.grid, np.clip(m, 0.0, None))
+    if chi2 is None and eigen is not None:
+        chi2 = chi2_divergence(tilt(eigen.eta, law), beta)
     return FlowState(
         t=float(t),
-        mu_t=GridMeasure(op.grid, np.clip(m, 0.0, None)),
+        mu_t=law,
         survival_weight=min(math.exp(log_surv), 1.0) if log_surv > -700 else 0.0,
         log_survival=log_surv,
         chi2_to_beta=chi2,
@@ -380,8 +380,7 @@ def flow_curve(
             smoothed = True
         log_surv += log_mass - shift * seg
         t_prev = t
-        chi2 = None if eigen is None else _chi2_to_beta(op, eigen, beta, m)
-        states.append(_flow_state(op, t, m, log_surv, chi2))
+        states.append(_flow_state(op, t, m, log_surv, eigen=eigen, beta=beta))
     return states
 
 
@@ -417,7 +416,7 @@ def flow_exponential(
     m0 = mu.density
     shift = eigen.lambda0 if eigen is not None else 0.0
     beta = _beta(op, eigen) if eigen is not None else None
-    start = _flow_state(op, 0.0, m0, 0.0, None if eigen is None else _chi2_to_beta(op, eigen, beta, m0))
+    start = _flow_state(op, 0.0, m0, 0.0, eigen=eigen, beta=beta)
     later = times[times > 0.0]
     states = [start] * (times.size - later.size)
     if later.size == 0:

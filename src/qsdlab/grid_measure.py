@@ -18,7 +18,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -53,7 +53,9 @@ class Grid1D:
     """Uniform discretization of (x_min, x_max) by n interior nodes.
 
     The endpoints are absorbing and carry no mass; node i sits at
-    ``x_min + (i + 1) * h`` with ``h = (x_max - x_min) / (n + 1)``.
+    ``x_min + (i + 1) * h`` with ``h = (x_max - x_min) / (n + 1)``.  A grid
+    is identified by (n, first node, last node), which a saved node column
+    gives back exactly.
     """
 
     x_min: float
@@ -65,14 +67,13 @@ class Grid1D:
     def __eq__(self, other):
         if not isinstance(other, Grid1D):
             return NotImplemented
-        return (
-            self.x_min == other.x_min
-            and self.x_max == other.x_max
-            and self.n == other.n
-        )
+        return self is other or self._key() == other._key()
 
     def __hash__(self):
-        return hash((self.x_min, self.x_max, self.n))
+        return hash(self._key())
+
+    def _key(self) -> tuple:
+        return self.n, self.nodes[0], self.nodes[-1]
 
 
 def build_grid(x_min: float, x_max: float, n: int) -> Grid1D:
@@ -288,8 +289,8 @@ def save_measure_csv(mu: GridMeasure, path) -> None:
 def load_measure_csv(path) -> GridMeasure:
     """Read a measure written by :func:`save_measure_csv`.
 
-    The grid is reconstructed from the node coordinates assuming the uniform
-    node layout ``x_i = x_min + (i + 1) h``.
+    The grid's ends are reconstructed from the node coordinates assuming the
+    uniform node layout ``x_i = x_min + (i + 1) h``; it keeps the saved nodes.
     """
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     xs = data[:, 0]
@@ -300,4 +301,4 @@ def load_measure_csv(path) -> GridMeasure:
     grid = build_grid(xs[0] - h, xs[-1] + h, xs.size)
     if not np.allclose(grid.nodes, xs, rtol=0, atol=1e-9 * max(1.0, abs(xs[-1]))):
         raise ValueError("nodes in CSV are not a uniform interior-node grid")
-    return GridMeasure(grid, dens)
+    return GridMeasure(replace(grid, nodes=xs), dens)

@@ -164,7 +164,7 @@ def _symmetric_bands(off_upper, off_lower, error=ConvergenceError):
 
 
 def _gth_factors(left: np.ndarray, right: np.ndarray) -> tuple:
-    """LAPACK ``pttrs`` factors (e, pivots) of a killed chain's symmetric form.
+    """LAPACK ``pttrs`` factors (e, pivots) of a killed chain's symmetric form, and its scaling d.
 
     The M-matrix has diagonal left + right and off-diagonals -left[1:] and
     -right[:-1].  The Grassmann-Taksar-Heyman recurrence s_0 = left_0, u_i =
@@ -174,30 +174,30 @@ def _gth_factors(left: np.ndarray, right: np.ndarray) -> tuple:
     q_k the product of the first k ratios, which is summed in the log domain;
     no entry is a difference.  The off-diagonals enter only through their
     products, so these are also the LDL^T pivots of the symmetric form; its
-    off band -sqrt(right[:-1] left[1:]) over pivots[:-1] is the off band e of L.
+    off band -sqrt(right[:-1] left[1:]) (`_symmetric_bands`, which gives d)
+    over pivots[:-1] is the off band e of L.
     """
+    d, off = _symmetric_bands(left[1:], right[:-1])
     log_q = np.concatenate(([0.0], np.cumsum(np.log(right[:-1]) - np.log(left[:-1]))))
     log_tau = log_q + np.logaddexp.accumulate(-log_q)
     pivots = left * np.exp(-log_tau) + right
-    return -np.sqrt(right[:-1] * left[1:]) / pivots[:-1], pivots
+    return -off / pivots[:-1], pivots, d
 
 
 def _inverse_iteration(left: np.ndarray, right: np.ndarray) -> tuple:
     """Bracket (lo, hi) of a killed chain's principal eigenvalue, and its eigenvector.
 
-    Inverse iteration on the symmetric form S = D^-1 M D (`_symmetric_bands`)
-    from D^-1 1 solves with `_gth_factors`, so it only adds and divides
-    positive numbers and the iterate stays positive.  For y = S^-1 x the
-    Collatz-Wielandt ratios x/y, those of M, bracket the eigenvalue (up to
-    the few-ulp roundoff of factors and solves); the iteration stops once
-    the bracket's relative width is at most ``EIGEN_TOL``, within ``MAX_ITER``
-    steps.  Returns D y.
+    Inverse iteration on the symmetric form S = D^-1 M D from D^-1 1 solves
+    with `_gth_factors`, so it only adds and divides positive numbers and the
+    iterate stays positive.  For y = S^-1 x the Collatz-Wielandt ratios x/y,
+    those of M, bracket the eigenvalue (up to the few-ulp roundoff of factors
+    and solves); the iteration stops once the bracket's relative width is at
+    most ``EIGEN_TOL``, within ``MAX_ITER`` steps.  Returns D y.
     """
     from scipy.linalg.lapack import dpttrs
     if not all(np.isfinite(w).all() and w.min() > 0.0 for w in (left, right)):
         raise ConvergenceError("non-finite or non-positive chain weight; check the potential")
-    d, _ = _symmetric_bands(left[1:], right[:-1])
-    e, pivots = _gth_factors(left, right)
+    e, pivots, d = _gth_factors(left, right)
     x = 1.0 / d
     with np.errstate(all="ignore"):  # a y that underflowed makes a ratio non-finite: raised below
         for _ in range(MAX_ITER):
@@ -256,12 +256,9 @@ def eigen_residual(op: TridiagonalOperator, eigen: EigenPair) -> float:
     return float(np.max(np.abs(r)) / np.max(np.abs(eigen.eta)))
 
 
-def qsd_from_eigen(eigen: EigenPair, spec: PotentialSpec, grid: Grid1D) -> GridMeasure:
+def qsd_from_eigen(op: TridiagonalOperator, eigen: EigenPair) -> GridMeasure:
     """Quasi-stationary distribution alpha = eta * gamma as a grid measure."""
-    v, _, _ = evaluate(spec, grid.nodes)
-    v = np.asarray(v, dtype=float)
-    weights = np.exp(-(v - v.min()))
-    return GridMeasure(grid, eigen.eta * weights)
+    return GridMeasure(op.grid, eigen.eta * op.gamma_weights)
 
 
 def tensor_eigen(factors) -> ProductEigenPair:

@@ -111,7 +111,7 @@ def test_criterion_2_ou_eigenpair(ou_7999):
     nodes = o["grid"].nodes
     keep = (nodes >= 0.1) & (nodes <= 4.0)
     eta_rel = float(np.max(np.abs(o["eigen"].eta[keep] / (c * nodes[keep]) - 1.0)))
-    alpha = qsd_from_eigen(o["eigen"], o["spec"], o["grid"])
+    alpha = qsd_from_eigen(o["op"], o["eigen"])
     alpha_err = float(np.max(np.abs(alpha.density - 2.0 * nodes * np.exp(-nodes**2))))
     ok = lam0_err < 1e-3 and eta_rel <= 1e-3 and alpha_err < 1e-3 and o["elapsed"] < 5.0
     report_line(2, ok,
@@ -122,7 +122,7 @@ def test_criterion_2_ou_eigenpair(ou_7999):
 
 def test_criterion_3_constants(brownian_3999):
     b = brownian_3999
-    alpha = qsd_from_eigen(b["eigen"], b["spec"], b["grid"])
+    alpha = qsd_from_eigen(b["op"], b["eigen"])
     val = alpha_psi2_over_eta(np.ones(b["grid"].n), b["eigen"], alpha)
     quad_rel = abs(val - PI2_8) / PI2_8
     a_err = abs(BOUND_A - (1.0 + 1.0 / (1.0 - math.sqrt(0.9))))
@@ -143,7 +143,7 @@ def test_criterion_4_checkpoint_identity(brownian, ou):
         measures = (
             GridMeasure(g, np.ones(g.n)),
             GridMeasure(g, np.exp(-((g.nodes - mid) ** 2) / (2 * width**2))),
-            qsd_from_eigen(prob.eigen, prob.spec, g),
+            qsd_from_eigen(prob.op, prob.eigen),
         )
         dt = default_dt(g, prob.lambda0)
         for mu in measures:

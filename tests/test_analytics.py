@@ -112,9 +112,20 @@ class TestBoundConstants:
             alpha_psi2_over_eta(np.ones(cf.grid.n), bad, cf.alpha)
 
 
+class TestLambda0LowerUsed:
+    # a closed-form eigenpair has no Collatz-Wielandt bracket: lambda0 bounds itself
+    def test_without_bracket(self):
+        eigen = closed_form("brownian_hypercube", n=100).eigen
+        assert eigen.lambda0_bracket is None
+        assert analytics.lambda0_lower_used(eigen) == eigen.lambda0
+        assert analytics.lambda0_lower_used(eigen, 1.0) == 1.0
+        with pytest.raises(ValueError, match="exceeds the upper bound"):
+            analytics.lambda0_lower_used(eigen, 1.01 * eigen.lambda0)
+
+
 class TestBurnIn:
     def test_qsd_needs_no_burn_in(self, brownian):
-        alpha = qsd_from_eigen(brownian.eigen, brownian.spec, brownian.grid)
+        alpha = qsd_from_eigen(brownian.op, brownian.eigen)
         psi = np.ones(brownian.grid.n)
         burn = burn_in_time(brownian.eigen, alpha, psi, alpha, brownian.op,
                             times=np.linspace(0.0, 1.0, 11))
@@ -125,7 +136,7 @@ class TestBurnIn:
         spike = np.zeros(g.n)
         spike[g.n // 3] = 1.0
         mu = GridMeasure(g, spike)
-        alpha = qsd_from_eigen(brownian.eigen, brownian.spec, g)
+        alpha = qsd_from_eigen(brownian.op, brownian.eigen)
         psi = np.ones(g.n)
         burn = burn_in_time(brownian.eigen, alpha, psi, mu, brownian.op,
                             times=np.linspace(0.0, 3.0, 61))
@@ -137,7 +148,7 @@ class TestBurnIn:
 
         g = brownian.grid
         mu = gaussian_measure(g, -0.6, 0.12)
-        alpha = qsd_from_eigen(brownian.eigen, brownian.spec, g)
+        alpha = qsd_from_eigen(brownian.op, brownian.eigen)
         psi = np.ones(g.n)
         times = np.linspace(0.0, 2.0, 41)
         burn = burn_in_time(brownian.eigen, alpha, psi, mu, brownian.op, times=times)
@@ -175,7 +186,7 @@ class TestFitDecayRate:
         from qsdlab.grid_measure import tv_distance
 
         mu = gaussian_measure(brownian.grid, 0.3, 0.35)
-        alpha = qsd_from_eigen(brownian.eigen, brownian.spec, brownian.grid)
+        alpha = qsd_from_eigen(brownian.op, brownian.eigen)
         times = np.linspace(0.0, 2.0, 41)
         states = flow_curve(brownian.op, mu, times, default_dt(brownian.grid, brownian.lambda0),
                             eigen=brownian.eigen)

@@ -108,6 +108,16 @@ class TestConfigFile:
             assert (flag / name).read_bytes() == (keyed / name).read_bytes(), name
         assert len(read(flag / "survival.csv").splitlines()) == 27  # header, t = 0 and 25 steps
 
+    def test_boolean_key_false_and_unparsable(self, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text("example = brownian\nmc.resample = false\n")
+        assert parse_config_file(conf)["mc.resample"] is False
+        conf.write_text("example = brownian\nmc.resample = maybe\n")
+        out = tmp_path / "x"
+        assert run(["simulate", "--config", str(conf), "--output", str(out)]) == 1
+        assert "mc.resample: expected a boolean, got 'maybe'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_mc_dt_flag_is_gone(self, tmp_path):
         out = tmp_path / "x"
         assert run(["simulate", "--example", "brownian", "--mc-dt", "1e-3",
@@ -218,6 +228,21 @@ class TestCommands:
         assert table["kappa_tilde_basic"] >= 6.0
         assert table["kappa_tilde_refined"] >= table["kappa_tilde_basic"]
         assert table["lambda0_lower_used"] == 1.0
+
+    def test_rates_without_a_refined_cdfi_rate(self, tmp_path):
+        # the drift form of kappa~ needs V' > 0, which V = 0 does not have
+        out = tmp_path / "rates"
+        assert run(["rates", "--potential", "zero", "--x-min", "-1", "--x-max", "1",
+                    "--n", "200", "--output", str(out)]) == 0
+        table = json.loads(read(out / "rates.json"))
+        assert table["kappa_tilde_refined"] is None
+        assert table["kappa_tilde_basic"] > 0.0
+
+    def test_brownian_report_takes_the_analytic_curvature(self, tmp_path):
+        out = tmp_path / "rep"
+        assert run(["report", "--example", "brownian", "--N", "2", "--n", "200",
+                    "--samples", "11", "--output", str(out)]) == 0
+        assert json.loads(read(out / "report.json"))["kappa"] == (math.pi / 4.0) ** 2
 
     # lambda0 of delta = 3 on (0, 2.5) at n = 400 is 7.959: a lower bound of
     # 50 would certify kappa_tilde = 35.88, above the gap 11.17
@@ -374,12 +399,13 @@ class TestCommands:
         out = tmp_path / "cli"
         assert run(["eigen", "--example", "ou", "--n", "300", "--output", str(out)]) == 0
         spec, grid = quadratic_potential(1.0), build_grid(0.0, 8.0, 300)
-        eigen = spectral.principal_eigenpair(spectral.assemble_generator(spec, grid))
+        op = spectral.assemble_generator(spec, grid)
+        eigen = spectral.principal_eigenpair(op)
         lib = tmp_path / "lib"
         lib.mkdir()
         spectral.save_eigen_json(eigen, lib / "eigen.json")
         spectral.save_eigen_csv(eigen, grid, lib / "eta.csv")
-        save_measure_csv(spectral.qsd_from_eigen(eigen, spec, grid), lib / "alpha.csv")
+        save_measure_csv(spectral.qsd_from_eigen(op, eigen), lib / "alpha.csv")
         for name in ("eigen.json", "eta.csv", "alpha.csv"):
             assert (out / name).read_bytes() == (lib / name).read_bytes(), name
         assert list(json.loads(read(out / "eigen.json"))) == [
@@ -396,8 +422,9 @@ class TestCommands:
         out = tmp_path / "cli"
         assert run(["eigen", "--example", "ou", "--n", str(n), "--output", str(out)]) == 0
         spec, grid = quadratic_potential(1.0), build_grid(0.0, 8.0, n)
-        eigen = spectral.principal_eigenpair(spectral.assemble_generator(spec, grid))
-        alpha = spectral.qsd_from_eigen(eigen, spec, grid)
+        op = spectral.assemble_generator(spec, grid)
+        eigen = spectral.principal_eigenpair(op)
+        alpha = spectral.qsd_from_eigen(op, eigen)
         spectral.save_eigen_csv(eigen, build_grid(0.0, 8.0, n), tmp_path / "eta.csv")
         save_measure_csv(alpha, tmp_path / "alpha.csv")
         for name, header, values in (("eta.csv", "x,eta", eigen.eta),
@@ -474,8 +501,9 @@ class TestCommands:
         g60 = build_grid(-1.0, 1.0, 60)
         save_measure_csv(GridMeasure(g60, np.exp(-4.0 * g60.nodes**2)), law)
         spec, grid = zero_potential(domain=(-1.0, 1.0)), build_grid(-1.0, 1.0, 50)
-        eigen = spectral.principal_eigenpair(spectral.assemble_generator(spec, grid))
-        alpha = spectral.qsd_from_eigen(eigen, spec, grid)
+        op = spectral.assemble_generator(spec, grid)
+        eigen = spectral.principal_eigenpair(op)
+        alpha = spectral.qsd_from_eigen(op, eigen)
         expected = tv_distance(regrid(load_measure_csv(law), grid), alpha)
         assert self.evolve_custom_tv0(tmp_path, law) == pytest.approx(expected, rel=1e-12)
 
@@ -501,7 +529,7 @@ class TestFlowCommands:
         spec, grid = quadratic_potential(1.0), build_grid(0.0, 8.0, 300)
         op = spectral.assemble_generator(spec, grid)
         eigen = spectral.principal_eigenpair(op)
-        alpha = spectral.qsd_from_eigen(eigen, spec, grid)
+        alpha = spectral.qsd_from_eigen(op, eigen)
         mu = GridMeasure(grid, np.exp(-((grid.nodes - 1.2) ** 2) / (2.0 * 0.4**2)))
         times = np.linspace(0.0, 2.0, 21)
         lib = tmp_path / "lib.csv"
@@ -523,6 +551,33 @@ class TestFlowCommands:
         err = capsys.readouterr().err
         assert "numerical failure: Krylov exponential not converged: basis size 2" in err
         assert not (tmp_path / "evo" / "curves.csv").exists()
+
+
+class TestQsdInitialLaw:
+    OU = ["--example", "ou", "--n", "400"]
+
+    def test_evolve_from_the_qsd_stays_there(self, tmp_path):
+        # the QSD is invariant for the conditioned flow and its mass decays as exp(-lambda0 t)
+        assert run(["eigen", *self.OU, "--output", str(tmp_path / "eig")]) == 0
+        assert run(["evolve", *self.OU, "--initial", "qsd", "--output", str(tmp_path / "evo")]) == 0
+        lam0 = json.loads(read(tmp_path / "eig" / "eigen.json"))["lambda0"]
+        rows = np.loadtxt(tmp_path / "evo" / "curves.csv", delimiter=",", skiprows=1)
+        assert rows.shape == (41, 6)
+        assert np.all(rows[:, 1] <= 1e-12)
+        np.testing.assert_allclose(rows[:, 5], -lam0 * rows[:, 0], rtol=1e-9, atol=0.0)
+
+    def test_report_writes_the_evolve_curves(self, tmp_path):
+        for command in ("evolve", "report"):
+            assert run([command, *self.OU, "--initial", "qsd", "--output", str(tmp_path / command)]) == 0
+        assert (tmp_path / "evolve" / "curves.csv").read_bytes() == \
+            (tmp_path / "report" / "curves.csv").read_bytes()
+
+    def test_simulate_from_the_qsd(self, tmp_path):
+        out = tmp_path / "sim"
+        assert run(["simulate", *self.OU, "--initial", "qsd", "--particles", "1000",
+                    "--horizon", "0.1", "--dt", "1e-3", "--output", str(out)]) == 0
+        x = np.loadtxt(out / "positions.csv", delimiter=",", skiprows=1, ndmin=2)[:, 1]
+        assert x.size > 0 and np.all(x > 0.0)
 
 
 class TestGridBounds:

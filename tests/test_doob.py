@@ -289,7 +289,7 @@ class TestEvolveTransformed:
 
 class TestConditionedFlow:
     def test_qsd_is_stationary_with_exact_survival(self, brownian):
-        alpha = qsd_from_eigen(brownian.eigen, brownian.spec, brownian.grid)
+        alpha = qsd_from_eigen(brownian.op, brownian.eigen)
         dt = default_dt(brownian.grid, brownian.lambda0)
         for t in (0.5, 1.0, 2.0):
             state = flow_curve(brownian.op, alpha, [t], dt, eigen=brownian.eigen)[-1]
@@ -370,7 +370,7 @@ class TestCheckpointIdentity:
         assert checkpoint_residual(brownian.op, brownian.eigen, mu, 0.5, dt) <= 1e-8
 
     def test_ou_from_qsd(self, ou):
-        alpha = qsd_from_eigen(ou.eigen, ou.spec, ou.grid)
+        alpha = qsd_from_eigen(ou.op, ou.eigen)
         dt = default_dt(ou.grid, ou.lambda0)
         for t in (0.5, 2.0):
             assert checkpoint_residual(ou.op, ou.eigen, alpha, t, dt) <= 1e-8
@@ -378,7 +378,7 @@ class TestCheckpointIdentity:
 
 class TestChi2DecayCurve:
     def test_qsd_initial_is_flat_zero(self, brownian):
-        alpha = qsd_from_eigen(brownian.eigen, brownian.spec, brownian.grid)
+        alpha = qsd_from_eigen(brownian.op, brownian.eigen)
         dt = default_dt(brownian.grid, brownian.lambda0)
         states = flow_curve(brownian.op, alpha, [0.0, 0.5, 1.0], dt, eigen=brownian.eigen)
         assert all(s.chi2_to_beta <= 1e-8 for s in states)
@@ -414,7 +414,7 @@ class TestChi2DecayCurve:
 
         g = brownian.grid
         mu = gaussian_measure(g, 0.3, 0.35)
-        alpha = qsd_from_eigen(brownian.eigen, brownian.spec, g)
+        alpha = qsd_from_eigen(brownian.op, brownian.eigen)
         a_ratio = alpha_psi2_over_eta(np.ones(g.n), brownian.eigen, alpha)
         times = np.linspace(0.0, 2.0, 21)
         states = flow_curve(brownian.op, mu, times, default_dt(g, brownian.lambda0),
@@ -553,7 +553,7 @@ class TestKrylovFlow:
         assert state.chi2_to_beta is None
 
     def test_qsd_initial_law_stays_put(self, ou):
-        alpha = qsd_from_eigen(ou.eigen, ou.spec, ou.grid)
+        alpha = qsd_from_eigen(ou.op, ou.eigen)
         states = flow_exponential(ou.op, alpha, [0.0, 0.5, 1.0], eigen=ou.eigen)
         for s in states:
             assert tv_distance(s.mu_t, alpha) <= 1e-10

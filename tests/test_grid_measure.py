@@ -306,6 +306,22 @@ class TestSerialization:
         assert again.grid == g
         np.testing.assert_allclose(again.density, mu.density, rtol=0, atol=1e-16)
 
+    @pytest.mark.parametrize("lo, hi, n", [
+        (-1.0, 1.0, 50), (-1.0, 1.0, 400), (-1.0, 1.0, 1000), (0.0, 8.0, 400), (0.0, 2.5, 200),
+        (-2.0, 2.0, 50), (-2.0, 2.0, 400), (-2.0, 2.0, 1000), (0.0, 1.0, 400),
+    ])
+    def test_loaded_measure_lives_on_the_saved_grid(self, tmp_path, lo, hi, n):
+        # the ends rebuilt from the nodes come out an ulp off on these grids;
+        # the saved nodes come back exactly, and they identify the grid
+        g = build_grid(lo, hi, n)
+        mu = GridMeasure(g, np.exp(-((g.nodes - 0.3 * hi) ** 2)))
+        path = tmp_path / "measure.csv"
+        save_measure_csv(mu, path)
+        again = load_measure_csv(path)
+        assert again.grid == g and hash(again.grid) == hash(g)
+        np.testing.assert_array_equal(again.grid.nodes, g.nodes)
+        assert tv_distance(again, mu) <= 4 * np.finfo(float).eps  # renormalization roundoff
+
     def test_header_and_digits(self, tmp_path):
         g = build_grid(0.0, 1.0, 5)
         mu = GridMeasure(g, np.full(5, 1.0 / (5 * g.h)))

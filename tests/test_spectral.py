@@ -282,21 +282,23 @@ class TestQsd:
     def test_brownian_density(self):
         g = build_grid(-1.0, 1.0, 3999)
         spec = zero_potential(domain=(-1, 1))
-        eig = principal_eigenpair(assemble_generator(spec, g))
-        alpha = qsd_from_eigen(eig, spec, g)
+        op = assemble_generator(spec, g)
+        eig = principal_eigenpair(op)
+        alpha = qsd_from_eigen(op, eig)
         exact = (math.pi / 4.0) * np.cos(math.pi * g.nodes / 2.0)
         assert np.max(np.abs(alpha.density - exact)) < 1e-4
 
     def test_ou_density(self):
         g = build_grid(0.0, 8.0, 7999)
         spec = quadratic_potential(1.0)
-        eig = principal_eigenpair(assemble_generator(spec, g))
-        alpha = qsd_from_eigen(eig, spec, g)
+        op = assemble_generator(spec, g)
+        eig = principal_eigenpair(op)
+        alpha = qsd_from_eigen(op, eig)
         exact = 2.0 * g.nodes * np.exp(-g.nodes**2)
         assert np.max(np.abs(alpha.density - exact)) < 1e-3
 
     def test_stationarity_under_conditioned_flow(self, brownian):
-        alpha = qsd_from_eigen(brownian.eigen, brownian.spec, brownian.grid)
+        alpha = qsd_from_eigen(brownian.op, brownian.eigen)
         state = flow_curve(
             brownian.op, alpha, [0.01], default_dt(brownian.grid, brownian.lambda0),
             eigen=brownian.eigen,
