@@ -370,10 +370,9 @@ def lambda0_lower_used(eigen: EigenPair, lower: float = None) -> float:
     return eigen.lambda0 if lower is None else lower
 
 
-def _report_1d(config: ReportConfig) -> DecayReport:
+def _report_1d(config: ReportConfig, op, eigen: EigenPair) -> DecayReport:
+    """The report of one factor, on its generator ``op`` and principal pair ``eigen``."""
     spec, grid, mu = config.spec, config.grid, config.initial
-    op = assemble_generator(spec, grid)
-    eigen = principal_eigenpair(op)
     lam_low = lambda0_lower_used(eigen, config.lambda0_lower)
     alpha = qsd_from_eigen(op, eigen)
 
@@ -419,7 +418,8 @@ def decay_report(config: ReportConfig) -> DecayReport:
     structure of the L1 ground metric; an upper bound for TV).
     """
     if not isinstance(config.spec, (list, tuple)):
-        return _report_1d(config)
+        op = assemble_generator(config.spec, config.grid)
+        return _report_1d(config, op, principal_eigenpair(op))
 
     specs = list(config.spec)
     grids = list(config.grid)
@@ -430,7 +430,7 @@ def decay_report(config: ReportConfig) -> DecayReport:
         raise ValueError("spec/grid/initial dimension mismatch")
 
     marginals = [
-        _report_1d(replace(config, label=f"{config.label}[{j}]", spec=sp, grid=gr, initial=mu))
+        decay_report(replace(config, label=f"{config.label}[{j}]", spec=sp, grid=gr, initial=mu))
         for j, (sp, gr, mu) in enumerate(zip(specs, grids, initial.factors))
     ]
     curves = {

@@ -90,10 +90,6 @@ class RunConfig(dict):
     """Flat configuration mapping with the DEFAULTS schema."""
 
 
-class FlowFailure(RuntimeError):
-    """Numerical failure surfaced by a command (exit code 2)."""
-
-
 def _coerce(key: str, raw: str):
     kind = _KEYS[key][1]
     if kind is str:
@@ -113,7 +109,7 @@ def _coerce(key: str, raw: str):
 
 def parse_config_file(path) -> dict:
     """Parse flat ``key = value`` configuration text ('#' starts a comment)."""
-    if not os.path.exists(path):
+    if not os.path.isfile(path):
         raise ValueError(f"config file not found: {path}")
     out = {}
     with open(path) as fh:
@@ -149,7 +145,7 @@ def validate(config: RunConfig) -> list[str]:
         bad.append("potential.lambda must be positive")
     if family == "tabulated":
         path = config.get("potential.table_path")
-        if not path or not os.path.exists(path):
+        if not path or not os.path.isfile(path):
             bad.append("potential.table_path must point to an existing CSV")
     if example is not None and not config.get("example.N", 1.0) > 0.0:
         bad.append("example.N must be positive")
@@ -178,8 +174,14 @@ def validate(config: RunConfig) -> list[str]:
         bad.append("initial.width must be positive")
     if fam == "custom":
         path = config.get("initial.path")
-        if not path or not os.path.exists(path):
+        if not path or not os.path.isfile(path):
             bad.append("initial.path must point to an existing CSV")
+    # the output directory, or the nearest of its parents that exists, must be a directory
+    out = os.path.abspath(config.get("output", "."))
+    while not os.path.exists(out):
+        out = os.path.dirname(out)
+    if not os.path.isdir(out):
+        bad.append("output must name a directory, not a file")
     return bad
 
 
@@ -227,89 +229,100 @@ def _build_problem(config: RunConfig):
     raise ValueError(f"unresolved potential family {problem!r}")
 
 
-def _initial_measure(config: RunConfig, spec, grid, alpha=None) -> GridMeasure:
-    family = config["initial.family"]
-    if family == "uniform":
-        lo, hi = _bound(config, "initial.lo", grid.x_min), _bound(config, "initial.hi", grid.x_max)
-        dens = ((grid.nodes >= lo) & (grid.nodes <= hi)).astype(float)
-        return GridMeasure(grid, dens)
-    if family == "gaussian-truncated":
-        center = _bound(config, "initial.center", 0.5 * (grid.x_min + grid.x_max))
-        width = _bound(config, "initial.width", 0.125 * (grid.x_max - grid.x_min))
-        dens = np.exp(-((grid.nodes - center) ** 2) / (2.0 * width**2))
-        return GridMeasure(grid, dens)
-    if family == "qsd":
-        if alpha is None:
-            op = spectral.assemble_generator(spec, grid)
-            alpha = spectral.qsd_from_eigen(op, spectral.principal_eigenpair(op, with_lambda1=False))
-        return alpha
-    if family == "custom":
-        measure = load_measure_csv(config["initial.path"])
-        # a law on the run's own nodes, to a rounding of 1e-9 h in the CSV, is
-        # taken as written; regrid would smooth it
-        if measure.grid.n == grid.n and np.allclose(measure.grid.nodes, grid.nodes,
-                                                    rtol=0.0, atol=1e-9 * grid.h):
-            return GridMeasure(grid, measure.density)
-        return regrid(measure, grid)
-    raise ValueError(f"unresolved initial family {family!r}")
+class _Problem:
+    """One run's spec, grid, sample times and `simulate` interval, with the
+    generator, eigenpair, QSD and initial law built at their first use."""
+
+    def __init__(self, config: RunConfig):
+        self.config = config
+        self.spec, self.grid = _build_problem(config)
+        # simulate absorbs at a bound set by flag or config, else at the potential's own end
+        self.domain = (_bound(config, "grid.x_min", self.spec.domain[0]),
+                       _bound(config, "grid.x_max", self.spec.domain[1]))
+        self.times = np.linspace(0.0, config["flow.t_max"], config["flow.samples"])
+
+    @functools.cached_property
+    def op(self):
+        return spectral.assemble_generator(self.spec, self.grid)
+
+    @functools.cached_property
+    def eigen(self):
+        with_lambda1 = self.config["command"] in ("eigen", "rates", "report")  # lambda1 costs a second solve
+        return spectral.principal_eigenpair(self.op, with_lambda1=with_lambda1)
+
+    @functools.cached_property
+    def alpha(self) -> GridMeasure:
+        return spectral.qsd_from_eigen(self.op, self.eigen)
+
+    @functools.cached_property
+    def initial(self) -> GridMeasure:
+        config, grid = self.config, self.grid
+        family = config["initial.family"]
+        if family == "uniform":
+            lo, hi = _bound(config, "initial.lo", grid.x_min), _bound(config, "initial.hi", grid.x_max)
+            dens = ((grid.nodes >= lo) & (grid.nodes <= hi)).astype(float)
+            return GridMeasure(grid, dens)
+        if family == "gaussian-truncated":
+            center = _bound(config, "initial.center", 0.5 * (grid.x_min + grid.x_max))
+            width = _bound(config, "initial.width", 0.125 * (grid.x_max - grid.x_min))
+            dens = np.exp(-((grid.nodes - center) ** 2) / (2.0 * width**2))
+            return GridMeasure(grid, dens)
+        if family == "qsd":
+            return self.alpha
+        if family == "custom":
+            measure = load_measure_csv(config["initial.path"])
+            # a law on the run's own nodes, to a rounding of 1e-9 h in the CSV, is
+            # taken as written; regrid would smooth it
+            if measure.grid.n == grid.n and np.allclose(measure.grid.nodes, grid.nodes,
+                                                        rtol=0.0, atol=1e-9 * grid.h):
+                return GridMeasure(grid, measure.density)
+            return regrid(measure, grid)
+        raise ValueError(f"unresolved initial family {family!r}")
 
 
-def _cmd_eigen(config: RunConfig, outdir: str) -> None:
-    spec, grid = _build_problem(config)
-    op = spectral.assemble_generator(spec, grid)
-    eigen = spectral.principal_eigenpair(op)
-    spectral.save_eigen_json(eigen, os.path.join(outdir, "eigen.json"))
-    spectral.save_eigen_csv(eigen, grid, os.path.join(outdir, "eta.csv"))
-    save_measure_csv(spectral.qsd_from_eigen(op, eigen), os.path.join(outdir, "alpha.csv"))
+def _cmd_eigen(p: _Problem, outdir: str) -> None:
+    spectral.save_eigen_json(p.eigen, os.path.join(outdir, "eigen.json"))
+    spectral.save_eigen_csv(p.eigen, p.grid, os.path.join(outdir, "eta.csv"))
+    save_measure_csv(p.alpha, os.path.join(outdir, "alpha.csv"))
 
 
-def _cmd_evolve(config: RunConfig, outdir: str) -> None:
-    spec, grid = _build_problem(config)
-    op = spectral.assemble_generator(spec, grid)
-    eigen = spectral.principal_eigenpair(op, with_lambda1=False)
-    alpha = spectral.qsd_from_eigen(op, eigen)
-    mu = _initial_measure(config, spec, grid, alpha)
-    times = np.linspace(0.0, config["flow.t_max"], config["flow.samples"])
-    curves = analytics.decay_curves(op, eigen, alpha, mu, times)
-    analytics.write_curves_csv(os.path.join(outdir, "curves.csv"), times, curves)
+def _cmd_evolve(p: _Problem, outdir: str) -> None:
+    curves = analytics.decay_curves(p.op, p.eigen, p.alpha, p.initial, p.times)
+    analytics.write_curves_csv(os.path.join(outdir, "curves.csv"), p.times, curves)
 
 
-def _cmd_simulate(config: RunConfig, outdir: str) -> None:
-    spec, grid = _build_problem(config)
-    mu = _initial_measure(config, spec, grid)
+def _cmd_simulate(p: _Problem, outdir: str) -> None:
     sim = montecarlo.SimConfig(
-        spec=spec,
-        domain=spec.domain,
-        dt=config["mc.dt"],
-        horizon=config["mc.horizon"],
-        n_particles=config["mc.particles"],
-        seed=config["seed"],
-        resample=bool(config["mc.resample"]),
+        spec=p.spec,
+        domain=p.domain,
+        dt=p.config["mc.dt"],
+        horizon=p.config["mc.horizon"],
+        n_particles=p.config["mc.particles"],
+        seed=p.config["seed"],
+        resample=bool(p.config["mc.resample"]),
     )
-    ensemble = montecarlo.simulate(sim, mu)
+    ensemble = montecarlo.simulate(sim, p.initial)
     montecarlo.save_survival_csv(ensemble, os.path.join(outdir, "survival.csv"))
     montecarlo.save_positions_csv(ensemble, os.path.join(outdir, "positions.csv"))
     if ensemble.status != "ok":
-        raise FlowFailure(f"simulation ended with status {ensemble.status}")
+        raise doob.FlowError(f"simulation ended with status {ensemble.status}")
 
 
-def _cmd_rates(config: RunConfig, outdir: str) -> None:
-    spec, grid = _build_problem(config)
-    eigen = spectral.principal_eigenpair(spectral.assemble_generator(spec, grid))
-    _, _, vpp = evaluate(spec, grid.nodes)
-    lam_used = analytics.lambda0_lower_used(eigen, config.get("rates.lambda0_lower"))
+def _cmd_rates(p: _Problem, outdir: str) -> None:
+    _, _, vpp = evaluate(p.spec, p.grid.nodes)
+    lam_used = analytics.lambda0_lower_used(p.eigen, p.config.get("rates.lambda0_lower"))
     table = {
-        "lambda0": eigen.lambda0,
-        "lambda1": eigen.lambda1,
-        "gap": eigen.gap,
+        "lambda0": p.eigen.lambda0,
+        "lambda1": p.eigen.lambda1,
+        "gap": p.eigen.gap,
         "kappa_classical_inf_Vpp": be_constant(np.asarray(vpp)),
-        "kappa_effective_inf_Wpp": be_constant(effective_second_derivative(spec, eigen, grid)),
+        "kappa_effective_inf_Wpp": be_constant(effective_second_derivative(p.spec, p.eigen, p.grid)),
         "lambda0_lower_used": lam_used,
-        "kappa_tilde_basic": cdfi_rate(spec, lam_used, grid, use_drift_form=False),
+        "kappa_tilde_basic": cdfi_rate(p.spec, lam_used, p.grid, use_drift_form=False),
         "kappa_tilde_refined": None,
     }
     try:
-        table["kappa_tilde_refined"] = cdfi_rate(spec, lam_used, grid, use_drift_form=True)
+        table["kappa_tilde_refined"] = cdfi_rate(p.spec, lam_used, p.grid, use_drift_form=True)
     except ValueError:  # the drift form needs V' > 0
         pass
     write_json(os.path.join(outdir, "rates.json"), table)
@@ -318,26 +331,22 @@ def _cmd_rates(config: RunConfig, outdir: str) -> None:
         print(f"{key.ljust(width)}  {val if val is None else format(val, '.12g')}")
 
 
-def _cmd_report(config: RunConfig, outdir: str) -> None:
-    spec, grid = _build_problem(config)
-    mu = _initial_measure(config, spec, grid)
-    times = np.linspace(0.0, config["flow.t_max"], config["flow.samples"])
-    family = config.get("potential.family")
-    is_cdfi = family == "shifted-power"
+def _cmd_report(p: _Problem, outdir: str) -> None:
+    family = p.config.get("potential.family")
     kappa = None
-    if config.get("example") == "brownian":
-        kappa = (math.pi / (2.0 * config["example.N"])) ** 2
+    if p.config.get("example") == "brownian":
+        kappa = (math.pi / (2.0 * p.config["example.N"])) ** 2
     rc = analytics.ReportConfig(
-        label=config.get("example") or family,
-        spec=spec,
-        grid=grid,
-        initial=mu,
-        times=times,
-        cdfi=is_cdfi,
-        lambda0_lower=config.get("rates.lambda0_lower"),
+        label=p.config.get("example") or family,
+        spec=p.spec,
+        grid=p.grid,
+        initial=p.initial,
+        times=p.times,
+        cdfi=family == "shifted-power",
+        lambda0_lower=p.config.get("rates.lambda0_lower"),
         kappa=kappa,
     )
-    report = analytics.decay_report(rc)
+    report = analytics._report_1d(rc, p.op, p.eigen)
     analytics.save_report_json(report, os.path.join(outdir, "report.json"))
     analytics.save_curves_csv(report, os.path.join(outdir, "curves.csv"))
 
@@ -424,12 +433,12 @@ def run(argv=None) -> int:
             for diag in diagnostics:
                 print(f"qsdlab: {diag}", file=sys.stderr)
             return 1
-        _COMMAND_IMPL[config["command"]](config, config["output"])
+        _COMMAND_IMPL[config["command"]](_Problem(config), config["output"])
         return 0
     except ValueError as exc:
         print(f"qsdlab: {exc}", file=sys.stderr)
         return 1
-    except (ConvergenceError, doob.FlowError, FlowFailure) as exc:
+    except (ConvergenceError, doob.FlowError) as exc:
         print(f"qsdlab: numerical failure: {exc}", file=sys.stderr)
         return 2
 

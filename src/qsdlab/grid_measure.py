@@ -293,6 +293,8 @@ def load_measure_csv(path) -> GridMeasure:
     uniform node layout ``x_i = x_min + (i + 1) h``; it keeps the saved nodes.
     """
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if data.shape[1] != 2:
+        raise ValueError("measure CSV must have columns x,density")
     xs = data[:, 0]
     dens = data[:, 1]
     if xs.size < 3:

@@ -618,6 +618,84 @@ class TestGridBounds:
             pytest.approx(-1e-3 + 1.001 / 51)
 
 
+class TestPathKinds:
+    @pytest.mark.parametrize("argv", [
+        ["eigen", "--potential", "tabulated", "--table-path", "{dir}"],
+        ["evolve", "--example", "ou", "--n", "100", "--initial", "custom", "--initial-path", "{dir}"],
+        ["eigen", "--config", "{dir}"],
+    ], ids=["table-path", "initial-path", "config"])
+    def test_directory_for_a_file_exits_one_without_outputs(self, tmp_path, capsys, argv):
+        out = tmp_path / "x"
+        assert run([a.format(dir=tmp_path) for a in argv] + ["--output", str(out)]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("qsdlab: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "under-a-file"])
+    def test_output_naming_a_file_exits_one_before_solving(self, tmp_path, capsys, below):
+        target = tmp_path / "taken"
+        target.write_text("old\n")
+        assert run(["eigen", "--example", "ou", "--n", "100", "--output", str(target / below)]) == 1
+        assert capsys.readouterr().err == "qsdlab: output must name a directory, not a file\n"
+        assert read(target) == "old\n" and [p.name for p in tmp_path.iterdir()] == ["taken"]
+
+    @pytest.mark.parametrize("command", ["evolve", "simulate"])
+    @pytest.mark.parametrize("text", ["x,density\n", "x\n0.25\n0.5\n0.75\n"], ids=["header-only", "one-column"])
+    def test_custom_law_without_two_columns_exits_one(self, tmp_path, capsys, command, text):
+        law = tmp_path / "mu.csv"
+        law.write_text(text)
+        out = tmp_path / "x"
+        assert run([command, "--example", "ou", "--n", "100", "--particles", "200", "--initial", "custom",
+                    "--initial-path", str(law), "--output", str(out)]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.endswith("qsdlab: measure CSV must have columns x,density\n") and "Traceback" not in err
+
+
+class TestRunProblem:
+    OU = ["--example", "ou", "--n", "200"]
+    QSD = ["--initial", "qsd"]
+    MC = ["--particles", "200", "--horizon", "0.05"]
+
+    # each command solves once for lambda0 and eta, and once more for the gap
+    # where it reports lambda1; the qsd initial law reuses the run's eigenpair
+    @pytest.mark.parametrize("command, extra, solves", [
+        ("eigen", [], 2),
+        ("rates", [], 2),
+        ("evolve", [], 1),
+        ("evolve", QSD, 1),
+        ("simulate", MC, 0),
+        ("simulate", [*MC, *QSD], 1),
+        ("report", [], 2),
+        ("report", QSD, 2),
+    ], ids=["eigen", "rates", "evolve", "evolve-qsd", "simulate", "simulate-qsd", "report", "report-qsd"])
+    def test_inverse_iterations_per_command(self, tmp_path, monkeypatch, command, extra, solves):
+        from qsdlab import spectral
+
+        calls = []
+        solve = spectral._inverse_iteration
+        monkeypatch.setattr(spectral, "_inverse_iteration", lambda *a: calls.append(1) or solve(*a))
+        assert run([command, *self.OU, *extra, "--output", str(tmp_path / "x")]) == 0
+        assert len(calls) == solves
+
+    @pytest.mark.parametrize("argv, lo, hi", [
+        (["--potential", "quadratic", "--x-min", "1", "--x-max", "3"], 1.0, 3.0),
+        (["--example", "ou", "--x-max", "2"], 0.0, 2.0),
+    ], ids=["quadratic", "ou"])
+    def test_simulate_absorbs_at_the_bounds_it_is_given(self, tmp_path, argv, lo, hi):
+        out = tmp_path / "sim"
+        assert run(["simulate", *argv, "--n", "100", "--particles", "500", "--horizon", "0.2",
+                    "--dt", "1e-3", "--output", str(out)]) == 0
+        x = np.loadtxt(out / "positions.csv", delimiter=",", skiprows=1, ndmin=2)[:, 1]
+        assert x.size > 0 and np.all((x > lo) & (x < hi))
+
+    def test_simulate_all_absorbed_is_a_numerical_failure(self, tmp_path, capsys):
+        assert run(["simulate", "--potential", "zero", "--x-min", "-0.02", "--x-max", "0.02", "--n", "50",
+                    "--particles", "200", "--output", str(tmp_path / "dead")]) == 2
+        assert capsys.readouterr().err == \
+            "qsdlab: numerical failure: simulation ended with status all_absorbed\n"
+
+
 class TestProcess:
     SIMULATE = ["simulate", "--example", "brownian", "--N", "1.0", "--particles", "1000",
                 "--dt", "0.001", "--horizon", "0.1", "--seed", "3"]
