@@ -39,7 +39,6 @@ from .doob import (
     FlowState,
     checkpoint_residual,
     doob_generator,
-    evolve_transformed,
     flow_curve,
     flow_exponential,
 )

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .artifacts import write_csv, write_json
-from .doob import default_dt, flow_curve, flow_exponential
+from .doob import flow_exponential
 from .grid_measure import (
     Grid1D,
     GridMeasure,
@@ -195,20 +195,13 @@ class BurnIn:
     reached: bool
 
 
-def burn_in_time(eigen: EigenPair, alpha: GridMeasure, psi: np.ndarray,
-                 mu: GridMeasure, op, times) -> BurnIn:
-    """Smallest sampled t with alpha(psi^2/eta) chi2^2(eta*phi_t(mu)|beta) < 0.9.
+def burn_in_time(a_ratio: float, times, chi2) -> BurnIn:
+    """First of ``times`` with a_ratio * chi2^2 < 0.9, a_ratio = alpha(psi^2/eta).
 
-    Steps Crank-Nicolson at ``default_dt``; returns (times[-1], reached=False)
-    when the threshold is never crossed on the sampled times.
+    ``chi2`` holds the chi-square distances of eta*phi_t(mu) to beta at
+    ``times``; returns (times[-1], reached=False) when the threshold is never
+    crossed on the sampled times.
     """
-    a_ratio = alpha_psi2_over_eta(psi, eigen, alpha)
-    times = np.asarray(times, dtype=float)
-    states = flow_curve(op, mu, times, default_dt(op.grid, eigen.lambda0), eigen=eigen)
-    return _scan_burn_in(a_ratio, times, [s.chi2_to_beta for s in states])
-
-
-def _scan_burn_in(a_ratio: float, times, chi2) -> BurnIn:
     for t, c in zip(times, chi2):
         if a_ratio * c**2 < BURN_IN_THRESHOLD:
             return BurnIn(time=float(t), reached=True)
@@ -380,7 +373,7 @@ def _report_1d(config: ReportConfig, op, eigen: EigenPair) -> DecayReport:
     curves = decay_curves(op, eigen, alpha, mu, times)
 
     bc = bound_constants(np.ones(grid.n), eigen, alpha)
-    burn = _scan_burn_in(bc.alpha_psi2_over_eta, times, curves["chi2"])
+    burn = burn_in_time(bc.alpha_psi2_over_eta, times, curves["chi2"])
     notes = ["tensor eigenfunction: n/a (one factor)"]
     if not burn.reached:
         notes.append("burn-in threshold not reached on the sampled times")

@@ -52,7 +52,6 @@ __all__ = [
     "FlowState",
     "FlowError",
     "doob_generator",
-    "evolve_transformed",
     "flow_curve",
     "flow_exponential",
     "checkpoint_residual",
@@ -138,65 +137,6 @@ def _check_density(m, mass, where: str) -> None:
         low = float(m.min())
         if not low >= NEGATIVE_DENSITY_TOL * max(float(m.max()), -low):  # a NaN fails too
             raise FlowError(f"negative density {low:.3e} {where}")
-
-
-def _cn_run(diag, off_upper, off_lower, m0, duration, dt, shift=0.0, startup=True, cache=None):
-    """Run Crank-Nicolson over ``duration``; returns (state, accumulated log mass).
-
-    The steps act on w = m / d, with d and the symmetric bands from
-    `_symmetric_bands`.  I - aS, a = step/2, is factored once per step size:
-    ``cache``, a dict shared by the runs of one `flow_curve`, keeps d and the
-    factors of every step value (the startup runs once per flow, so its
-    factors are not kept).  Each step is one ``pttrs`` solve, y = (I - aS)^-1
-    w, and w <- 2y - w, which equals (I - aS)^-1 (I + aS) w without the
-    explicit multiply.  As d > 0, w has the sign of m: m = d w is formed for
-    the negativity test only when w has a negative (or NaN) entry, and for
-    the renormalizations the mass is d @ w.
-
-    With ``startup`` the first two steps are replaced by implicit-Euler
-    quarter-steps (Rannacher smoothing): initial densities need not vanish at
-    the absorbing endpoints, and the L-stable startup damps the incompatible
-    stiff content that Crank-Nicolson would carry as slowly decaying
-    oscillations, without losing second-order accuracy overall.
-    """
-    from scipy.linalg.lapack import dpttrs
-    log_mass = 0.0
-    if duration == 0.0:
-        return m0.copy(), log_mass
-    steps = max(1, math.ceil(duration / dt))
-    step = duration / steps
-    cache = {} if cache is None else cache
-    d, off = cache.get("scaling") or _symmetric_bands(off_upper, off_lower, FlowError)
-    if step not in cache:
-        cn = _cn_factors(diag, off, 0.5 * step, shift)
-        cn[0] *= 0.5  # halving the pivots (exact) makes each solve return 2y directly
-        cache.update({"scaling": (d, off), step: cn})
-    cn = cache[step]
-    n_startup = min(2, steps) if startup else 0
-    if n_startup:
-        ie = _cn_factors(diag, off, 0.25 * step, shift)
-    mass0 = float(m0.sum())
-    w = m0 / d
-    for k in range(steps):
-        if k < n_startup:
-            for _ in range(4):
-                w, _ = dpttrs(*ie, w, overwrite_b=True)
-        else:
-            y, _ = dpttrs(*cn, w)
-            y -= w
-            w = y
-        if not w.min() >= 0.0:  # a NaN fails this test too
-            _check_density(d * w, None, f"after step {k + 1}; reduce dt")
-        if (k + 1) % RENORM_EVERY == 0:
-            mass = float(d @ w)
-            _check_density(None, mass, "")
-            log_mass += math.log(mass / mass0)
-            w *= mass0 / mass
-    m = d * w
-    mass = float(m.sum())
-    log_mass += math.log(mass / mass0)
-    m *= mass0 / mass
-    return m, log_mass
 
 
 def _krylov_coefficients(hess, gamma, times, residual, tol):
@@ -291,25 +231,6 @@ def _krylov_run(v0, times, gamma, solve, apply, tol):
     )
 
 
-def evolve_transformed(tilde: TridiagonalOperator, nu: GridMeasure, t: float, dt: float) -> GridMeasure:
-    """Evolve a measure under the transformed (Markovian) semigroup by `flow_curve`.
-
-    A mass drift beyond roundoff before the final normalization raises `FlowError`.
-    """
-    if t < 0.0:
-        raise ValueError("time must be nonnegative")
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    if nu.grid != tilde.grid:
-        raise ValueError("measure lives on a different grid")
-    if t == 0.0:
-        return nu
-    state = flow_curve(tilde, nu, [t], dt)[-1]
-    if abs(math.expm1(state.log_survival)) > 1e-8:
-        raise FlowError(f"mass drifted by {math.expm1(state.log_survival):.3e} during evolution")
-    return state.mu_t
-
-
 def _sample_times(op: TridiagonalOperator, mu: GridMeasure, times) -> np.ndarray:
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
@@ -353,33 +274,71 @@ def flow_curve(
     restarting from the normalized state exact up to the recorded log of the
     surviving mass).  With ``eigen`` supplied, the stepper shifts the
     generator by lambda0 and the chi-square distance of eta*mu_t to beta is
-    recorded on each snapshot.  ``smooth_start`` applies the Rannacher
-    startup once at t=0; disable it when composing flows whose initial
-    density already vanishes at the absorbing endpoints.  `flow_exponential`
-    evaluates the same flow without time steps.
+    recorded on each snapshot.  `flow_exponential` evaluates the same flow
+    without time steps.
+
+    The steps act on w = m / d (d and the symmetric bands from
+    `_symmetric_bands`, formed at the first positive segment).  Each step is
+    one ``pttrs`` solve, y = (I - aS)^-1 w, a = step/2, and w <- 2y - w,
+    which equals (I - aS)^-1 (I + aS) w without the explicit multiply.  As
+    d > 0, w has the sign of m: m = d w is formed for the negativity test
+    only when w has a negative (or NaN) entry, and for the renormalizations
+    the mass is d @ w.  ``smooth_start`` replaces the first two steps of the
+    flow by implicit-Euler quarter-steps (Rannacher smoothing): initial
+    densities need not vanish at the absorbing endpoints, and the L-stable
+    startup damps the incompatible stiff content that Crank-Nicolson would
+    carry as slowly decaying oscillations.  Disable it when composing flows
+    whose initial density already vanishes at the absorbing endpoints.
     """
+    from scipy.linalg.lapack import dpttrs
     times = _sample_times(op, mu, times)
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     shift = eigen.lambda0 if eigen is not None else 0.0
     beta = _beta(op, eigen) if eigen is not None else None
 
-    cache = {}
+    factors = {}
     states = []
-    m = mu.density.copy()
+    m = mu.density
     log_surv = 0.0
-    t_prev = 0.0
-    smoothed = not smooth_start
-    for t in times:
-        seg = t - t_prev
-        m, log_mass = _cn_run(
-            op.diag, op.off_upper, op.off_lower, m, seg, dt,
-            shift=shift, startup=not smoothed, cache=cache,
-        )
+    startup = smooth_start
+    for t, seg in zip(times, np.diff(times, prepend=0.0)):
+        log_mass = 0.0
         if seg > 0.0:
-            smoothed = True
+            if not factors:  # the first positive segment
+                d, off = _symmetric_bands(op.off_upper, op.off_lower, FlowError)
+            steps = max(1, math.ceil(seg / dt))
+            step = seg / steps
+            if step not in factors:
+                factors[step] = _cn_factors(op.diag, off, 0.5 * step, shift)
+                factors[step][0] *= 0.5  # halving the pivots (exact) makes each solve return 2y directly
+            cn = factors[step]
+            n_startup = min(2, steps) if startup else 0
+            if n_startup:
+                ie = _cn_factors(op.diag, off, 0.25 * step, shift)
+            startup = False
+            mass0 = float(m.sum())
+            w = m / d
+            for k in range(steps):
+                if k < n_startup:
+                    for _ in range(4):
+                        w, _ = dpttrs(*ie, w, overwrite_b=True)
+                else:
+                    y, _ = dpttrs(*cn, w)
+                    y -= w
+                    w = y
+                if not w.min() >= 0.0:  # a NaN fails this test too
+                    _check_density(d * w, None, f"after step {k + 1}; reduce dt")
+                if (k + 1) % RENORM_EVERY == 0:
+                    mass = float(d @ w)
+                    _check_density(None, mass, "")
+                    log_mass += math.log(mass / mass0)
+                    w *= mass0 / mass
+            m = d * w
+            mass = float(m.sum())
+            log_mass += math.log(mass / mass0)
+            m *= mass0 / mass
         log_surv += log_mass - shift * seg
-        t_prev = t
         states.append(_flow_state(op, t, m, log_surv, eigen=eigen, beta=beta))
     return states
 
@@ -467,10 +426,12 @@ def checkpoint_residual(
     """TV distance between eta*phi_t(mu) and (eta*mu) evolved by the transform.
 
     Both sides use the same Crank-Nicolson stepper and step count, so the
-    residual reflects only the inexactness of the discrete conjugation.
+    residual reflects only the inexactness of the discrete conjugation.  The
+    transform conserves mass: a drift beyond 1e-8 raises `FlowError`.
     """
     lhs = tilt(eigen.eta, flow_curve(op, mu, [t], dt, eigen=eigen)[-1].mu_t)
-    tilde = doob_generator(op, eigen)
-    rhs = evolve_transformed(tilde, tilt(eigen.eta, mu), t, dt)
-    return tv_distance(lhs, rhs)
+    rhs = flow_curve(doob_generator(op, eigen), tilt(eigen.eta, mu), [t], dt)[-1]
+    if abs(math.expm1(rhs.log_survival)) > 1e-8:
+        raise FlowError(f"mass drifted by {math.expm1(rhs.log_survival):.3e} during evolution")
+    return tv_distance(lhs, rhs.mu_t)
 

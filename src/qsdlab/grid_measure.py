@@ -18,6 +18,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -292,7 +293,9 @@ def load_measure_csv(path) -> GridMeasure:
     The grid's ends are reconstructed from the node coordinates assuming the
     uniform node layout ``x_i = x_min + (i + 1) h``; it keeps the saved nodes.
     """
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    with warnings.catch_warnings():  # a header-only file fails the column test below
+        warnings.simplefilter("ignore", UserWarning)
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if data.shape[1] != 2:
         raise ValueError("measure CSV must have columns x,density")
     xs = data[:, 0]

@@ -158,9 +158,10 @@ def _symmetric_bands(off_upper, off_lower, error=ConvergenceError):
         log_ratio[off_upper == off_lower] = 0.0
         log_d = np.concatenate(([0.0], np.cumsum(log_ratio)))
         d = np.exp(log_d - 0.5 * (log_d.max() + log_d.min()))
-    if not (np.isfinite(d).all() and d.min() > 0.0):
+        off = np.sqrt(off_upper * off_lower)
+    if not (np.isfinite(d).all() and d.min() > 0.0 and np.isfinite(off).all()):
         raise error("non-finite generator scaling: not reversible, or weights over too many decades")
-    return d, np.sqrt(off_upper * off_lower)
+    return d, off
 
 
 def _gth_factors(left: np.ndarray, right: np.ndarray) -> tuple:

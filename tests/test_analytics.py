@@ -9,6 +9,7 @@ from qsdlab import analytics
 from qsdlab.analytics import (
     BOUND_A,
     BOUND_B,
+    BurnIn,
     ReportConfig,
     alpha_psi2_over_eta,
     bound_constants,
@@ -123,42 +124,48 @@ class TestLambda0LowerUsed:
             analytics.lambda0_lower_used(eigen, 1.01 * eigen.lambda0)
 
 
+def cn_chi2_curve(b, mu, times):
+    """alpha(1/eta) and the Crank-Nicolson chi-square curve of ``mu`` at ``default_dt``."""
+    from qsdlab.doob import default_dt, flow_curve
+
+    alpha = qsd_from_eigen(b.op, b.eigen)
+    a_ratio = alpha_psi2_over_eta(np.ones(b.grid.n), b.eigen, alpha)
+    states = flow_curve(b.op, mu, times, default_dt(b.grid, b.lambda0), eigen=b.eigen)
+    return a_ratio, np.array([s.chi2_to_beta for s in states])
+
+
 class TestBurnIn:
     def test_qsd_needs_no_burn_in(self, brownian):
         alpha = qsd_from_eigen(brownian.op, brownian.eigen)
-        psi = np.ones(brownian.grid.n)
-        burn = burn_in_time(brownian.eigen, alpha, psi, alpha, brownian.op,
-                            times=np.linspace(0.0, 1.0, 11))
+        times = np.linspace(0.0, 1.0, 11)
+        a_ratio, chi2 = cn_chi2_curve(brownian, alpha, times)
+        burn = burn_in_time(a_ratio, times, chi2)
         assert burn.reached and burn.time == 0.0
 
     def test_point_like_mass_burns_in_after_smoothing(self, brownian):
         g = brownian.grid
         spike = np.zeros(g.n)
         spike[g.n // 3] = 1.0
-        mu = GridMeasure(g, spike)
-        alpha = qsd_from_eigen(brownian.op, brownian.eigen)
-        psi = np.ones(g.n)
-        burn = burn_in_time(brownian.eigen, alpha, psi, mu, brownian.op,
-                            times=np.linspace(0.0, 3.0, 61))
+        times = np.linspace(0.0, 3.0, 61)
+        a_ratio, chi2 = cn_chi2_curve(brownian, GridMeasure(g, spike), times)
+        burn = burn_in_time(a_ratio, times, chi2)
         assert burn.reached
         assert 0.0 < burn.time < 3.0
 
     def test_matches_threshold_crossing_of_chi2_curve(self, brownian, gaussian_measure):
-        from qsdlab.doob import default_dt, flow_curve
-
-        g = brownian.grid
-        mu = gaussian_measure(g, -0.6, 0.12)
-        alpha = qsd_from_eigen(brownian.op, brownian.eigen)
-        psi = np.ones(g.n)
         times = np.linspace(0.0, 2.0, 41)
-        burn = burn_in_time(brownian.eigen, alpha, psi, mu, brownian.op, times=times)
-        a_ratio = alpha_psi2_over_eta(psi, brownian.eigen, alpha)
-        states = flow_curve(brownian.op, mu, times, default_dt(g, brownian.lambda0),
-                            eigen=brownian.eigen)
-        chi2 = np.array([s.chi2_to_beta for s in states])
+        a_ratio, chi2 = cn_chi2_curve(brownian, gaussian_measure(brownian.grid, -0.6, 0.12), times)
+        burn = burn_in_time(a_ratio, times, chi2)
         crossing = times[np.argmax(a_ratio * chi2**2 < 0.9)]
         assert burn.reached
         assert burn.time == pytest.approx(crossing, abs=1e-12)
+        # a curve that never crosses: the last sampled time, not reached
+        assert burn_in_time(a_ratio, times[:3], chi2[:3]) == BurnIn(time=times[2], reached=False)
+
+    def test_report_takes_its_burn_in_from_its_chi2_curve(self, brownian_report):
+        rep, _ = brownian_report
+        burn = burn_in_time(rep.alpha_psi2_over_eta, rep.times, rep.chi2)
+        assert (rep.burn_in_time, rep.burn_in_reached) == (burn.time, burn.reached)
 
 
 class TestFitDecayRate:

@@ -448,6 +448,15 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("qsdlab: numerical failure: ") and err.count("\n") == 1
         assert "Traceback" not in err and "Warning" not in err
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_generator_band_exits_two(self, tmp_path, capsys):
+        # V = 1e300 x^2: the product of the two off bands overflows
+        out = tmp_path / "eig"
+        assert run(["eigen", "--potential", "quadratic", "--lambda", "1e300", "--n", "50",
+                    "--output", str(out)]) == 2
+        assert capsys.readouterr().err == ("qsdlab: numerical failure: non-finite generator scaling: "
+                                           "not reversible, or weights over too many decades\n")
         assert not out.exists()
 
     # lambda1 - lambda0 of V = a (x^2 - 1)^2 tabulated at 2001 points on
@@ -639,6 +648,8 @@ class TestPathKinds:
         assert capsys.readouterr().err == "qsdlab: output must name a directory, not a file\n"
         assert read(target) == "old\n" and [p.name for p in tmp_path.iterdir()] == ["taken"]
 
+    # a numpy warning on a header-only file would print ahead of the one error line
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("command", ["evolve", "simulate"])
     @pytest.mark.parametrize("text", ["x,density\n", "x\n0.25\n0.5\n0.75\n"], ids=["header-only", "one-column"])
     def test_custom_law_without_two_columns_exits_one(self, tmp_path, capsys, command, text):
@@ -648,8 +659,16 @@ class TestPathKinds:
         assert run([command, "--example", "ou", "--n", "100", "--particles", "200", "--initial", "custom",
                     "--initial-path", str(law), "--output", str(out)]) == 1
         assert not out.exists()
-        err = capsys.readouterr().err
-        assert err.endswith("qsdlab: measure CSV must have columns x,density\n") and "Traceback" not in err
+        assert capsys.readouterr().err == "qsdlab: measure CSV must have columns x,density\n"
+
+    @pytest.mark.filterwarnings("error")
+    def test_header_only_potential_table_exits_one(self, tmp_path, capsys):
+        table = tmp_path / "v.csv"
+        table.write_text("x,V,Vp,Vpp\n")
+        out = tmp_path / "x"
+        assert run(["eigen", "--potential", "tabulated", "--table-path", str(table), "--output", str(out)]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err == "qsdlab: potential CSV must have columns x,V,Vp,Vpp\n"
 
 
 class TestRunProblem:

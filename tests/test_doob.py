@@ -8,17 +8,16 @@ from scipy.linalg import expm
 from qsdlab import doob
 from qsdlab.doob import (
     FlowError,
-    _cn_run,
     checkpoint_residual,
     default_dt,
     doob_generator,
-    evolve_transformed,
     flow_curve,
     flow_exponential,
 )
 from qsdlab.grid_measure import GridMeasure, build_grid, chi2_divergence, tilt, tv_distance
 from qsdlab.potential import quadratic_potential, shifted_power_potential, zero_potential
 from qsdlab.spectral import (
+    EigenPair,
     TridiagonalOperator,
     assemble_generator,
     principal_eigenpair,
@@ -50,6 +49,14 @@ def dense_cn(diag, off_upper, off_lower, m0, duration, dt, shift=0.0, startup=Tr
     return m / ratio, math.log(ratio)
 
 
+def bands_operator(diag, off):
+    """A symmetric generator with the given bands, on a grid of diag.size nodes."""
+    return TridiagonalOperator(
+        grid=build_grid(0.0, 1.0, diag.size), diag=diag, off_upper=off, off_lower=off,
+        gamma_weights=np.ones(diag.size), boundary_weights=(0.0, 0.0),
+    )
+
+
 class TestStepper:
     @pytest.fixture(scope="class")
     def small(self):
@@ -62,11 +69,10 @@ class TestStepper:
         op, eigen, mu = small
         tilde = doob_generator(op, eigen)
         nu = tilt(eigen.eta, mu)
-        bands = (tilde.diag, tilde.off_upper, tilde.off_lower, nu.density, 1.3, 0.04)
-        m, log_mass = _cn_run(*bands)
-        ref, ref_log = dense_cn(*bands)
-        assert np.max(np.abs(m - ref)) <= 1e-12 * np.max(np.abs(ref))
-        assert abs(log_mass - ref_log) <= 1e-12
+        state = flow_curve(tilde, nu, [1.3], 0.04)[-1]
+        ref, ref_log = dense_cn(tilde.diag, tilde.off_upper, tilde.off_lower, nu.density, 1.3, 0.04)
+        assert np.max(np.abs(state.mu_t.density - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert abs(state.log_survival - ref_log) <= 1e-12
 
     def test_shifted_flow_curve_matches_dense_scheme(self, small):
         op, eigen, mu = small
@@ -90,8 +96,8 @@ class TestStepper:
             assert state.log_survival == pytest.approx(log_surv, rel=1e-12, abs=1e-15)
 
     def test_flow_curve_reuses_factors_bitwise(self, monkeypatch):
-        # flow_curve shares the scaling and factors across its segments: the
-        # curves equal, bit for bit, those of a fresh _cn_run per segment
+        # flow_curve shares the factors across its segments: one factorization
+        # per distinct step value, plus the startup's
         g = build_grid(0.0, 8.0, 200)
         op = assemble_generator(quadratic_potential(1.0), g)
         eigen = principal_eigenpair(op)
@@ -101,20 +107,9 @@ class TestStepper:
         calls = []
         factor = doob._cn_factors
         monkeypatch.setattr(doob, "_cn_factors", lambda *a: calls.append(a) or factor(*a))
-        states = flow_curve(op, mu, times, dt, eigen=eigen)
-        shared = len(calls)
-        m, log_surv, t_prev = mu.density.copy(), 0.0, 0.0
-        for t, state in zip(times, states):
-            seg = t - t_prev
-            m, log_mass = _cn_run(op.diag, op.off_upper, op.off_lower, m, seg, dt,
-                                  shift=eigen.lambda0, startup=t_prev == 0.0)
-            log_surv += log_mass - eigen.lambda0 * seg
-            t_prev = t
-            assert np.array_equal(state.mu_t.density, GridMeasure(g, np.clip(m, 0.0, None)).density)
-            assert state.log_survival == log_surv
-        # one factorization per distinct step value, plus the startup's
+        flow_curve(op, mu, times, dt, eigen=eigen)
         steps = {seg / max(1, math.ceil(seg / dt)) for seg in np.diff(times)}
-        assert shared == len(steps) + 1 < len(calls) - shared
+        assert len(calls) == len(steps) + 1 < times.size
 
     def test_rejects_nonfinite_input(self, brownian, gaussian_measure):
         tilde = doob_generator(brownian.op, brownian.eigen)
@@ -122,11 +117,10 @@ class TestStepper:
         upper = tilde.off_upper.copy()
         upper[brownian.grid.n // 3] = np.inf
         with pytest.raises(FlowError, match="non-finite"):
-            evolve_transformed(dataclasses.replace(tilde, off_upper=upper), nu, 0.1, 1e-2)
-        density = nu.density.copy()
-        density[5] = np.nan
+            flow_curve(dataclasses.replace(tilde, off_upper=upper), nu, [0.1], 1e-2)
+        nu.density[5] = np.nan
         with pytest.raises(FlowError):
-            _cn_run(tilde.diag, tilde.off_upper, tilde.off_lower, density, 0.1, 1e-2)
+            flow_curve(tilde, nu, [0.1], 1e-2)
 
     @pytest.fixture(
         scope="class",
@@ -146,34 +140,34 @@ class TestStepper:
 
     def test_wide_weight_shifted_run_matches_dense_scheme(self, wide):
         op, eigen, mu = wide
-        bands = (op.diag, op.off_upper, op.off_lower, mu.density, 0.6, 0.005)
-        m, log_mass = _cn_run(*bands, shift=eigen.lambda0)
-        ref, ref_log = dense_cn(*bands, shift=eigen.lambda0)
-        assert np.max(np.abs(m - ref)) <= 1e-12 * np.max(np.abs(ref))
-        assert abs(log_mass - ref_log) <= 1e-12
+        state = flow_curve(op, mu, [0.6], 0.005, eigen=eigen)[-1]
+        ref, ref_log = dense_cn(op.diag, op.off_upper, op.off_lower, mu.density, 0.6, 0.005,
+                                shift=eigen.lambda0)
+        assert np.max(np.abs(state.mu_t.density - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert abs(state.log_survival + eigen.lambda0 * 0.6 - ref_log) <= 1e-12
 
     def test_wide_weight_markovian_run_matches_dense_scheme(self, wide):
         op, eigen, mu = wide
         tilde = doob_generator(op, eigen)
         nu = tilt(eigen.eta, mu)
-        bands = (tilde.diag, tilde.off_upper, tilde.off_lower, nu.density, 0.6, 0.005)
-        m, log_mass = _cn_run(*bands)
-        ref, ref_log = dense_cn(*bands)
-        assert np.max(np.abs(m - ref)) <= 1e-12 * np.max(np.abs(ref))
-        assert abs(log_mass - ref_log) <= 1e-12
+        state = flow_curve(tilde, nu, [0.6], 0.005)[-1]
+        ref, ref_log = dense_cn(tilde.diag, tilde.off_upper, tilde.off_lower, nu.density, 0.6, 0.005)
+        assert np.max(np.abs(state.mu_t.density - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert abs(state.log_survival - ref_log) <= 1e-12
 
     def test_rejects_singular_stepper(self):
         # 1 - (dt/2) * (2/dt) is exactly zero: the CN matrix has a zero pivot
+        op = bands_operator(np.full(5, 4.0), np.zeros(4))
         with pytest.raises(FlowError, match="singular"):
-            _cn_run(np.full(5, 4.0), np.zeros(4), np.zeros(4), np.ones(5), 0.5, 0.5,
-                    startup=False)
+            flow_curve(op, GridMeasure(op.grid, np.ones(5)), [0.5], 0.5, smooth_start=False)
 
     def test_rejects_indefinite_stepper(self):
         # diagonal 1 - 0.25 * (-2 + 5.5) = 0.125 > 0 and off-diagonal -0.25:
         # I - a(S + shift) has a negative eigenvalue and a negative second pivot
+        op = bands_operator(np.full(5, -2.0), np.ones(4))
         with pytest.raises(FlowError, match="indefinite"):
-            _cn_run(np.full(5, -2.0), np.ones(4), np.ones(4), np.ones(5), 0.5, 0.5,
-                    shift=5.5, startup=False)
+            flow_curve(op, GridMeasure(op.grid, np.ones(5)), [0.5], 0.5,
+                       eigen=EigenPair(lambda0=5.5, eta=np.ones(5)), smooth_start=False)
 
     def test_rejects_negative_density_and_nan_on_wide_weights(self, ou):
         # gamma spans ~28 decades on this grid: the stepper's variable
@@ -183,11 +177,10 @@ class TestStepper:
         spike[ou.grid.n // 4] = 1.0
         with pytest.raises(FlowError, match="negative density"):
             flow_curve(ou.op, GridMeasure(ou.grid, spike), [1.0], 0.5, smooth_start=False)
-        density = np.exp(-((ou.grid.nodes - 2.0) ** 2))
-        density[ou.grid.n // 2] = np.nan
+        mu = GridMeasure(ou.grid, np.exp(-((ou.grid.nodes - 2.0) ** 2)))
+        mu.density[ou.grid.n // 2] = np.nan
         with pytest.raises(FlowError):
-            _cn_run(ou.op.diag, ou.op.off_upper, ou.op.off_lower, density, 0.1, 1e-2,
-                    shift=ou.lambda0)
+            flow_curve(ou.op, mu, [0.1], 1e-2, eigen=ou.eigen)
 
 
 class TestDoobGenerator:
@@ -238,17 +231,20 @@ class TestDoobGenerator:
 
 
 class TestEvolveTransformed:
+    # flow_curve on the Doob transform, a conservative TridiagonalOperator
     def test_invariant_measure_is_fixed(self, brownian):
         tilde = doob_generator(brownian.op, brownian.eigen)
         beta = GridMeasure(tilde.grid, tilde.gamma_weights)
         for t in (0.1, 1.0):
-            out = evolve_transformed(tilde, beta, t, default_dt(brownian.grid, brownian.lambda0))
-            assert tv_distance(out, beta) <= 1e-8
+            out = flow_curve(tilde, beta, [t], default_dt(brownian.grid, brownian.lambda0))[-1]
+            assert tv_distance(out.mu_t, beta) <= 1e-8
 
     def test_time_zero_is_identity(self, brownian, gaussian_measure):
         tilde = doob_generator(brownian.op, brownian.eigen)
         nu = gaussian_measure(brownian.grid, 0.2, 0.3)
-        assert evolve_transformed(tilde, nu, 0.0, 1e-2) is nu
+        state = flow_curve(tilde, nu, [0.0], 1e-2)[-1]
+        np.testing.assert_allclose(state.mu_t.density, nu.density, rtol=1e-14)
+        assert state.log_survival == 0.0
 
     def test_chi2_contraction_at_gap_rate(self, brownian, gaussian_measure):
         tilde = doob_generator(brownian.op, brownian.eigen)
@@ -257,34 +253,34 @@ class TestEvolveTransformed:
         dt = default_dt(brownian.grid, brownian.lambda0)
         chi0 = chi2_divergence(nu, beta)
         for t in (0.25, 0.5, 1.0):
-            out = evolve_transformed(tilde, nu, t, dt)
+            out = flow_curve(tilde, nu, [t], dt)[-1]
             bound = math.exp(-brownian.gap * t) * chi0 * (1.0 + 1e-6)
-            assert chi2_divergence(out, beta) <= bound
+            assert chi2_divergence(out.mu_t, beta) <= bound
 
     def test_validation(self, brownian, gaussian_measure):
         tilde = doob_generator(brownian.op, brownian.eigen)
         nu = gaussian_measure(brownian.grid, 0.0, 0.3)
         with pytest.raises(ValueError):
-            evolve_transformed(tilde, nu, -1.0, 1e-2)
+            flow_curve(tilde, nu, [-1.0], 1e-2)
         with pytest.raises(ValueError):
-            evolve_transformed(tilde, nu, 1.0, 0.0)
+            flow_curve(tilde, nu, [1.0], 0.0)
         with pytest.raises(ValueError):
-            evolve_transformed(tilde, nu, 0.0, 0.0)
+            flow_curve(tilde, nu, [0.0], 0.0)
 
-    def test_rejects_a_generator_that_loses_mass(self, brownian, gaussian_measure):
-        # the absorbed generator kills mass: it is no Markovian semigroup
+    def test_rejects_a_generator_that_loses_mass(self, brownian, gaussian_measure, monkeypatch):
+        # the absorbed generator kills mass: it is no Markovian semigroup, and
+        # checkpoint_residual rejects it in place of the transform
+        monkeypatch.setattr(doob, "doob_generator", lambda op, eigen: op)
         nu = gaussian_measure(brownian.grid, 0.2, 0.3)
+        dt = default_dt(brownian.grid, brownian.lambda0)
         with pytest.raises(FlowError, match="mass drifted"):
-            evolve_transformed(brownian.op, nu, 0.5, default_dt(brownian.grid, brownian.lambda0))
+            checkpoint_residual(brownian.op, brownian.eigen, nu, 0.5, dt)
 
     def test_mass_conserved_before_normalization(self, brownian, gaussian_measure):
         tilde = doob_generator(brownian.op, brownian.eigen)
         nu = gaussian_measure(brownian.grid, 0.2, 0.3)
-        _, log_mass = _cn_run(
-            tilde.diag, tilde.off_upper, tilde.off_lower, nu.density,
-            1.0, default_dt(brownian.grid, brownian.lambda0),
-        )
-        assert abs(math.expm1(log_mass)) <= 1e-10
+        state = flow_curve(tilde, nu, [1.0], default_dt(brownian.grid, brownian.lambda0))[-1]
+        assert abs(math.expm1(state.log_survival)) <= 1e-10
 
 
 class TestConditionedFlow:

@@ -8,7 +8,7 @@ from qsdlab.spectral import principal_eigenpair
 
 # one-line wrappers whose callers call the function behind them
 REMOVED = {
-    "doob": ("conditioned_flow", "chi2_decay_curve", "beta_measure"),
+    "doob": ("conditioned_flow", "chi2_decay_curve", "beta_measure", "evolve_transformed"),
     "spectral": ("spectral_gap", "apply_operator"),
 }
 
