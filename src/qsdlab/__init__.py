@@ -6,13 +6,11 @@ from .grid_measure import (
     ProductGridMeasure,
     build_grid,
     chi2_divergence,
-    entropy,
     quadrature,
     regrid,
     tilt,
     tv_distance,
     w1_distance,
-    weighted_tv,
 )
 from .potential import (
     PotentialSpec,

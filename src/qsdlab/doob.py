@@ -400,7 +400,13 @@ def flow_exponential(
         del basis
         # V orthonormal: psi . (c V) = b . c, and |c V - (b . c) psi|^2 as a sum of squares
         bc = coeffs @ b
-        chi2 = np.sqrt(np.sum((coeffs - np.outer(bc, b)) ** 2, axis=1) + bc**2 * (1.0 - b @ b)) / c0
+        square = np.sum((coeffs - np.outer(bc, b)) ** 2, axis=1) + bc**2 * (1.0 - b @ b)
+        # the roundoff in 1 - |b|^2 turns the sum negative once chi has fallen
+        # ~23 decades below chi(0); no digit of chi is left there
+        lost = ~(np.isfinite(square) & (square >= 0.0))
+        if lost.any():
+            raise FlowError(f"chi lost to roundoff at t={later[lost.argmax()]:.6g}; shorten t_max")
+        chi2 = np.sqrt(square) / c0
     basis, coeffs = _krylov_run(
         m0, later, gamma,
         lambda v: d * dpttrs(*factors, v / d)[0],

@@ -33,10 +33,8 @@ __all__ = [
     "quadrature",
     "tilt",
     "tv_distance",
-    "weighted_tv",
     "w1_distance",
     "chi2_divergence",
-    "entropy",
     "cdf_values",
     "regrid",
     "save_measure_csv",
@@ -192,17 +190,6 @@ def tv_distance(mu: GridMeasure, nu: GridMeasure) -> float:
     return quadrature(np.abs(mu.density - nu.density), mu.grid)
 
 
-def weighted_tv(mu: GridMeasure, nu: GridMeasure, psi: np.ndarray) -> float:
-    """Weighted distance sup_{|f| <= psi} |mu(f) - nu(f)| for psi >= 1."""
-    _require_same_grid(mu, nu)
-    psi = np.asarray(psi, dtype=float)
-    if psi.shape != (mu.grid.n,):
-        raise ValueError(f"expected {mu.grid.n} weight values, got {psi.shape}")
-    if np.any(psi < 1.0):
-        raise ValueError("weight function must satisfy psi >= 1 everywhere")
-    return quadrature(psi * np.abs(mu.density - nu.density), mu.grid)
-
-
 def cdf_values(mu: GridMeasure) -> np.ndarray:
     """Cumulative distribution at the interior nodes (trapezoid, zero at x_min)."""
     p = mu.density
@@ -243,22 +230,6 @@ def chi2_divergence(mu: GridMeasure, nu: GridMeasure) -> float:
     integrand[ok] = (p[ok] - q[ok]) ** 2 / q[ok]
     value = quadrature(integrand, mu.grid)
     return math.sqrt(value)
-
-
-def entropy(mu: GridMeasure, nu: GridMeasure) -> float:
-    """Kullback-Leibler divergence int log(dmu/dnu) dmu, +inf if mu !<< nu."""
-    _require_same_grid(mu, nu)
-    p = mu.density
-    q = nu.density
-    bad = (q < ABS_FLOOR) & (p > MASS_EPS)
-    if np.any(bad):
-        return math.inf
-    support = p > 0.0
-    integrand = np.zeros_like(p)
-    ps = p[support]
-    qs = np.maximum(q[support], ABS_FLOOR)
-    integrand[support] = ps * np.log(ps / qs)
-    return quadrature(integrand, mu.grid)
 
 
 def regrid(mu: GridMeasure, grid: Grid1D) -> GridMeasure:

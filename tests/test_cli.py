@@ -4,6 +4,7 @@ import os
 import stat
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -327,6 +328,19 @@ class TestCommands:
                     "--x-max", "0.02", "--n", "50", "--particles", "200",
                     "--horizon", "1.0", "--dt", "1e-3", "--output", str(out)])
         assert code == 2
+
+    def test_chi_below_roundoff_exits_two_without_nan(self, tmp_path, capsys):
+        # on OU chi falls ~23 decades by t = 23, where the projected sum under
+        # its square root turns negative
+        out = tmp_path / "ou"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["evolve", "--example", "ou", "--n", "2000", "--t-max", "30",
+                        "--samples", "31", "--initial", "gaussian-truncated",
+                        "--initial-center", "1.5", "--output", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "qsdlab: numerical failure: chi lost to roundoff at t=23; shorten t_max\n"
+        assert not out.exists()
 
     def test_rates_convergence_failure_exits_two(self, tmp_path, monkeypatch):
         from qsdlab import spectral

@@ -8,7 +8,6 @@ from qsdlab.grid_measure import (
     ProductGridMeasure,
     build_grid,
     chi2_divergence,
-    entropy,
     extrapolated_boundary,
     load_measure_csv,
     quadrature,
@@ -17,7 +16,6 @@ from qsdlab.grid_measure import (
     tilt,
     tv_distance,
     w1_distance,
-    weighted_tv,
 )
 
 
@@ -156,43 +154,6 @@ class TestTotalVariation:
             tv_distance(mu, nu)
 
 
-class TestWeightedTV:
-    def test_unit_weight_reduces_to_tv(self):
-        g = build_grid(0.0, 1.0, 17)
-        rng = np.random.default_rng(8)
-        mu, nu = random_measure(g, rng), random_measure(g, rng)
-        assert weighted_tv(mu, nu, np.ones(g.n)) == pytest.approx(tv_distance(mu, nu), abs=1e-15)
-
-    def test_equal_measures_vanish(self):
-        g = build_grid(0.0, 1.0, 17)
-        mu = random_measure(g, np.random.default_rng(9))
-        psi = 1.0 + np.abs(g.nodes - 0.3)
-        assert weighted_tv(mu, mu, psi) == 0.0
-
-    def test_hand_summed_three_nodes(self):
-        g = build_grid(-1.0, 1.0, 3)
-        p = GridMeasure(g, np.array([1.0, 0.5, 0.5]))
-        q = GridMeasure(g, np.array([0.5, 1.0, 0.5]))
-        psi = 1.0 + np.abs(g.nodes)  # x0 = 0
-        # 0.5 * (1.5*0.5 + 1.0*0.5 + 1.5*0.0)
-        assert math.isclose(weighted_tv(p, q, psi), 0.625, abs_tol=1e-14)
-
-    def test_dominates_tv_when_psi_geq_one(self):
-        g = build_grid(0.0, 2.0, 23)
-        rng = np.random.default_rng(10)
-        for _ in range(10):
-            mu, nu = random_measure(g, rng), random_measure(g, rng)
-            psi = 1.0 + rng.uniform(0.0, 3.0, g.n)
-            assert weighted_tv(mu, nu, psi) >= tv_distance(mu, nu) - 1e-12
-
-    def test_rejects_weight_below_one(self):
-        g = build_grid(0.0, 1.0, 10)
-        rng = np.random.default_rng(11)
-        mu, nu = random_measure(g, rng), random_measure(g, rng)
-        with pytest.raises(ValueError):
-            weighted_tv(mu, nu, np.full(g.n, 0.5))
-
-
 class TestWasserstein:
     def test_point_masses_cost_their_distance(self):
         g = build_grid(0.0, 1.0, 99)
@@ -268,32 +229,6 @@ class TestChiSquare:
                 for p, q in zip(mu.density, nu.density)
             )
             assert chi2_divergence(mu, nu) ** 2 == pytest.approx(brute, abs=1e-12)
-
-
-class TestEntropy:
-    def test_identical_measures(self):
-        g = build_grid(0.0, 1.0, 16)
-        mu = random_measure(g, np.random.default_rng(17))
-        assert abs(entropy(mu, mu)) <= 1e-14
-
-    def test_two_cell_hand_value(self):
-        g = build_grid(0.0, 1.0, 4)
-        mu = GridMeasure(g, np.array([1.875, 1.875, 0.625, 0.625]))
-        nu = GridMeasure(g, np.array([1.25, 1.25, 1.25, 1.25]))
-        expected = 0.75 * math.log(1.5) + 0.25 * math.log(0.5)
-        assert entropy(mu, nu) == pytest.approx(expected, abs=1e-14)
-
-    def test_dominated_by_chi2_squared(self):
-        g = build_grid(0.0, 1.0, 37)
-        rng = np.random.default_rng(18)
-        for _ in range(25):
-            mu, nu = random_measure(g, rng), random_measure(g, rng)
-            assert entropy(mu, nu) <= chi2_divergence(mu, nu) ** 2 + 1e-12
-
-    def test_absolute_continuity_sentinel(self):
-        g = build_grid(0.0, 1.0, 20)
-        inner = np.where((g.nodes > 0.4) & (g.nodes < 0.6), 1.0, 0.0)
-        assert entropy(GridMeasure(g, np.ones(g.n)), GridMeasure(g, inner)) == math.inf
 
 
 class TestSerialization:
