@@ -91,6 +91,9 @@ def closed_form(example: str, N: float = 1.0, lam: float = 1.0, d: int = 1,
     ``ornstein_uhlenbeck`` (quadratic coefficient lam, on (0, 8/sqrt(lam))).
     Multi-dimensional versions are products of the returned 1D factor;
     constants that scale with the dimension are reported for the given d.
+    ``kappa`` is (pi/2N)^2 = inf W''/2 for the box, W = V - 2 log eta =
+    -2 log cos(pi x/2N), and 2 lam = inf V'' for Ornstein-Uhlenbeck, which is
+    inf W'' on the half-line.
     """
     if d < 1:
         raise ValueError("dimension must be >= 1")
@@ -100,53 +103,38 @@ def closed_form(example: str, N: float = 1.0, lam: float = 1.0, d: int = 1,
         grid = build_grid(-N, N, n)
         spec = zero_potential(domain=(-N, N))
         a = math.pi / (2.0 * N)
-        eta = (4.0 / math.pi) * np.cos(a * grid.nodes)
+        alpha = np.cos(a * grid.nodes)
+        eta = (4.0 / math.pi) * alpha
         lam0 = math.pi**2 / (8.0 * N**2)
         lam1 = math.pi**2 / (2.0 * N**2)
-        alpha = GridMeasure(grid, np.cos(a * grid.nodes))
-        constants = {
-            "lambda0": lam0,
-            "lambda1": lam1,
-            "lambda0_total": d * lam0,
-            "gap": lam1 - lam0,
-            "kappa": a**2,
-            "alpha_inv_eta": math.pi**2 / 8.0,
-            "alpha_inv_eta_total": (math.pi**2 / 8.0) ** d,
-            "prefactor_Cd": None,
-        }
-        return ClosedFormExample(
-            grid=grid,
-            spec=spec,
-            eigen=EigenPair(lambda0=lam0, eta=eta, lambda1=lam1),
-            alpha=alpha,
-            constants=constants,
-        )
-    if example == "ornstein_uhlenbeck":
+        gap, kappa = lam1 - lam0, a**2
+        alpha_inv_eta = math.pi**2 / 8.0
+        prefactor = None
+    elif example == "ornstein_uhlenbeck":
         if not lam > 0.0:
             raise ValueError("quadratic coefficient lam must be positive")
         grid = build_grid(0.0, 8.0 / math.sqrt(lam), n)
         spec = quadratic_potential(lam, domain=(0.0, math.inf))
-        c = 2.0 * math.sqrt(lam / math.pi)  # makes alpha(eta) = 1
-        eta = c * grid.nodes
-        alpha = GridMeasure(grid, grid.nodes * np.exp(-lam * grid.nodes**2))
-        constants = {
-            "lambda0": lam,
-            "lambda1": 3.0 * lam,
-            "lambda0_total": d * lam,
-            "gap": 2.0 * lam,
-            "kappa": 2.0 * lam,
-            "alpha_inv_eta": math.pi / 2.0,
-            "alpha_inv_eta_total": (math.pi / 2.0) ** d,
-            "prefactor_Cd": d * (d - 1) / (4.0 * lam) * (math.pi / 2.0) ** d if d >= 2 else None,
-        }
-        return ClosedFormExample(
-            grid=grid,
-            spec=spec,
-            eigen=EigenPair(lambda0=lam, eta=eta, lambda1=3.0 * lam),
-            alpha=alpha,
-            constants=constants,
-        )
-    raise ValueError(f"unknown closed-form example {example!r}")
+        eta = 2.0 * math.sqrt(lam / math.pi) * grid.nodes  # makes alpha(eta) = 1
+        alpha = grid.nodes * np.exp(-lam * grid.nodes**2)
+        lam0, lam1 = lam, 3.0 * lam
+        gap = kappa = 2.0 * lam
+        alpha_inv_eta = math.pi / 2.0
+        prefactor = d * (d - 1) / (4.0 * lam) * alpha_inv_eta**d if d >= 2 else None
+    else:
+        raise ValueError(f"unknown closed-form example {example!r}")
+    constants = {
+        "lambda0": lam0,
+        "lambda1": lam1,
+        "lambda0_total": d * lam0,
+        "gap": gap,
+        "kappa": kappa,
+        "alpha_inv_eta": alpha_inv_eta,
+        "alpha_inv_eta_total": alpha_inv_eta**d,
+        "prefactor_Cd": prefactor,
+    }
+    return ClosedFormExample(grid=grid, spec=spec, eigen=EigenPair(lambda0=lam0, eta=eta, lambda1=lam1),
+                             alpha=GridMeasure(grid, alpha), constants=constants)
 
 
 def alpha_psi2_over_eta(psi: np.ndarray, eigen: EigenPair, alpha: GridMeasure) -> float:
@@ -260,9 +248,10 @@ class ReportConfig:
     """Configuration of a decay report.
 
     For product examples pass per-coordinate lists in ``spec``/``grid`` and a
-    ProductGridMeasure as the initial law; all distances are then sums over
-    marginals (exact for W1, an upper bound for TV).  The bound's weight psi = 1,
-    the fit window and the drift form of the ``cdfi`` rate are not settings.
+    ProductGridMeasure as the initial law; TV and W1 are then marginal sums
+    (exact for W1, an upper bound for TV), chi-square is the product law's.
+    The bound's weight psi = 1, the fit window and the drift form of the
+    ``cdfi`` rate are not settings.
     """
 
     label: str
@@ -302,7 +291,6 @@ class DecayReport:
     alpha_psi: float
     alpha_psi2_over_eta: float
     fit_window: tuple
-    prefactor_Cd: float = None
     notes: tuple = ()
     marginals: tuple = field(default=(), repr=False)
 
@@ -407,8 +395,9 @@ def decay_report(config: ReportConfig) -> DecayReport:
     """Run the conditioned flow and assemble the full decay report.
 
     Product configurations produce marginal reports plus a combined report
-    whose distance curves are the marginal sums (exact for W1 by the additive
-    structure of the L1 ground metric; an upper bound for TV).
+    whose TV and W1 curves are the marginal sums (exact for W1 by the additive
+    structure of the L1 ground metric; an upper bound for TV) and whose chi2
+    is the product law's, sqrt(prod_j (1 + chi2_j^2) - 1): 1 + chi2^2 factorizes.
     """
     if not isinstance(config.spec, (list, tuple)):
         op = assemble_generator(config.spec, config.grid)
@@ -428,8 +417,9 @@ def decay_report(config: ReportConfig) -> DecayReport:
     ]
     curves = {
         name: np.sum([getattr(m, name) for m in marginals], axis=0)
-        for name in ("tv", "w1", "chi2", "log_survival")
+        for name in ("tv", "w1", "log_survival")
     }
+    curves["chi2"] = np.sqrt(np.expm1(np.sum([np.log1p(m.chi2**2) for m in marginals], axis=0)))
     curves["survival_weight"] = np.prod([m.survival_weight for m in marginals], axis=0)
     kts = [m.kappa_tilde for m in marginals]
     burn = BurnIn(time=max(m.burn_in_time for m in marginals),
@@ -438,7 +428,7 @@ def decay_report(config: ReportConfig) -> DecayReport:
         "product example: eta is the tensor eigenfunction built from the "
         "per-coordinate principal eigenvectors (recorded choice; the "
         "eigenfunction is not unique a priori)",
-        "tv/w1/chi2 curves are sums over marginals (exact for w1)",
+        "tv/w1 curves are sums over marginals (exact for w1); chi2 is the product law's",
     )
     return _assemble_report(
         config, curves, burn, min(m.gap for m in marginals),

@@ -1,15 +1,16 @@
-"""Artifact writer: the one place that fixes how results reach disk.
+"""Artifact writer and reader: the one place that fixes how results reach disk.
 
 A CSV is written from one 1-D array per header column: integer columns as
 ``%d``, float columns as ``%.17g``, enough to round-trip every float64, and
-JSON is indented by two spaces, with numpy arrays as lists.  Both go to a
-temp file in the target's directory that is renamed over the target, so a
-reader never sees a partial file and a failed write leaves the old one in
-place.  A new file gets the mode ``0o666 & ~umask``, as from a plain open.
-Columns of the wrong count, shape or length, or of another dtype (text,
-object, bool), raise ValueError before anything touches disk.  The target's
-directory is made at the first write, so a run that fails before it leaves
-no directory behind.
+`read_csv` reads it back only under the header it was written with.  JSON
+is strict, indented by two spaces, with numpy arrays as lists and non-finite
+floats as null.  Both go to a temp file in the target's directory that is
+renamed over the target, so a reader never sees a partial file and a failed
+write leaves the old one in place.  A new file gets the mode ``0o666 &
+~umask``, as from a plain open.  Columns of the wrong count, shape or
+length, or of another dtype (text, object, bool), raise ValueError before
+anything touches disk.  The target's directory is made at the first write,
+so a run that fails before it leaves no directory behind.
 
 CSV rows are formatted a chunk of ``_CHUNK_ROWS`` rows at a time, all
 columns interleaved, by a numpy kernel whose bytes equal Python's
@@ -46,10 +47,11 @@ import json
 import math
 import os
 import tempfile
+import warnings
 
 import numpy as np
 
-__all__ = ["write_csv", "write_json"]
+__all__ = ["read_csv", "write_csv", "write_json"]
 
 _CHUNK_ROWS = 4096
 
@@ -85,7 +87,23 @@ def _atomic_write(path, chunks) -> None:
 
 
 def write_json(path, payload: dict) -> None:
-    _atomic_write(path, [(json.dumps(payload, indent=2, default=np.ndarray.tolist) + "\n").encode()])
+    # json's own parser maps NaN and Infinity to null; every other value keeps its text
+    data = json.loads(json.dumps(payload, default=np.ndarray.tolist), parse_constant=lambda _: None)
+    _atomic_write(path, [(json.dumps(data, indent=2, allow_nan=False) + "\n").encode()])
+
+
+def read_csv(path, header: str, kind: str) -> np.ndarray:
+    """The rows under ``header`` of a `write_csv` file; another first line, no row
+    or another width raises ValueError("<kind> CSV must have columns <header>")."""
+    message = f"{kind} CSV must have columns {header}"
+    with open(path) as fh, warnings.catch_warnings():
+        if fh.readline().rstrip("\r\n") != header:
+            raise ValueError(message)
+        warnings.simplefilter("ignore", UserWarning)  # a header-only file fails the test below
+        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    if data.size == 0 or data.shape[1] != header.count(",") + 1:
+        raise ValueError(message)
+    return data
 
 
 def write_csv(path, header: str, columns) -> None:

@@ -335,7 +335,7 @@ def _cmd_report(p: _Problem, outdir: str) -> None:
     family = p.config.get("potential.family")
     kappa = None
     if p.config.get("example") == "brownian":
-        kappa = (math.pi / (2.0 * p.config["example.N"])) ** 2
+        kappa = analytics.closed_form("brownian_hypercube", N=p.config["example.N"]).constants["kappa"]
     rc = analytics.ReportConfig(
         label=p.config.get("example") or family,
         spec=p.spec,

@@ -18,12 +18,11 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .artifacts import write_csv
+from .artifacts import read_csv, write_csv
 
 __all__ = [
     "Grid1D",
@@ -264,13 +263,7 @@ def load_measure_csv(path) -> GridMeasure:
     The grid's ends are reconstructed from the node coordinates assuming the
     uniform node layout ``x_i = x_min + (i + 1) h``; it keeps the saved nodes.
     """
-    with warnings.catch_warnings():  # a header-only file fails the column test below
-        warnings.simplefilter("ignore", UserWarning)
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if data.shape[1] != 2:
-        raise ValueError("measure CSV must have columns x,density")
-    xs = data[:, 0]
-    dens = data[:, 1]
+    xs, dens = read_csv(path, "x,density", "measure").T
     if xs.size < 3:
         raise ValueError("measure CSV needs at least 3 rows")
     h = xs[1] - xs[0]

@@ -15,10 +15,11 @@ knowing eta.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .artifacts import read_csv
 
 __all__ = [
     "PotentialSpec",
@@ -89,12 +90,7 @@ def tabulated_potential(x: np.ndarray, v: np.ndarray, vp: np.ndarray, vpp: np.nd
 
 def tabulated_from_csv(path) -> PotentialSpec:
     """Load a tabulated potential from CSV with header ``x,V,Vp,Vpp``."""
-    with warnings.catch_warnings():  # a header-only file fails the column test below
-        warnings.simplefilter("ignore", UserWarning)
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if data.shape[1] != 4:
-        raise ValueError("potential CSV must have columns x,V,Vp,Vpp")
-    return tabulated_potential(data[:, 0], data[:, 1], data[:, 2], data[:, 3])
+    return tabulated_potential(*read_csv(path, "x,V,Vp,Vpp", "potential").T)
 
 
 def _first_derivative(spec: PotentialSpec, x: np.ndarray):

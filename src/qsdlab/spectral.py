@@ -103,12 +103,10 @@ def assemble_generator(spec: PotentialSpec, grid: Grid1D) -> TridiagonalOperator
     if not grid.h**2 >= np.finfo(float).tiny:  # so that 1 / (2 h^2) is finite
         raise ValueError(f"grid spacing h = {grid.h:.3g} is too small: h^2 underflows")
     v_nodes, _, _ = evaluate(spec, grid.nodes)
-    v_nodes = np.asarray(v_nodes, dtype=float)
     if not np.all(np.isfinite(v_nodes)):
         raise ValueError("potential is not finite on the grid interior")
     mids = np.concatenate(([grid.x_min + 0.5 * grid.h], grid.nodes + 0.5 * grid.h))
     v_mids, _, _ = evaluate(spec, mids)
-    v_mids = np.asarray(v_mids, dtype=float)
 
     shift = float(v_nodes.min())
     vn = v_nodes - shift

@@ -20,7 +20,8 @@ from qsdlab.analytics import (
     save_curves_csv,
     save_report_json,
 )
-from qsdlab.grid_measure import GridMeasure, ProductGridMeasure, build_grid, quadrature, w1_distance
+from qsdlab.doob import flow_exponential
+from qsdlab.grid_measure import GridMeasure, ProductGridMeasure, build_grid, quadrature, tilt, w1_distance
 from qsdlab.potential import shifted_power_potential
 from qsdlab.spectral import (
     EigenPair,
@@ -305,6 +306,26 @@ class TestDecayReport:
             rep.w1, rep.marginals[0].w1 + rep.marginals[1].w1, rtol=0, atol=1e-15
         )
         assert any("tensor eigenfunction" in note for note in rep.notes)
+
+    def test_product_chi2_is_the_tensor_grid_distance(self):
+        # chi of eta*mu_t to beta for the product law, summed over the 60 x 60 tensor
+        # grid from the marginal laws, against the report's product curve
+        cf = closed_form("brownian_hypercube", N=1.0, n=60)
+        g = cf.grid
+        op = assemble_generator(cf.spec, g)
+        eigen = principal_eigenpair(op)
+        laws = (GridMeasure(g, np.exp(-((g.nodes - 0.3) ** 2) / (2 * 0.3**2))),
+                GridMeasure(g, np.exp(-((g.nodes + 0.25) ** 2) / (2 * 0.2**2))))
+        times = np.array([0.05, 0.3, 1.0])
+        rep = decay_report(ReportConfig(label="brownian2d", spec=[cf.spec, cf.spec], grid=[g, g],
+                                        initial=ProductGridMeasure(laws), times=times))
+        beta = GridMeasure(g, eigen.eta**2 * op.gamma_weights).density
+        flows = [flow_exponential(op, mu, times, eigen=eigen) for mu in laws]
+        for j, (first, second) in enumerate(zip(*flows)):
+            p = np.outer(tilt(eigen.eta, first.mu_t).density, tilt(eigen.eta, second.mu_t).density)
+            q = np.outer(beta, beta)
+            direct = math.sqrt(g.h**2 * np.sum((p - q) ** 2 / q))
+            assert rep.chi2[j] == pytest.approx(direct, rel=1e-6)
 
     def test_product_w1_additivity_matches_distance(self):
         # the report's summed W1 equals the product-measure distance

@@ -298,7 +298,7 @@ class TestCommands:
         payload = json.loads(read(out / "report.json"))
         start, end = payload["fit_window"]
         assert start == end == 0.3
-        assert math.isnan(payload["fitted_rate_tv"])
+        assert payload["fitted_rate_tv"] is None
         assert any("no width" in note for note in payload["notes"])
 
     def test_report_window_with_too_few_samples_has_a_note(self, tmp_path):
@@ -308,9 +308,21 @@ class TestCommands:
                     "--output", str(out)]) == 0
         payload = json.loads(read(out / "report.json"))
         assert payload["fit_window"] == [1.0, pytest.approx(1.5, rel=1e-5)]
-        assert math.isnan(payload["fitted_rate_tv"])
+        assert payload["fitted_rate_tv"] is None
         assert "default fit window holds 1 sample(s), fewer than the 5 a fit needs, " \
             "so the fitted rates are NaN" in payload["notes"]
+
+    def test_report_json_is_strict(self, tmp_path):
+        # the fitted rates of this window are NaN in memory and null on disk
+        out = tmp_path / "rep"
+        assert run(["report", "--example", "ou", "--n", "300", "--t-max", "1", "--output", str(out)]) == 0
+
+        def reject(constant):
+            raise ValueError(f"non-JSON constant {constant}")
+
+        payload = json.loads(read(out / "report.json"), parse_constant=reject)
+        assert payload["fitted_rate_chi2"] is None
+        assert "prefactor_Cd" not in payload
 
     def test_simulate_deterministic(self, tmp_path):
         args = ["simulate", "--example", "brownian", "--n", "200",
@@ -674,6 +686,31 @@ class TestPathKinds:
                     "--initial-path", str(law), "--output", str(out)]) == 1
         assert not out.exists()
         assert capsys.readouterr().err == "qsdlab: measure CSV must have columns x,density\n"
+
+    def test_eigenvector_as_a_custom_law_exits_one(self, tmp_path, capsys):
+        # eta.csv holds two columns too, but they are x,eta, not a density
+        assert run(["eigen", "--example", "ou", "--n", "50", "--output", str(tmp_path / "eig")]) == 0
+        out = tmp_path / "x"
+        assert run(["evolve", "--example", "ou", "--n", "50", "--initial", "custom",
+                    "--initial-path", str(tmp_path / "eig" / "eta.csv"), "--output", str(out)]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err == "qsdlab: measure CSV must have columns x,density\n"
+
+    def test_potential_table_with_other_column_names_exits_one(self, tmp_path, capsys):
+        x = np.linspace(-2.0, 2.0, 41)
+        table = tmp_path / "v.csv"
+        write_csv(str(table), "x,V,dV,d2V", (x, x * x, 2.0 * x, np.full_like(x, 2.0)))
+        out = tmp_path / "x"
+        assert run(["eigen", "--potential", "tabulated", "--table-path", str(table), "--output", str(out)]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err == "qsdlab: potential CSV must have columns x,V,Vp,Vpp\n"
+
+    def test_custom_law_with_crlf_line_ends_loads(self, tmp_path):
+        assert run(["eigen", "--example", "ou", "--n", "50", "--output", str(tmp_path / "eig")]) == 0
+        law = tmp_path / "crlf.csv"
+        law.write_bytes((tmp_path / "eig" / "alpha.csv").read_bytes().replace(b"\n", b"\r\n"))
+        assert run(["evolve", "--example", "ou", "--n", "50", "--samples", "2", "--initial", "custom",
+                    "--initial-path", str(law), "--output", str(tmp_path / "evo")]) == 0
 
     @pytest.mark.filterwarnings("error")
     def test_header_only_potential_table_exits_one(self, tmp_path, capsys):

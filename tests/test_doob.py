@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -561,6 +562,25 @@ class TestKrylovFlow:
         mu = GridMeasure(ou.grid, initial_density("uniform", ou.grid))
         with pytest.raises(FlowError, match="basis size 4"):
             flow_exponential(ou.op, mu, [0.0, 1.0, 2.0], eigen=ou.eigen)
+
+    # one Krylov vector: B = (1/h_11 - 1)/gamma = 999, u(t) = exp(-999 t), and the
+    # estimate is (h_21/gamma) residual |h_11^-1 u| t/|u| = 5e-10 t while u is not 0
+    HESS_999 = np.array([[1e-3], [0.5]])
+
+    def test_estimate_of_an_exponential_below_1e_154(self):
+        # exp(-499.5) = 1e-217: the plain 2-norm of u underflows to 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            coeffs, est = doob._krylov_coefficients(self.HESS_999, 1.0, np.array([0.0, 0.1, 0.5]), 1e-12, 1e-8)
+        assert coeffs[-1, 0] < 1e-200
+        assert est == pytest.approx(2.5e-10, rel=1e-12)
+
+    def test_estimate_of_an_underflowed_exponential_is_not_met(self):
+        # exp(-999) is exactly 0 at the last sample, and no error estimate can pass there
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            coeffs, est = doob._krylov_coefficients(self.HESS_999, 1.0, np.array([0.0, 0.1, 1.0]), 1e-12, 1e-8)
+        assert not est <= 1e-8
 
     def test_basis_grows_past_one_chunk(self, ou, monkeypatch):
         monkeypatch.setattr(doob, "KRYLOV_CHUNK", 3)
