@@ -100,8 +100,10 @@ class ProductEigenPair:
 
 def assemble_generator(spec: PotentialSpec, grid: Grid1D) -> TridiagonalOperator:
     """Assemble the divergence-form discretization of (1/2)(Lap - V' d/dx)."""
-    if not grid.h**2 >= np.finfo(float).tiny:  # so that 1 / (2 h^2) is finite
-        raise ValueError(f"grid spacing h = {grid.h:.3g} is too small: h^2 underflows")
+    h2 = grid.h * grid.h  # inf past h = 1.3e154, where grid.h**2 raises OverflowError
+    if not np.finfo(float).tiny <= h2 < math.inf:  # so that 1 / (2 h^2) is finite and nonzero
+        raise ValueError(f"grid spacing h = {grid.h:.3g} is out of range: h^2 "
+                         + ("overflows" if h2 > 1.0 else "underflows"))
     v_nodes, _, _ = evaluate(spec, grid.nodes)
     if not np.all(np.isfinite(v_nodes)):
         raise ValueError("potential is not finite on the grid interior")
@@ -112,7 +114,7 @@ def assemble_generator(spec: PotentialSpec, grid: Grid1D) -> TridiagonalOperator
     vn = v_nodes - shift
     vm = v_mids - shift
 
-    scale = 1.0 / (2.0 * grid.h**2)
+    scale = 1.0 / (2.0 * h2)
     # coefficients e^{V_i - V_{i +/- 1/2}} stay O(1); no overflow possible
     left = scale * np.exp(vn - vm[:-1])   # couples node i to i-1 (and boundary)
     right = scale * np.exp(vn - vm[1:])   # couples node i to i+1 (and boundary)

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -403,10 +404,11 @@ class TestCommands:
         assert out.is_dir() and not list(out.iterdir())
 
     def test_underflowing_grid_spacing_exits_one(self, tmp_path, capsys):
-        assert run(["eigen", "--example", "brownian", "--N", "1e-160",
-                    "--output", str(tmp_path / "x")]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("qsdlab: grid spacing") and "Traceback" not in err
+        for half_width in ("1e-160", "1e300"):  # h^2 underflows, then overflows
+            assert run(["eigen", "--example", "brownian", "--N", half_width,
+                        "--output", str(tmp_path / half_width)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("qsdlab: grid spacing") and "Traceback" not in err
 
     @pytest.mark.parametrize("horizon", ["inf", "nan"])
     def test_non_finite_horizon_exits_one_without_outputs(self, tmp_path, capsys, horizon):
@@ -586,6 +588,15 @@ class TestFlowCommands:
         err = capsys.readouterr().err
         assert "numerical failure: Krylov exponential not converged: basis size 2" in err
         assert not (tmp_path / "evo" / "curves.csv").exists()
+
+    def test_evolve_exits_two_at_a_vast_time(self, tmp_path, capsys):
+        out = tmp_path / "evo"
+        assert run(["evolve", "--example", "ou", "--n", "200", "--t-max", "1e200",
+                    "--samples", "3", "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"qsdlab: numerical failure: Krylov exponential not converged: "
+                            r"basis size \d+, [^\n]*\n", err)
+        assert not (out / "curves.csv").exists()
 
 
 class TestQsdInitialLaw:

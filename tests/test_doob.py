@@ -460,11 +460,14 @@ def chi2_oracle(op, eigen, m0, times):
 class TestKrylovFlow:
     """flow_exponential: the shift-and-invert Krylov exponential."""
 
-    @pytest.mark.parametrize("law", ["uniform", "spike", "gaussian"])
-    @pytest.mark.parametrize("case", sorted(KRYLOV_CASES))
-    def test_matches_matrix_exponential(self, case, law):
+    # small n, where the space is exhausted before the tolerance is met; n = 200 has the bare case-law id
+    @pytest.mark.parametrize(("case", "law", "n"), [
+        pytest.param(case, law, n, id=f"{case}-{law}" + (f"-n{n}" if n < 200 else ""))
+        for case in sorted(KRYLOV_CASES) for law in ("uniform", "spike", "gaussian") for n in (200, 3, 4, 9)
+    ])
+    def test_matches_matrix_exponential(self, case, law, n):
         spec, x_min, x_max, t_max = KRYLOV_CASES[case]
-        g = build_grid(x_min, x_max, 200)
+        g = build_grid(x_min, x_max, n)
         op = assemble_generator(spec, g)
         eigen = principal_eigenpair(op)
         mu = GridMeasure(g, initial_density(law, g))
@@ -563,6 +566,14 @@ class TestKrylovFlow:
         with pytest.raises(FlowError, match="basis size 4"):
             flow_exponential(ou.op, mu, [0.0, 1.0, 2.0], eigen=ou.eigen)
 
+    def test_a_vast_time_raises_flow_error(self):
+        spec, x_min, x_max, _ = KRYLOV_CASES["ou"]
+        g = build_grid(x_min, x_max, 200)
+        op = assemble_generator(spec, g)
+        mu = GridMeasure(g, initial_density("uniform", g))
+        with pytest.raises(FlowError, match="not converged: basis size"):
+            flow_exponential(op, mu, [0.0, 1e200], eigen=principal_eigenpair(op))
+
     # one Krylov vector: B = (1/h_11 - 1)/gamma = 999, u(t) = exp(-999 t), and the
     # estimate is (h_21/gamma) residual |h_11^-1 u| t/|u| = 5e-10 t while u is not 0
     HESS_999 = np.array([[1e-3], [0.5]])
@@ -571,7 +582,7 @@ class TestKrylovFlow:
         # exp(-499.5) = 1e-217: the plain 2-norm of u underflows to 0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            coeffs, est = doob._krylov_coefficients(self.HESS_999, 1.0, np.array([0.0, 0.1, 0.5]), 1e-12, 1e-8)
+            coeffs, est = doob._krylov_coefficients(self.HESS_999, 1.0, np.array([0.0, 0.1, 0.5]), 1e-12)
         assert coeffs[-1, 0] < 1e-200
         assert est == pytest.approx(2.5e-10, rel=1e-12)
 
@@ -579,7 +590,7 @@ class TestKrylovFlow:
         # exp(-999) is exactly 0 at the last sample, and no error estimate can pass there
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            coeffs, est = doob._krylov_coefficients(self.HESS_999, 1.0, np.array([0.0, 0.1, 1.0]), 1e-12, 1e-8)
+            coeffs, est = doob._krylov_coefficients(self.HESS_999, 1.0, np.array([0.0, 0.1, 1.0]), 1e-12)
         assert not est <= 1e-8
 
     def test_basis_grows_past_one_chunk(self, ou, monkeypatch):
