@@ -92,8 +92,9 @@ def closed_form(example: str, N: float = 1.0, lam: float = 1.0, d: int = 1,
     Multi-dimensional versions are products of the returned 1D factor;
     constants that scale with the dimension are reported for the given d.
     ``kappa`` is (pi/2N)^2 = inf W''/2 for the box, W = V - 2 log eta =
-    -2 log cos(pi x/2N), and 2 lam = inf V'' for Ornstein-Uhlenbeck, which is
-    inf W'' on the half-line.
+    -2 log cos(pi x/2N): the Bakry-Emery rate of (Delta - W' grad)/2.  For
+    Ornstein-Uhlenbeck it is 2 lam = inf V'', twice that rate: inf W'' is
+    2 lam + lam/32 here (2.03127 for lam = 1 at n = 4000, with this eta).
     """
     if d < 1:
         raise ValueError("dimension must be >= 1")
@@ -352,7 +353,8 @@ def lambda0_lower_used(eigen: EigenPair, lower: float = None) -> float:
 
 
 def _report_1d(config: ReportConfig, op, eigen: EigenPair) -> DecayReport:
-    """The report of one factor, on its generator ``op`` and principal pair ``eigen``."""
+    """The report of one factor on generator ``op`` and principal pair ``eigen``; kappa
+    defaults to inf V'' (2 lam for OU), twice the Bakry-Emery rate inf W''/2."""
     spec, grid, mu = config.spec, config.grid, config.initial
     lam_low = lambda0_lower_used(eigen, config.lambda0_lower)
     alpha = qsd_from_eigen(op, eigen)

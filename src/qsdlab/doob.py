@@ -64,7 +64,6 @@ RENORM_EVERY = 64
 KRYLOV_TOL = 1e-10
 KRYLOV_CHI_TOL = 1e-8  # relative to the decaying part of the chi-square flow
 KRYLOV_MAX_DIM = 300
-KRYLOV_CHUNK = 32
 KRYLOV_CHECK_EVERY = 5
 # a new direction below this fraction of |Z v_k| after two Gram-Schmidt passes is
 # roundoff and the space exhausted: over their first 60 vectors, live directions on
@@ -185,11 +184,10 @@ def _krylov_run(v0, times, gamma, solve, apply, tol):
     A v.  Arnoldi with two passes of classical Gram-Schmidt builds an
     orthonormal basis of the Krylov space of Z from v0 in the 2-norm of the
     variable v0 lives in, so the error estimate of `_krylov_coefficients` is
-    relative to the 2-norm of exp(t A) v0.  The basis grows in chunks of
-    ``KRYLOV_CHUNK`` rows.  The space is exhausted when the basis holds n
-    vectors or the new direction is roundoff (``KRYLOV_LOST``); that
-    direction never joins the basis, and the estimate is taken right there
-    with residual 0, else every ``KRYLOV_CHECK_EVERY`` vectors and at
+    relative to the 2-norm of exp(t A) v0.  The space is exhausted when the
+    basis holds n vectors or the new direction is roundoff (``KRYLOV_LOST``);
+    that direction never joins the basis, and the estimate is taken right
+    there with residual 0, else every ``KRYLOV_CHECK_EVERY`` vectors and at
     ``KRYLOV_MAX_DIM``.  The run stops once the estimate is at most ``tol``
     on every sample; a failed check where the basis cannot grow raises
     `FlowError` with the basis size reached.  The caller forms the result
@@ -199,7 +197,7 @@ def _krylov_run(v0, times, gamma, solve, apply, tol):
     norm0 = float(np.linalg.norm(v0))
     if norm0 == 0.0:
         return np.zeros((1, n)), np.zeros((times.size, 1))
-    basis = np.empty((KRYLOV_CHUNK, n))
+    basis = np.empty((min(n, KRYLOV_MAX_DIM) + 1, n))
     basis[0] = v0 / norm0
     hess = np.zeros((KRYLOV_MAX_DIM + 1, KRYLOV_MAX_DIM))
     for k in range(1, KRYLOV_MAX_DIM + 1):
@@ -216,8 +214,6 @@ def _krylov_run(v0, times, gamma, solve, apply, tol):
         hess[k, k - 1] = h_next
         exhausted = k == n or h_next <= KRYLOV_LOST * z_norm
         if not exhausted:
-            if k == basis.shape[0]:
-                basis = np.concatenate((basis, np.empty((KRYLOV_CHUNK, n))))
             basis[k] = w / h_next
             if k % KRYLOV_CHECK_EVERY and k < KRYLOV_MAX_DIM:
                 continue
@@ -310,7 +306,6 @@ def flow_curve(
             step = seg / steps
             if step not in factors:
                 factors[step] = _cn_factors(op.diag, off, 0.5 * step, shift)
-                factors[step][0] *= 0.5  # halving the pivots (exact) makes each solve return 2y directly
             cn = factors[step]
             n_startup = min(2, steps) if startup else 0
             if n_startup:
@@ -323,9 +318,7 @@ def flow_curve(
                     for _ in range(4):
                         w, _ = dpttrs(*ie, w, overwrite_b=True)
                 else:
-                    y, _ = dpttrs(*cn, w)
-                    y -= w
-                    w = y
+                    w = 2.0 * dpttrs(*cn, w)[0] - w
                 if not w.min() >= 0.0:  # a NaN fails this test too
                     _check_density(d * w, None, f"after step {k + 1}; reduce dt")
                 if (k + 1) % RENORM_EVERY == 0:

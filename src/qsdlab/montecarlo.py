@@ -165,13 +165,14 @@ def _euler_step(coords, cols, ys, dt: float) -> None:
             y += vp
 
 
+@np.errstate(over="ignore")
 def _bridge_exits(rng, cols, ys, ends, dt: float, scratch, masks) -> np.ndarray:
     """Indices of the survivors that the Brownian-bridge exit test absorbs.
 
     ``g = (x - b)(y - b)`` is formed at each finite end in ``scratch``, which
-    also holds ``y - b`` where b != 0.  The survivors with
-    ``g < BRIDGE_REACH * dt`` at some end draw one uniform each, in
-    particle-index order, and are absorbed when it falls below
+    also holds ``y - b`` where b != 0; an overflowed g is +inf, out of reach.
+    Survivors with ``g < BRIDGE_REACH * dt`` at some end draw one uniform
+    each, in particle-index order, and are absorbed when it falls below
     ``1 - prod(1 - exp(-2 g+ / dt))``; an end with g <= 0 makes that 1.
     """
     m = ys[0].size

@@ -812,6 +812,17 @@ class TestProcess:
         )
         assert self.python(code, str(tmp_path / "eig")) == [0, True]
 
+    def test_simulate_on_a_vast_interval_warns_nothing(self, tmp_path):
+        # positions near 1e199 overflow the bridge products (x - b)(y - b) to +inf
+        src = os.path.dirname(os.path.dirname(qsdlab.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "qsdlab.cli", "simulate",
+             "--potential", "zero", "--x-min", "0", "--x-max", "1e200", "--n", "50",
+             "--particles", "100", "--horizon", "0.01", "--dt", "0.001", "--output", str(tmp_path)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert (tmp_path / "survival.csv").stat().st_size and (tmp_path / "positions.csv").stat().st_size
+
     def test_consecutive_runs_share_no_state(self, tmp_path, capsys):
         # the parser is built once per process; each run parses afresh
         for flags, name in ((["--resample"], "fv"), ([], "plain")):

@@ -593,16 +593,6 @@ class TestKrylovFlow:
             coeffs, est = doob._krylov_coefficients(self.HESS_999, 1.0, np.array([0.0, 0.1, 1.0]), 1e-12)
         assert not est <= 1e-8
 
-    def test_basis_grows_past_one_chunk(self, ou, monkeypatch):
-        monkeypatch.setattr(doob, "KRYLOV_CHUNK", 3)
-        mu = GridMeasure(ou.grid, initial_density("gaussian", ou.grid))
-        times = np.linspace(0.0, 3.0, 7)
-        grown = flow_exponential(ou.op, mu, times, eigen=ou.eigen)
-        monkeypatch.undo()
-        for a, b in zip(grown, flow_exponential(ou.op, mu, times, eigen=ou.eigen)):
-            assert np.array_equal(a.mu_t.density, b.mu_t.density)
-            assert a.chi2_to_beta == b.chi2_to_beta
-
     def test_all_times_zero_and_validation(self, brownian, uniform_measure):
         mu = uniform_measure(brownian.grid)
         states = flow_exponential(brownian.op, mu, [0.0, 0.0], eigen=brownian.eigen)
