@@ -23,9 +23,9 @@ every sample time from one shift-and-invert Krylov space of
 SIAM J. Sci. Comput. 27, 2006), Arnoldi on m itself in the 2-norm, with an
 a-posteriori estimate (Saad, SIAM J. Numer. Anal. 29, 1992) held below
 ``KRYLOV_TOL`` on every sample; the chi-square distance, which weights the
-density by 1/beta, comes from a second such space in w, deflated by the
-principal eigenvector.  A space exhausted to roundoff (at most n vectors) or
-a basis of ``KRYLOV_MAX_DIM`` that misses the tolerance raises `FlowError`.
+density by 1/beta, comes from a second such space in w, built orthogonal to
+the principal eigenvector.  A space exhausted to roundoff (at most n vectors)
+or a basis of ``KRYLOV_MAX_DIM`` that misses the tolerance raises `FlowError`.
 
 The conditioned semigroup is evolved with the same integrators applied to the
 sub-Markovian generator.  Supplying the eigenpair shifts the generator by
@@ -177,15 +177,20 @@ def _krylov_coefficients(hess, gamma, times, residual):
     return coeffs, np.max(scale * np.abs(us @ h_inv[-1]) * times / np.linalg.norm(us, axis=1))
 
 
-def _krylov_run(v0, times, gamma, solve, apply, tol):
+def _krylov_run(v0, times, gamma, solve, apply, tol, lock=None):
     """exp(t A) v0 at each of ``times`` (t_max > 0); returns (basis, coefficients).
 
     ``solve(v)`` returns Z v = (I - gamma A)^-1 v and ``apply(v)`` returns
     A v.  Arnoldi with two passes of classical Gram-Schmidt builds an
     orthonormal basis of the Krylov space of Z from v0 in the 2-norm of the
     variable v0 lives in, so the error estimate of `_krylov_coefficients` is
-    relative to the 2-norm of exp(t A) v0.  The space is exhausted when the
-    basis holds n vectors or the new direction is roundoff (``KRYLOV_LOST``);
+    relative to the 2-norm of exp(t A) v0.  ``lock``, a unit eigenvector of
+    A, sits in front of the basis in both passes, the start's included, and
+    its coefficient is dropped: the run evolves the rest of v0, and a rest of
+    at most 8 sqrt(n) eps |v0| is roundoff, 0 at every sample (a QSD start
+    leaves 1.9 sqrt(n) eps or less on OU, Brownian and delta = 3, n = 3 to
+    32000).  The space is exhausted when the basis holds n vectors (n - 1
+    with a lock) or the new direction is roundoff (``KRYLOV_LOST``);
     that direction never joins the basis, and the estimate is taken right
     there with residual 0, else every ``KRYLOV_CHECK_EVERY`` vectors and at
     ``KRYLOV_MAX_DIM``.  The run stops once the estimate is at most ``tol``
@@ -194,33 +199,40 @@ def _krylov_run(v0, times, gamma, solve, apply, tol):
     at times[j], coefficients[j] @ basis, one sample at a time.
     """
     n = v0.size
+    first = 0 if lock is None else 1  # the basis row of the first Krylov vector
+    basis = np.empty((first + min(n, KRYLOV_MAX_DIM) + 1, n))
+    floor = 8.0 * math.sqrt(n) * np.finfo(float).eps * float(np.linalg.norm(v0))
+    if lock is not None:
+        basis[0] = lock
+        for _ in range(2):
+            v0 = v0 - (lock @ v0) * lock
     norm0 = float(np.linalg.norm(v0))
-    if norm0 == 0.0:
+    if norm0 <= floor:  # 0, or the lock to working precision
         return np.zeros((1, n)), np.zeros((times.size, 1))
-    basis = np.empty((min(n, KRYLOV_MAX_DIM) + 1, n))
-    basis[0] = v0 / norm0
+    basis[first] = v0 / norm0
     hess = np.zeros((KRYLOV_MAX_DIM + 1, KRYLOV_MAX_DIM))
     for k in range(1, KRYLOV_MAX_DIM + 1):
-        w = solve(basis[k - 1])
+        w = solve(basis[first + k - 1])
         z_norm = float(np.linalg.norm(w))
-        v = basis[:k]
+        v = basis[:first + k]
         for _ in range(2):
             h = v @ w
             w -= h @ v
-            hess[:k, k - 1] += h
+            hess[:k, k - 1] += h[first:]
         h_next = float(np.linalg.norm(w))
         if not math.isfinite(h_next):
             raise FlowError("non-finite Krylov vector; check the potential and eigenpair")
         hess[k, k - 1] = h_next
-        exhausted = k == n or h_next <= KRYLOV_LOST * z_norm
+        exhausted = k == n - first or h_next <= KRYLOV_LOST * z_norm
         if not exhausted:
-            basis[k] = w / h_next
+            w /= h_next
+            basis[first + k] = w
             if k % KRYLOV_CHECK_EVERY and k < KRYLOV_MAX_DIM:
                 continue
-        residual = 0.0 if exhausted else float(np.linalg.norm(basis[k] - gamma * apply(basis[k])))
+        residual = 0.0 if exhausted else float(np.linalg.norm(w - gamma * apply(w)))
         coeffs, est = _krylov_coefficients(hess[:k + 1, :k], gamma, times, residual)
         if est <= tol:
-            return basis[:k], norm0 * coeffs
+            return basis[first:first + k], norm0 * coeffs
         if exhausted or k == KRYLOV_MAX_DIM:
             raise FlowError(f"Krylov exponential not converged: basis size {k}, "
                             f"error estimate {est:.3e} > {tol:.0e}")
@@ -230,6 +242,8 @@ def _sample_times(op: TridiagonalOperator, mu: GridMeasure, times) -> np.ndarray
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ValueError("need a nonempty 1D array of times")
+    if not np.isfinite(times).all():
+        raise ValueError("times must be finite")
     if np.any(times < 0.0) or np.any(np.diff(times) < 0.0):
         raise ValueError("times must be nonnegative and nondecreasing")
     if mu.grid != op.grid:
@@ -237,14 +251,11 @@ def _sample_times(op: TridiagonalOperator, mu: GridMeasure, times) -> np.ndarray
     return times
 
 
-def _beta(op: TridiagonalOperator, eigen: EigenPair) -> GridMeasure:
-    return GridMeasure(op.grid, eigen.eta**2 * op.gamma_weights)
-
-
-def _flow_state(op, t, m, log_surv, chi2=None, eigen=None, beta=None) -> FlowState:
-    """The sample's law; with ``eigen`` and no ``chi2``, the law's chi-square distance to ``beta``."""
+def _flow_state(op, t, m, log_surv, chi2=None, eigen=None) -> FlowState:
+    """The sample's law; with ``eigen`` and no ``chi2``, the law's chi-square distance to beta."""
     law = GridMeasure(op.grid, np.clip(m, 0.0, None))
     if chi2 is None and eigen is not None:
+        beta = GridMeasure(op.grid, eigen.eta**2 * op.gamma_weights)
         chi2 = chi2_divergence(tilt(eigen.eta, law), beta)
     return FlowState(
         t=float(t),
@@ -290,7 +301,6 @@ def flow_curve(
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     shift = eigen.lambda0 if eigen is not None else 0.0
-    beta = _beta(op, eigen) if eigen is not None else None
 
     factors = {}
     states = []
@@ -331,7 +341,7 @@ def flow_curve(
             log_mass += math.log(mass / mass0)
             m *= mass0 / mass
         log_surv += log_mass - shift * seg
-        states.append(_flow_state(op, t, m, log_surv, eigen=eigen, beta=beta))
+        states.append(_flow_state(op, t, m, log_surv, eigen=eigen))
     return states
 
 
@@ -349,25 +359,22 @@ def flow_exponential(
     chi-square distance of eta*mu_t to beta is recorded on each snapshot.
     That distance weights the density by 1/beta, which an error small in
     the 2-norm of m does not bound where beta is tiny, so it comes from a
-    second Krylov space in the symmetric variable w = m / d, deflated by the
-    principal eigenvector: w(t) = c0 psi0 + exp(t (S + lambda0)) w_perp with
-    psi0 the unit eigenvector d * eta of S, c0 = <psi0, w0> and w_perp =
-    w0 - c0 psi0.  The generator is in detailed balance with gamma, so d^2
-    and beta / eta^2 are proportional to gamma, and the distance is
-    |w_perp(t)| / c0.  Holding the error estimate to ``KRYLOV_CHI_TOL``
-    relative to |w_perp(t)| keeps that relative accuracy as the distance
-    decays.  Roundoff leaves w_perp a part of size eps |w_perp(0)| along
-    psi0 that does not decay, so psi0 is projected out of each result too,
-    with b, the basis applied to psi0, formed before the m-space run.  The
-    ``NEGATIVE_DENSITY_TOL`` test and the mass-underflow check apply to
-    every snapshot; t = 0 returns the initial law.
+    second Krylov space in the symmetric variable w = m / d: w(t) = c0 psi0
+    + exp(t (S + lambda0)) w_perp with psi0 the unit eigenvector d * eta of
+    S, c0 = <psi0, w0> and w_perp = w0 - c0 psi0.  The generator is in
+    detailed balance with gamma, so d^2 and beta / eta^2 are proportional
+    to gamma, and the distance is |w_perp(t)| / c0.  psi0 is the run's lock,
+    so |w_perp(t)| is the norm of its coefficients, held to
+    ``KRYLOV_CHI_TOL`` relative as the distance decays, and the QSD's own
+    w_perp(0), roundoff, gives 0.  The ``NEGATIVE_DENSITY_TOL`` test and
+    the mass-underflow check apply to every snapshot; t = 0 returns the
+    initial law.
     """
     from scipy.linalg.lapack import dpttrs
     times = _sample_times(op, mu, times)
     m0 = mu.density
     shift = eigen.lambda0 if eigen is not None else 0.0
-    beta = _beta(op, eigen) if eigen is not None else None
-    start = _flow_state(op, 0.0, m0, 0.0, eigen=eigen, beta=beta)
+    start = _flow_state(op, 0.0, m0, 0.0, eigen=eigen)
     later = times[times > 0.0]
     states = [start] * (times.size - later.size)
     if later.size == 0:
@@ -381,24 +388,15 @@ def flow_exponential(
         psi = d * eigen.eta
         psi /= np.linalg.norm(psi)
         w0 = m0 / d
-        c0 = float(psi @ w0)
-        basis, coeffs = _krylov_run(
-            w0 - c0 * psi, later, gamma,
+        # the basis is released here, before the m-space run builds its own
+        coeffs = _krylov_run(
+            w0, later, gamma,
             lambda v: dpttrs(*factors, v)[0],
             lambda v: tridiag_apply(op.diag, off, off, v) + shift * v,
-            KRYLOV_CHI_TOL,
-        )
-        b = basis @ psi
-        del basis
-        # V orthonormal: psi . (c V) = b . c, and |c V - (b . c) psi|^2 as a sum of squares
-        bc = coeffs @ b
-        square = np.sum((coeffs - np.outer(bc, b)) ** 2, axis=1) + bc**2 * (1.0 - b @ b)
-        # the roundoff in 1 - |b|^2 turns the sum negative once chi has fallen
-        # ~23 decades below chi(0); no digit of chi is left there
-        lost = ~(np.isfinite(square) & (square >= 0.0))
-        if lost.any():
-            raise FlowError(f"chi lost to roundoff at t={later[lost.argmax()]:.6g}; shorten t_max")
-        chi2 = np.sqrt(square) / c0
+            KRYLOV_CHI_TOL, lock=psi,
+        )[1]
+        # hypot keeps |c| where its squares would underflow
+        chi2 = np.hypot.reduce(coeffs, axis=1) / float(psi @ w0)
     basis, coeffs = _krylov_run(
         m0, later, gamma,
         lambda v: d * dpttrs(*factors, v / d)[0],

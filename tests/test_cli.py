@@ -20,6 +20,24 @@ def read(path):
         return fh.read()
 
 
+def ou_chi_reference(n, density, times):
+    """chi(t) of `evolve --example ou --n n` from the eigenbasis of the symmetric
+    bands: |(e^{-(lam_k - lam_0) t} c_k)_{k >= 1}| / |c_0| with c = V^T (m0 / d)."""
+    from scipy.linalg import eigh_tridiagonal
+
+    from qsdlab.grid_measure import build_grid
+    from qsdlab.potential import quadratic_potential
+    from qsdlab.spectral import _symmetric_bands, assemble_generator
+
+    grid = build_grid(0.0, 8.0, n)
+    op = assemble_generator(quadratic_potential(1.0), grid)
+    d, off = _symmetric_bands(op.off_upper, op.off_lower)
+    lam, v = eigh_tridiagonal(-op.diag, -off)
+    m0 = density(grid.nodes)
+    c = v.T @ (m0 / m0.sum() / d)
+    return [np.linalg.norm(np.exp(-(lam[1:] - lam[0]) * t) * c[1:]) / abs(c[0]) for t in times]
+
+
 class TestValidate:
     def base_config(self, **kw):
         cfg = RunConfig(DEFAULTS)
@@ -342,18 +360,50 @@ class TestCommands:
                     "--horizon", "1.0", "--dt", "1e-3", "--output", str(out)])
         assert code == 2
 
-    def test_chi_below_roundoff_exits_two_without_nan(self, tmp_path, capsys):
-        # on OU chi falls ~23 decades by t = 23, where the projected sum under
-        # its square root turns negative
+    def test_chi_far_below_its_start_meets_the_eigenbasis(self, tmp_path):
+        # chi falls from 5.3e3 to 2.8e-13 at t = 15 and 2.6e-26 at t = 30,
+        # 29 decades, and keeps its relative accuracy
         out = tmp_path / "ou"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = run(["evolve", "--example", "ou", "--n", "2000", "--t-max", "30",
                         "--samples", "31", "--initial", "gaussian-truncated",
                         "--initial-center", "1.5", "--output", str(out)])
-        assert code == 2
-        assert capsys.readouterr().err == "qsdlab: numerical failure: chi lost to roundoff at t=23; shorten t_max\n"
-        assert not out.exists()
+        assert code == 0
+        rows = np.loadtxt(out / "curves.csv", delimiter=",", skiprows=1)
+        assert not np.isnan(rows).any()
+        gaussian = lambda x: np.exp(-((x - 1.5) ** 2) / 2.0)
+        np.testing.assert_allclose(rows[[15, 30], 3], ou_chi_reference(2000, gaussian, [15.0, 30.0]),
+                                   rtol=1e-8, atol=0.0)
+
+    def test_chi_decays_past_1e_128(self, tmp_path):
+        # from a uniform law chi(0) = 3.6e11; a distance left along the principal
+        # eigenvector by roundoff would stay flat near 7e-13
+        out = tmp_path / "ou"
+        assert run(["evolve", "--example", "ou", "--n", "200", "--t-max", "300",
+                    "--samples", "3", "--output", str(out)]) == 0
+        chi = np.loadtxt(out / "curves.csv", delimiter=",", skiprows=1)[1, 3]
+        # the slow mode is 7e-11 of |w_perp(0)|: the start's own roundoff leaves
+        # it about eps / 7e-11 = 3e-6 relative (it reads 1.6e-6), in any method
+        # that works on w_perp(0) in the 2-norm
+        np.testing.assert_allclose(chi, ou_chi_reference(200, np.ones_like, [150.0]), rtol=1e-5, atol=0.0)
+
+    def test_chi_of_a_uniform_law_on_the_default_mesh(self, tmp_path):
+        out = tmp_path / "ou"
+        assert run(["evolve", "--example", "ou", "--n", "2000", "--t-max", "30",
+                    "--samples", "31", "--output", str(out)]) == 0
+        chi = np.loadtxt(out / "curves.csv", delimiter=",", skiprows=1)[-1, 3]
+        np.testing.assert_allclose(chi, ou_chi_reference(2000, np.ones_like, [30.0]), rtol=1e-3, atol=0.0)
+
+    def test_chi_below_roundoff_on_three_nodes(self, tmp_path):
+        # chi(2) / chi(0) = e^-269: the law and survival are kept, and chi with them
+        out = tmp_path / "ou"
+        assert run(["evolve", "--example", "ou", "--n", "3", "--t-max", "2", "--samples", "2",
+                    "--initial", "gaussian-truncated", "--initial-center", "1.2",
+                    "--initial-width", "0.25", "--output", str(out)]) == 0
+        gaussian = lambda x: np.exp(-((x - 1.2) ** 2) / (2.0 * 0.25**2))
+        chi = np.loadtxt(out / "curves.csv", delimiter=",", skiprows=1)[-1, 3]
+        np.testing.assert_allclose(chi, ou_chi_reference(3, gaussian, [2.0]), rtol=1e-6, atol=0.0)
 
     def test_rates_convergence_failure_exits_two(self, tmp_path, monkeypatch):
         from qsdlab import spectral
@@ -611,6 +661,20 @@ class TestQsdInitialLaw:
         assert rows.shape == (41, 6)
         assert np.all(rows[:, 1] <= 1e-12)
         np.testing.assert_allclose(rows[:, 5], -lam0 * rows[:, 0], rtol=1e-9, atol=0.0)
+
+    # the law moves off the computed QSD by 7.1e-12 in TV at n = 8000 (2.8e-16 at
+    # 2000), saturating at t ~ 2 / gap: far inside the flow's 1e-10 tolerance
+    @pytest.mark.parametrize(("n", "tv"), [("2000", 1e-12), ("8000", 1e-11)])
+    def test_evolve_from_the_qsd_on_a_fine_mesh(self, tmp_path, n, tv):
+        # w_perp(0) of the QSD is roundoff, so chi is 0 after t = 0
+        ou = ["--example", "ou", "--n", n]
+        assert run(["eigen", *ou, "--output", str(tmp_path / "eig")]) == 0
+        assert run(["evolve", *ou, "--initial", "qsd", "--output", str(tmp_path / "evo")]) == 0
+        lam0 = json.loads(read(tmp_path / "eig" / "eigen.json"))["lambda0"]
+        rows = np.loadtxt(tmp_path / "evo" / "curves.csv", delimiter=",", skiprows=1)
+        assert np.all(rows[:, 1] <= tv)
+        np.testing.assert_allclose(rows[:, 5], -lam0 * rows[:, 0], rtol=1e-9, atol=0.0)
+        assert np.all(rows[1:, 3] == 0.0)
 
     def test_report_writes_the_evolve_curves(self, tmp_path):
         for command in ("evolve", "report"):

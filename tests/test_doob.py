@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.linalg.lapack import dpttrs
 
 from qsdlab import doob
 from qsdlab.doob import (
@@ -20,6 +21,7 @@ from qsdlab.potential import quadratic_potential, shifted_power_potential, zero_
 from qsdlab.spectral import (
     EigenPair,
     TridiagonalOperator,
+    _symmetric_bands,
     assemble_generator,
     principal_eigenpair,
     qsd_from_eigen,
@@ -518,8 +520,8 @@ class TestKrylovFlow:
     @pytest.mark.parametrize("seed", range(5))
     def test_chi2_late_in_the_decay_survives_an_ulp_in_eta(self, seed):
         """eta off by an ulp per node leaves a part of w_perp along the top
-        eigenvector that never decays; the flow projects it out, so the late
-        samples keep the accuracy of the exact eta."""
+        eigenvector that never decays; the flow's basis is built orthogonal to
+        it, so the late samples keep the accuracy of the exact eta."""
         g = build_grid(0.0, 2.5, 400)
         op = assemble_generator(shifted_power_potential(3.0), g)
         eigen = principal_eigenpair(op)
@@ -560,6 +562,44 @@ class TestKrylovFlow:
             assert s.chi2_to_beta <= 1e-10
             assert s.log_survival == pytest.approx(-ou.lambda0 * s.t, abs=1e-10)
 
+    @pytest.mark.parametrize("n", [400, 2000, 8000])
+    @pytest.mark.parametrize("case", sorted(KRYLOV_CASES))
+    def test_qsd_within_roundoff_of_a_gaussian(self, case, n):
+        # w_perp(0) a few decades above the QSD's own roundoff: the chi run has
+        # a start at the edge of the lock's floor and must still converge
+        spec, x_min, x_max, t_max = KRYLOV_CASES[case]
+        g = build_grid(x_min, x_max, n)
+        op = assemble_generator(spec, g)
+        eigen = principal_eigenpair(op, with_lambda1=False)
+        alpha = qsd_from_eigen(op, eigen).density
+        bump = initial_density("gaussian", g)
+        bump /= bump.sum()
+        times = np.linspace(0.0, t_max, 11)
+        for delta in (1e-14, 1e-13, 1e-12):
+            states = flow_exponential(op, GridMeasure(g, alpha + delta * bump), times, eigen=eigen)
+            assert all(np.isfinite(s.chi2_to_beta) for s in states)
+
+    @pytest.mark.parametrize("law", ["uniform", "gaussian"])
+    @pytest.mark.parametrize("n", [3, 4, 9, 200])
+    def test_a_locked_run_stays_orthogonal_to_the_lock(self, n, law):
+        spec, x_min, x_max, t_max = KRYLOV_CASES["ou"]
+        g = build_grid(x_min, x_max, n)
+        op = assemble_generator(spec, g)
+        eigen = principal_eigenpair(op)
+        d, off = _symmetric_bands(op.off_upper, op.off_lower)
+        psi = d * eigen.eta
+        psi /= np.linalg.norm(psi)
+        gamma = t_max / 10.0
+        factors = doob._cn_factors(op.diag, off, gamma, eigen.lambda0)
+        basis, coeffs = doob._krylov_run(
+            initial_density(law, g) / d, t_max * np.array([0.05, 0.3, 1.0]), gamma,
+            lambda v: dpttrs(*factors, v)[0],
+            lambda v: tridiag_apply(op.diag, off, off, v) + eigen.lambda0 * v,
+            doob.KRYLOV_CHI_TOL, lock=psi,
+        )
+        assert basis.shape[0] <= n - 1
+        assert np.max(np.abs(basis @ psi)) <= 1e-13
+
     def test_basis_cap_raises(self, ou, monkeypatch):
         monkeypatch.setattr(doob, "KRYLOV_MAX_DIM", 4)
         mu = GridMeasure(ou.grid, initial_density("uniform", ou.grid))
@@ -599,3 +639,13 @@ class TestKrylovFlow:
         assert all(s.log_survival == 0.0 and s.survival_weight == 1.0 for s in states)
         with pytest.raises(ValueError, match="nondecreasing"):
             flow_exponential(brownian.op, mu, [1.0, 0.5])
+
+    @pytest.mark.parametrize("times", [[0.0, 1.0, np.nan], [np.nan, 1.0], [0.0, np.inf], [-np.inf, 0.0]])
+    @pytest.mark.parametrize("flow", ["curve", "exponential"])
+    def test_non_finite_times_are_rejected(self, ou, flow, times):
+        mu = GridMeasure(ou.grid, initial_density("uniform", ou.grid))
+        with pytest.raises(ValueError, match="times must be finite"):
+            if flow == "curve":
+                flow_curve(ou.op, mu, times, 0.01, eigen=ou.eigen)
+            else:
+                flow_exponential(ou.op, mu, times, eigen=ou.eigen)
