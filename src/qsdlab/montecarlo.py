@@ -37,11 +37,33 @@ coordinates)`` buffer and turns column j into the new coordinate j in place;
 the exit test forms g at every survivor in a reused scratch buffer and the
 exact probability only at those within reach.  The drift needs V' alone, and
 the potential's domain is checked once, before stepping.
+
+One helper thread draws normals ahead.  At the end of step k the first
+``lead`` rows of step k + 2's block are queued on it; it draws them from step
+k + 2's stream once it has drawn step k + 1's.  Queued that early, a block is
+taken up as soon as the one before is done, not when the helper next wins the
+interpreter lock from the stepping main thread.  With resampling ``lead = n``;
+otherwise ``lead = max(m - 2 D - 64, 0)``, with m the survivors after step k
+and D its deaths (m = n and D = 0 for steps 1 and 2).  A stream fills a block
+row after row, so step k + 2 draws its remaining rows on from where the helper
+stopped and gets the values and stream position of a single draw.  If fewer
+than ``lead`` particles survive step k + 1, step k + 2 opens its stream again
+and draws the whole block itself.  The split decides only which thread draws:
+the stream layout and every output bit depend neither on thread timing nor on
+the number of cores.  The helper is started once per run and joined before
+``simulate`` returns or raises, and it calls no public function.  Where the
+process may use another CPU (Linux), the helper starts on one other than the
+main thread's and is then allowed every CPU again.  Linux may otherwise start
+it on the main thread's CPU and, as the two threads wait for each other in
+turn, leave it there, so that they run one after the other.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import numbers
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -199,14 +221,41 @@ def _bridge_exits(rng, cols, ys, ends, dt: float, scratch, masks) -> np.ndarray:
     return near[rng.random(out=f) < np.subtract(1.0, stay, out=stay)]
 
 
+def _cpus_but_current() -> set[int]:
+    """The CPUs this thread may run on, less the one it runs on now (empty off Linux)."""
+    try:
+        with open("/proc/thread-self/stat") as fh:  # field 39 is the thread's CPU
+            cpu = int(fh.read().rsplit(")", 1)[1].split()[36])
+        return os.sched_getaffinity(0) - {cpu}
+    except (OSError, AttributeError):
+        return set()
+
+
+def _start_on(cpus: set[int]) -> None:
+    """Move the calling thread onto ``cpus``, if any, then allow it its CPUs again."""
+    if cpus:
+        with contextlib.suppress(OSError):  # the allowed CPUs changed meanwhile
+            allowed = os.sched_getaffinity(0)
+            os.sched_setaffinity(0, cpus)  # returns once the thread runs on one of them
+            os.sched_setaffinity(0, allowed)
+
+
+def _draw_ahead(seed: int, step_index: int, out: np.ndarray) -> np.random.Generator:
+    """Fill ``out`` with the first normals of a step; return the step's stream after them."""
+    rng = _step_rng(seed, step_index)
+    rng.standard_normal(out=out)
+    return rng
+
+
 def simulate(config: SimConfig, initial_sampler, record_every: int = 1) -> ParticleEnsemble:
     """Run the absorbed Euler-Maruyama scheme from a sampled initial law."""
+    if (isinstance(record_every, bool) or not isinstance(record_every, numbers.Integral)
+            or record_every < 1):
+        raise ValueError(f"record_every must be a positive int, got {record_every!r}")
     coords = config.coordinates()
     d = len(coords)
     n = config.n_particles
-    steps = int(round(config.horizon / config.dt))
-    if steps < 1:
-        raise ValueError("horizon shorter than one step")
+    steps = int(round(config.horizon / config.dt))  # >= 1, as 0 < dt <= horizon
     dt = config.horizon / steps
 
     if any(lo < spec.domain[0] or hi > spec.domain[1] for spec, (lo, hi) in coords):
@@ -223,9 +272,11 @@ def simulate(config: SimConfig, initial_sampler, record_every: int = 1) -> Parti
     # (coordinate, end) pairs of the finite ends, in the order of the product
     ends = [(j, b) for j, (_, dom) in enumerate(coords) for b in dom if math.isfinite(b)]
     # buffers reused by every step, so that a run allocates few large arrays:
-    # a step draws its (survivors, coordinates) normals into the block that
-    # does not hold cols and turns column j into the new coordinate j in place
-    blocks = [x, np.empty((n, d))]
+    # step k draws its (survivors, coordinates) normals into blocks[k % 3] and
+    # turns column j into the new coordinate j in place, while cols may sit in
+    # blocks[(k - 1) % 3] and the helper fills blocks[(k + 1) % 3], then
+    # blocks[(k + 2) % 3] once step k has queued it
+    blocks = [x, np.empty((n, d)), np.empty((n, d))]
     cols = list(x.T)  # survivors' coordinates, particle-index order
     scratch = np.empty(n if all(b == 0.0 for _, b in ends) else 2 * n)  # for the exit test
     masks = (np.empty(n, dtype=bool), np.empty(n, dtype=bool))
@@ -235,42 +286,65 @@ def simulate(config: SimConfig, initial_sampler, record_every: int = 1) -> Parti
     status = "ok"
     t = 0.0
 
-    for k in range(1, steps + 1):
-        rng = _step_rng(config.seed, k)
-        blocks.reverse()
-        ys = list(rng.standard_normal(out=blocks[0][:m]).T)
-        _euler_step(coords, cols, ys, dt)
-        dead = _bridge_exits(rng, cols, ys, ends, dt, scratch, masks)
-        n_alive = m - dead.size
-        t = k * dt
+    from concurrent.futures import ThreadPoolExecutor  # loaded by simulate alone
 
-        if n_alive == 0:
-            status = "all_absorbed"
-            log_surv = -math.inf
-            cols = [c[:0] for c in cols]
-            history.append((t, 0.0, log_surv))
-            break
-        cols = ys
-        if config.resample:
-            log_surv += math.log(n_alive / m)
-            if dead.size:
-                # the r-th survivor sits at r plus the number of dead before it
-                ahead = dead - np.arange(dead.size)
-                r = rng.integers(0, n_alive, size=dead.size)
-                donors = r + np.searchsorted(ahead, r, side="right")
-                for c in cols:
-                    c[dead] = c[donors]
-        else:
-            if dead.size:
-                keep = masks[0][:m]
-                keep.fill(True)
-                keep[dead] = False
-                cols = [c[keep] for c in cols]
-            m = n_alive
-            log_surv = math.log(m / n)
+    # the helper starts off the main thread's CPU (module docstring)
+    with ThreadPoolExecutor(max_workers=1, initializer=_start_on,
+                            initargs=(_cpus_but_current(),)) as helper:
+        queued = []  # (lead, future) of the steps queued on the helper, in step order
 
-        if k % record_every == 0 or k == steps:
-            history.append((t, m / n, log_surv))
+        def prefetch(k: int, survivors: int, deaths: int) -> None:
+            """Queue the first lead rows of step k's normals on the helper."""
+            if k <= steps:
+                lead = n if config.resample else max(survivors - 2 * deaths - 64, 0)
+                out = blocks[k % 3][:lead]
+                queued.append((lead, helper.submit(_draw_ahead, config.seed, k, out)))
+
+        prefetch(1, n, 0)
+        prefetch(2, n, 0)
+        for k in range(1, steps + 1):
+            block = blocks[k % 3]
+            lead, drawn = queued.pop(0)
+            rng = drawn.result()
+            if lead > m:  # more deaths than guessed: draw the whole step here
+                rng, lead = _step_rng(config.seed, k), 0
+            rng.standard_normal(out=block[lead:m])
+            ys = list(block[:m].T)
+            _euler_step(coords, cols, ys, dt)
+            dead = _bridge_exits(rng, cols, ys, ends, dt, scratch, masks)
+            n_alive = m - dead.size
+            t = k * dt
+
+            if n_alive == 0:
+                status = "all_absorbed"
+                log_surv = -math.inf
+                cols = [c[:0] for c in cols]
+                history.append((t, 0.0, log_surv))
+                break
+            cols = ys
+            if config.resample:
+                log_surv += math.log(n_alive / m)
+                if dead.size:
+                    # the r-th survivor sits at r plus the number of dead before it
+                    ahead = dead - np.arange(dead.size)
+                    r = rng.integers(0, n_alive, size=dead.size)
+                    donors = r + np.searchsorted(ahead, r, side="right")
+                    for c in cols:
+                        c[dead] = c[donors]
+            else:
+                if dead.size:
+                    keep = masks[0][:m]
+                    keep.fill(True)
+                    keep[dead] = False
+                    cols = [c[keep] for c in cols]
+                m = n_alive
+                log_surv = math.log(m / n)
+            prefetch(k + 2, m, dead.size)
+
+            if k % record_every == 0 or k == steps:
+                history.append((t, m / n, log_surv))
+        for _, drawn in queued:  # drawn for a step after the last survivor died
+            drawn.result()
 
     return ParticleEnsemble(
         positions=np.stack(cols, axis=1),

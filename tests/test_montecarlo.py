@@ -1,4 +1,6 @@
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -208,6 +210,165 @@ class TestDrawLayout:
                             n_particles=200, seed=1)
         with pytest.raises(ValueError, match="potential domain"):
             simulate(product, ProductGridMeasure((uniform_measure(g), uniform_measure(g))))
+
+    @pytest.mark.parametrize("record_every", [0, -3, 1.5, True, "2", None])
+    def test_record_every_not_a_positive_int_raises_before_stepping(
+            self, record_every, uniform_measure, monkeypatch):
+        import qsdlab.montecarlo as mc
+
+        def no_step(*args):
+            raise AssertionError("no step may be drawn")
+
+        monkeypatch.setattr(mc, "_step_rng", no_step)
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match="record_every"):
+            simulate(brownian_config(n_particles=200), uniform_measure(build_grid(-1.0, 1.0, 100)),
+                     record_every=record_every)
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("branch", ["tail", "redraw", "resample", "all-absorbed"])
+    def test_prefetch_branch_matches_reference_loop(self, branch, uniform_measure,
+                                                    gaussian_measure, monkeypatch):
+        import qsdlab.montecarlo as mc
+
+        ahead, opened = [], []  # (step, rows drawn ahead); step of each opened stream
+        draw_ahead, step_rng = mc._draw_ahead, mc._step_rng
+
+        def counted_draw(seed, k, out):
+            ahead.append((k, out.shape[0]))
+            return draw_ahead(seed, k, out)
+
+        def counted_rng(seed, k):
+            opened.append(k)
+            return step_rng(seed, k)
+
+        monkeypatch.setattr(mc, "_draw_ahead", counted_draw)
+        monkeypatch.setattr(mc, "_step_rng", counted_rng)
+        if branch == "redraw":
+            # a law packed against an end at coarse dt: step 1 kills most of
+            # the ensemble, more than step 2's guess allows for
+            cfg = brownian_config(domain=(0.0, 1.0), spec=zero_potential(domain=(0.0, 1.0)),
+                                  dt=1e-2, horizon=0.2, n_particles=300, seed=23)
+            mu, record_every = uniform_measure(build_grid(0.0, 1.0, 100), 0.0, 0.05), 1
+        else:
+            case = {"tail": "absorb-1d", "resample": "resample",
+                    "all-absorbed": "all-absorbed"}[branch]
+            cfg, mu, record_every = _draw_layout_case(case, uniform_measure, gaussian_measure)
+        ens = simulate(cfg, mu, record_every=record_every)
+        positions, curve = reference_simulate(cfg, mu, record_every=record_every)
+        assert np.array_equal(ens.positions, positions)
+        assert np.array_equal(ens.survival_curve, curve)
+
+        n = cfg.n_particles
+        steps = int(round(cfg.horizon / cfg.dt))
+        assert [k for k, _ in ahead] == list(range(1, len(ahead) + 1))
+        redrawn = [k for k in set(opened) if opened.count(k) == 2]
+        if branch == "resample":
+            assert ahead == [(k, n) for k in range(1, steps + 1)] and redrawn == []
+            return
+        # survivors at the start of step k, from the per-step survival curve
+        alive = np.rint(ens.survival_curve[:, 1] * n).astype(int)
+        assert record_every == 1 and opened.count(0) == 1
+        if branch == "all-absorbed":
+            # the run ends at the step that absorbs the last survivor, with the
+            # next step's prefix drawn and never used
+            assert ens.status == "all_absorbed" and len(ahead) == len(curve) < steps
+        else:
+            assert len(ahead) == steps
+        used = [(k, rows) for k, rows in ahead if k < len(curve)]
+        tails = [k for k, rows in used if 0 < rows < alive[k - 1]]
+        overshoots = [k for k, rows in used if rows > alive[k - 1]]
+        assert overshoots == sorted(redrawn)
+        if branch == "redraw":
+            assert alive[1] < alive[0] / 2 and overshoots[:1] == [2]
+        elif branch == "tail":
+            assert overshoots == [] and len(tails) > 0
+
+
+class TestHelperThread:
+    """simulate draws the next step's normals on one helper thread, which it
+    joins before it returns or raises."""
+
+    @pytest.mark.parametrize("case", ["absorb-1d", "resample", "all-absorbed"])
+    def test_no_thread_outlives_a_run(self, case, uniform_measure, gaussian_measure):
+        cfg, mu, record_every = _draw_layout_case(case, uniform_measure, gaussian_measure)
+        threads = threading.active_count()
+        simulate(cfg, mu, record_every=record_every)
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("resample", [False, True])
+    def test_no_thread_outlives_an_exception_mid_run(self, resample, uniform_measure,
+                                                     monkeypatch):
+        import qsdlab.montecarlo as mc
+
+        calls = []
+        bridge_exits = mc._bridge_exits
+
+        def fail_at_step_3(*args):
+            calls.append(None)
+            if len(calls) == 3:
+                raise RuntimeError("exit test failed")
+            return bridge_exits(*args)
+
+        monkeypatch.setattr(mc, "_bridge_exits", fail_at_step_3)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="exit test failed"):
+            simulate(brownian_config(n_particles=300, horizon=0.1, resample=resample),
+                     uniform_measure(build_grid(-1.0, 1.0, 100)))
+        assert len(calls) == 3
+        assert threading.active_count() == threads
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity")
+    def test_both_threads_keep_the_callers_cpus(self, uniform_measure, gaussian_measure,
+                                                monkeypatch):
+        # the helper starts off the caller's CPU but is left free to run on any
+        import qsdlab.montecarlo as mc
+
+        seen = []
+        draw_ahead = mc._draw_ahead
+
+        def recorded(seed, k, out):
+            seen.append(os.sched_getaffinity(0))
+            return draw_ahead(seed, k, out)
+
+        monkeypatch.setattr(mc, "_draw_ahead", recorded)
+        cfg, mu, record_every = _draw_layout_case("absorb-1d", uniform_measure, gaussian_measure)
+        cpus = os.sched_getaffinity(0)
+        simulate(cfg, mu, record_every=record_every)
+        assert os.sched_getaffinity(0) == cpus
+        assert len(seen) > 0 and all(s == cpus for s in seen)
+
+    def test_public_functions_run_on_the_calling_thread(self, uniform_measure,
+                                                        gaussian_measure, monkeypatch):
+        # a tracer that wraps the public functions sees nested calls on one thread
+        import importlib
+        import inspect
+
+        import qsdlab
+
+        names = ("cli", "analytics", "spectral", "doob", "montecarlo", "potential",
+                 "grid_measure")
+        modules = [importlib.import_module(f"qsdlab.{name}") for name in names]
+        idents = []
+
+        def recorded(fn):
+            def call(*args, **kwargs):
+                idents.append(threading.get_ident())
+                return fn(*args, **kwargs)
+            return call
+
+        for module in modules:
+            for name in module.__all__:
+                fn = getattr(module, name)
+                if inspect.isfunction(fn):
+                    for ns in (qsdlab, *modules):
+                        for attr, value in list(vars(ns).items()):
+                            if value is fn:
+                                monkeypatch.setattr(ns, attr, recorded(fn))
+        for case in ("absorb-product", "resample-ou"):
+            cfg, mu, record_every = _draw_layout_case(case, uniform_measure, gaussian_measure)
+            qsdlab.montecarlo.simulate(cfg, mu, record_every=record_every)
+        assert len(idents) > 2 and set(idents) == {threading.get_ident()}
 
 
 class TestSurvival:
