@@ -18,16 +18,16 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .artifacts import write_csv, write_json
-from .doob import flow_exponential
+from .doob import _flow_blocks
 from .grid_measure import (
     Grid1D,
     GridMeasure,
     ProductGridMeasure,
+    _cdf_rows,
     build_grid,
+    cdf_values,
     extrapolated_boundary,
     quadrature,
-    tv_distance,
-    w1_distance,
 )
 from .potential import (
     PotentialSpec,
@@ -202,16 +202,18 @@ def decay_curves(op, eigen: EigenPair, alpha: GridMeasure, mu: GridMeasure, time
 
     TV and W1 distance of phi_t(mu) to the QSD ``alpha``, the chi-square
     distance of eta*phi_t(mu) to beta, the survival weight and its log, from
-    `flow_exponential`.
+    the blocks of samples of `flow_exponential`, each normalized as a
+    `GridMeasure` is: TV is h sum |p - alpha| and W1 h sum |F_p - F_alpha|
+    with alpha's CDF formed once, `tv_distance` and `w1_distance` per row.
     """
-    states = flow_exponential(op, mu, times, eigen=eigen)
-    return {
-        "tv": np.array([tv_distance(s.mu_t, alpha) for s in states]),
-        "w1": np.array([w1_distance(s.mu_t, alpha) for s in states]),
-        "chi2": np.array([s.chi2_to_beta for s in states]),
-        "survival_weight": np.array([s.survival_weight for s in states]),
-        "log_survival": np.array([s.log_survival for s in states]),
-    }
+    h, cdf_alpha = op.grid.h, cdf_values(alpha)
+    blocks = []
+    for _, m, log_surv, surv, chi2 in _flow_blocks(op, mu, times, eigen):
+        p = np.divide(m, h * m.sum(axis=1, keepdims=True), out=m)
+        tv = h * np.abs(p - alpha.density).sum(axis=1)
+        w1 = h * np.abs(_cdf_rows(p, h) - cdf_alpha).sum(axis=1)
+        blocks.append((tv, w1, chi2, surv, log_surv))
+    return {name: np.concatenate(col) for name, col in zip(CURVE_NAMES, zip(*blocks))}
 
 
 @dataclass(frozen=True)

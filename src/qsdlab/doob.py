@@ -25,7 +25,10 @@ a-posteriori estimate (Saad, SIAM J. Numer. Anal. 29, 1992) held below
 ``KRYLOV_TOL`` on every sample; the chi-square distance, which weights the
 density by 1/beta, comes from a second such space in w, built orthogonal to
 the principal eigenvector.  A space exhausted to roundoff (at most n vectors)
-or a basis of ``KRYLOV_MAX_DIM`` that misses the tolerance raises `FlowError`.
+or a basis of ``KRYLOV_MAX_DIM`` that misses the tolerance raises `FlowError`;
+a check the basis can still outgrow ends its march at a clear failure.  The
+densities are formed ``BLOCK_BYTES`` (1 MiB) of samples at a time, one product
+each, and `analytics.decay_curves` takes its distances from those blocks.
 
 The conditioned semigroup is evolved with the same integrators applied to the
 sub-Markovian generator.  Supplying the eigenpair shifts the generator by
@@ -69,6 +72,8 @@ KRYLOV_CHECK_EVERY = 5
 # roundoff and the space exhausted: over their first 60 vectors, live directions on
 # n = 2000 and 8000 grids stay above 2e-2; the one past a full basis reads 1e-31 or less
 KRYLOV_LOST = 1e-12
+# float64 bytes of sample densities per product: 16 rows at n = 8000, 61 at n <= 2000
+BLOCK_BYTES = 1 << 20
 
 
 class FlowError(RuntimeError):
@@ -142,39 +147,52 @@ def _check_density(m, mass, where: str) -> None:
             raise FlowError(f"negative density {low:.3e} {where}")
 
 
-def _krylov_coefficients(hess, gamma, times, residual):
+def _sample_gaps(times) -> list:
+    # linspace gaps differ in their last bits: gaps equal to 12 digits share
+    # one propagator, which moves a sample time by less than 1e-12 of itself
+    return [float(f"{g:.12e}") for g in np.diff(times, prepend=0.0).tolist()]
+
+
+def _krylov_coefficients(hess, gamma, times, residual, gaps=None, stop=math.inf):
     """Snapshot coefficients u(t_j) in the Krylov basis and their largest error estimate.
 
     ``hess`` is the (k+1, k) Arnoldi matrix of Z = (I - gamma A)^-1, so A is
     represented by (I - H_k^-1) / gamma = -B and u(t) = expm(-t B) e_1,
-    marched over the sample gaps with one ``expm`` per distinct gap.  The
-    residual of the Krylov approximation is
+    marched over the sample ``gaps`` (`_sample_gaps`) with one ``expm`` per
+    distinct gap.  The residual of the Krylov approximation is
     (h_{k+1,k} / gamma) (e_k^T H_k^-1 u(t)) (I - gamma A) v_{k+1}; times t
     and relative to |u(t)| it estimates the error at t.  ``residual`` is the
     norm of (I - gamma A) v_{k+1}, 0 for an exhausted space.  Returns the
     coefficients and the largest estimate over the samples, taken on those
-    same coefficients.
+    same coefficients; the march ends early, with the rows marched, where
+    the estimate on samples 2^(i-1) to 2^i - 1 exceeds ``stop`` (no NaN does).
     """
     from scipy.linalg import expm
     k = hess.shape[1]
     h_inv = np.linalg.inv(hess[:k])
     b = (h_inv - np.eye(k)) / gamma
-    # linspace gaps differ in their last bits: gaps equal to 12 digits share
-    # one propagator, which moves a sample time by less than 1e-12 of itself
-    gaps = [float(f"{g:.12e}") for g in np.diff(times, prepend=0.0).tolist()]
+    gaps = _sample_gaps(times) if gaps is None else gaps
     propagators = {g: expm(-g * b) for g in set(gaps) if g > 0.0}
+    scale = hess[k, k - 1] / gamma * residual
     u = np.zeros(k)
     u[0] = 1.0
     coeffs = np.empty((times.size, k))
+
+    # rows scaled, |u| < 1e-154 keeps its norm; u = 0 gives NaN, which meets no tolerance
+    def estimate(rows):
+        with np.errstate(invalid="ignore"):
+            us = coeffs[rows] / np.max(np.abs(coeffs[rows]), axis=1, keepdims=True)
+        return np.max(scale * np.abs(us @ h_inv[-1]) * times[rows] / np.linalg.norm(us, axis=1))
+
     for j, g in enumerate(gaps):
         if g > 0.0:
             u = propagators[g] @ u
         coeffs[j] = u
-    # rows scaled, |u| < 1e-154 keeps its norm; u = 0 gives NaN, which meets no tolerance
-    with np.errstate(invalid="ignore"):
-        us = coeffs / np.max(np.abs(coeffs), axis=1, keepdims=True)
-    scale = hess[k, k - 1] / gamma * residual
-    return coeffs, np.max(scale * np.abs(us @ h_inv[-1]) * times / np.linalg.norm(us, axis=1))
+        if j & (j + 1) == 0 and stop < math.inf:  # the rows since the last power of two
+            est = estimate(slice((j + 1) // 2, j + 1))
+            if est > stop:
+                return coeffs[:j + 1], est
+    return coeffs, estimate(slice(None))
 
 
 def _krylov_run(v0, times, gamma, solve, apply, tol, lock=None):
@@ -195,8 +213,8 @@ def _krylov_run(v0, times, gamma, solve, apply, tol, lock=None):
     there with residual 0, else every ``KRYLOV_CHECK_EVERY`` vectors and at
     ``KRYLOV_MAX_DIM``.  The run stops once the estimate is at most ``tol``
     on every sample; a failed check where the basis cannot grow raises
-    `FlowError` with the basis size reached.  The caller forms the result
-    at times[j], coefficients[j] @ basis, one sample at a time.
+    `FlowError` with the basis size reached, and one it can outgrow may end
+    its march at an estimate above 2 tol.
     """
     n = v0.size
     first = 0 if lock is None else 1  # the basis row of the first Krylov vector
@@ -211,6 +229,7 @@ def _krylov_run(v0, times, gamma, solve, apply, tol, lock=None):
         return np.zeros((1, n)), np.zeros((times.size, 1))
     basis[first] = v0 / norm0
     hess = np.zeros((KRYLOV_MAX_DIM + 1, KRYLOV_MAX_DIM))
+    gaps = _sample_gaps(times)
     for k in range(1, KRYLOV_MAX_DIM + 1):
         w = solve(basis[first + k - 1])
         z_norm = float(np.linalg.norm(w))
@@ -230,10 +249,12 @@ def _krylov_run(v0, times, gamma, solve, apply, tol, lock=None):
             if k % KRYLOV_CHECK_EVERY and k < KRYLOV_MAX_DIM:
                 continue
         residual = 0.0 if exhausted else float(np.linalg.norm(w - gamma * apply(w)))
-        coeffs, est = _krylov_coefficients(hess[:k + 1, :k], gamma, times, residual)
+        final = exhausted or k == KRYLOV_MAX_DIM  # else a margin of 2 keeps the full march's outcome
+        coeffs, est = _krylov_coefficients(hess[:k + 1, :k], gamma, times, residual,
+                                           gaps, math.inf if final else 2.0 * tol)
         if est <= tol:
             return basis[first:first + k], norm0 * coeffs
-        if exhausted or k == KRYLOV_MAX_DIM:
+        if final:
             raise FlowError(f"Krylov exponential not converged: basis size {k}, "
                             f"error estimate {est:.3e} > {tol:.0e}")
 
@@ -251,19 +272,16 @@ def _sample_times(op: TridiagonalOperator, mu: GridMeasure, times) -> np.ndarray
     return times
 
 
-def _flow_state(op, t, m, log_surv, chi2=None, eigen=None) -> FlowState:
-    """The sample's law; with ``eigen`` and no ``chi2``, the law's chi-square distance to beta."""
+def _survival_weight(log_surv: float) -> float:
+    return min(math.exp(log_surv), 1.0) if log_surv > -700 else 0.0
+
+
+def _flow_state(op, t, m, log_surv, eigen=None) -> FlowState:
+    """The sample's law; with ``eigen``, the law's chi-square distance to beta."""
     law = GridMeasure(op.grid, np.clip(m, 0.0, None))
-    if chi2 is None and eigen is not None:
-        beta = GridMeasure(op.grid, eigen.eta**2 * op.gamma_weights)
-        chi2 = chi2_divergence(tilt(eigen.eta, law), beta)
-    return FlowState(
-        t=float(t),
-        mu_t=law,
-        survival_weight=min(math.exp(log_surv), 1.0) if log_surv > -700 else 0.0,
-        log_survival=log_surv,
-        chi2_to_beta=chi2,
-    )
+    beta = None if eigen is None else GridMeasure(op.grid, eigen.eta**2 * op.gamma_weights)
+    chi2 = None if eigen is None else chi2_divergence(tilt(eigen.eta, law), beta)
+    return FlowState(float(t), law, _survival_weight(log_surv), log_surv, chi2)
 
 
 def flow_curve(
@@ -345,45 +363,29 @@ def flow_curve(
     return states
 
 
-def flow_exponential(
-    op: TridiagonalOperator,
-    mu: GridMeasure,
-    times,
-    eigen: EigenPair = None,
-) -> list[FlowState]:
-    """Conditioned law at the requested times, exp(t (M + shift)) m0 without time steps.
-
-    The law comes from one shift-and-invert Krylov space (`_krylov_run`) in
-    m itself, accurate to ``KRYLOV_TOL`` relative to the density's 2-norm.
-    With ``eigen`` supplied the generator is shifted by lambda0 and the
-    chi-square distance of eta*mu_t to beta is recorded on each snapshot.
-    That distance weights the density by 1/beta, which an error small in
-    the 2-norm of m does not bound where beta is tiny, so it comes from a
-    second Krylov space in the symmetric variable w = m / d: w(t) = c0 psi0
-    + exp(t (S + lambda0)) w_perp with psi0 the unit eigenvector d * eta of
-    S, c0 = <psi0, w0> and w_perp = w0 - c0 psi0.  The generator is in
-    detailed balance with gamma, so d^2 and beta / eta^2 are proportional
-    to gamma, and the distance is |w_perp(t)| / c0.  psi0 is the run's lock,
-    so |w_perp(t)| is the norm of its coefficients, held to
-    ``KRYLOV_CHI_TOL`` relative as the distance decays, and the QSD's own
-    w_perp(0), roundoff, gives 0.  The ``NEGATIVE_DENSITY_TOL`` test and
-    the mass-underflow check apply to every snapshot; t = 0 returns the
-    initial law.
-    """
+def _flow_blocks(op: TridiagonalOperator, mu: GridMeasure, times, eigen: EigenPair = None):
+    """`flow_exponential` as blocks (t, m, log_survival, survival_weight, chi2)
+    of samples in time order, m the densities clipped at 0, not normalized,
+    chi2 None without ``eigen``.  The t = 0 rows are the initial law; the
+    later ones are formed ``BLOCK_BYTES`` at a time as coefficients[rows] @
+    basis and tested whole, and the first sample that fails the mass or the
+    ``NEGATIVE_DENSITY_TOL`` test raises its `FlowError`."""
     from scipy.linalg.lapack import dpttrs
     times = _sample_times(op, mu, times)
     m0 = mu.density
     shift = eigen.lambda0 if eigen is not None else 0.0
-    start = _flow_state(op, 0.0, m0, 0.0, eigen=eigen)
     later = times[times > 0.0]
-    states = [start] * (times.size - later.size)
+    if later.size < times.size:
+        zeros = times[:times.size - later.size]
+        chi2 = _flow_state(op, 0.0, m0, 0.0, eigen=eigen).chi2_to_beta
+        yield zeros, np.tile(m0, (zeros.size, 1)), zeros, zeros + 1.0, None if chi2 is None else zeros + chi2
     if later.size == 0:
-        return states
+        return
     gamma = float(later[-1]) / 10.0
     d, off = _symmetric_bands(op.off_upper, op.off_lower, FlowError)
     factors = _cn_factors(op.diag, off, gamma, shift)
 
-    chi2 = [None] * later.size
+    chi2 = None
     if eigen is not None:
         psi = d * eigen.eta
         psi /= np.linalg.norm(psi)
@@ -404,12 +406,45 @@ def flow_exponential(
         KRYLOV_TOL,
     )
     mass0 = float(m0.sum())
-    for t, c, x in zip(later, coeffs, chi2):
-        m = c @ basis
-        mass = float(m.sum())
-        _check_density(m, mass, f"at t={t:.6g}")
-        states.append(_flow_state(op, t, m, math.log(mass / mass0) - shift * t, x))
-    return states
+    step = max(1, BLOCK_BYTES // (8 * m0.size))
+    for lo in range(0, later.size, step):
+        rows = slice(lo, lo + step)
+        t, m = later[rows], coeffs[rows] @ basis
+        mass, low = m.sum(axis=1), m.min(axis=1)
+        bad = ~(mass >= MASS_UNDERFLOW) | ~(low >= NEGATIVE_DENSITY_TOL * np.maximum(m.max(axis=1), -low))
+        for j in np.flatnonzero(bad):  # a NaN is bad too; the first bad sample raises
+            _check_density(m[j], float(mass[j]), f"at t={t[j]:.6g}")
+        log_surv = np.log(mass / mass0) - shift * t
+        surv = np.array([_survival_weight(x) for x in log_surv.tolist()])
+        yield t, np.clip(m, 0.0, None, out=m), log_surv, surv, None if chi2 is None else chi2[rows]
+
+
+def flow_exponential(
+    op: TridiagonalOperator,
+    mu: GridMeasure,
+    times,
+    eigen: EigenPair = None,
+) -> list[FlowState]:
+    """Conditioned law at the requested times, exp(t (M + shift)) m0 without time steps.
+
+    The law comes from one shift-and-invert Krylov space (`_krylov_run`) in
+    m itself, accurate to ``KRYLOV_TOL`` relative to the density's 2-norm.
+    With ``eigen`` supplied the generator is shifted by lambda0 and each
+    snapshot records the chi-square distance of eta*mu_t to beta.  It
+    weights the density by 1/beta, which that norm does not bound where beta
+    is tiny, so it comes from a second space in w = m / d: w(t) = c0 psi0 +
+    exp(t (S + lambda0)) w_perp, psi0 = d * eta / |d * eta| the eigenvector
+    of S, c0 = <psi0, w0>.  By detailed balance d^2 and beta / eta^2 are
+    proportional to gamma, so the distance is |w_perp(t)| / c0, the norm of
+    the coefficients of the run that locks psi0, held to ``KRYLOV_CHI_TOL``
+    relative as it decays; the QSD's own w_perp(0), roundoff, gives 0.
+    Every snapshot passes the mass-underflow and ``NEGATIVE_DENSITY_TOL``
+    tests; t = 0 returns the initial law.  The snapshots wrap the rows of
+    `_flow_blocks`, which `analytics.decay_curves` reads directly.
+    """
+    return [FlowState(*row) for t, m, log_surv, surv, chi2 in _flow_blocks(op, mu, times, eigen)
+            for row in zip(t.tolist(), (GridMeasure(op.grid, q) for q in m), surv.tolist(),
+                           log_surv.tolist(), [None] * t.size if chi2 is None else chi2.tolist())]
 
 
 def checkpoint_residual(

@@ -191,13 +191,16 @@ def tv_distance(mu: GridMeasure, nu: GridMeasure) -> float:
 
 def cdf_values(mu: GridMeasure) -> np.ndarray:
     """Cumulative distribution at the interior nodes (trapezoid, zero at x_min)."""
-    p = mu.density
-    h = mu.grid.h
+    return _cdf_rows(mu.density, mu.grid.h)
+
+
+def _cdf_rows(p: np.ndarray, h: float) -> np.ndarray:
+    """`cdf_values` of the densities ``p`` along its last axis, spacing ``h``."""
     # contributions of cells (x_{i-1}, x_i) with zero boundary density
-    increments = np.empty(mu.grid.n)
-    increments[0] = 0.5 * h * p[0]
-    increments[1:] = 0.5 * h * (p[:-1] + p[1:])
-    return np.cumsum(increments)
+    increments = np.empty_like(p)
+    increments[..., 0] = 0.5 * h * p[..., 0]
+    increments[..., 1:] = 0.5 * h * (p[..., :-1] + p[..., 1:])
+    return np.cumsum(increments, axis=-1)
 
 
 def w1_distance(mu, nu) -> float:

@@ -633,6 +633,24 @@ class TestKrylovFlow:
             coeffs, est = doob._krylov_coefficients(self.HESS_999, 1.0, np.array([0.0, 0.1, 1.0]), 1e-12)
         assert not est <= 1e-8
 
+    def test_a_clear_failure_ends_the_march(self):
+        # the estimate is 5e-11 at t = 0.1, above a stop of 1e-12: the march ends
+        # after the second sample and returns its two rows
+        coeffs, est = doob._krylov_coefficients(self.HESS_999, 1.0, np.array([0.0, 0.1, 0.2, 0.5]),
+                                                1e-12, stop=1e-12)
+        assert coeffs.shape == (2, 1)
+        assert est == pytest.approx(5e-11, rel=1e-12)
+
+    def test_a_nan_estimate_never_ends_the_march(self):
+        # u(t) is exactly 0 from t = 1 on, so the estimate there is NaN: the
+        # march runs to the end and the estimate fails every tolerance
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            coeffs, est = doob._krylov_coefficients(self.HESS_999, 1.0, np.array([0.0, 1.0, 1.5, 1.6]),
+                                                    1e-12, stop=1e-12)
+        assert coeffs.shape == (4, 1)
+        assert math.isnan(est)
+
     def test_all_times_zero_and_validation(self, brownian, uniform_measure):
         mu = uniform_measure(brownian.grid)
         states = flow_exponential(brownian.op, mu, [0.0, 0.0], eigen=brownian.eigen)
@@ -649,3 +667,160 @@ class TestKrylovFlow:
                 flow_curve(ou.op, mu, times, 0.01, eigen=ou.eigen)
             else:
                 flow_exponential(ou.op, mu, times, eigen=ou.eigen)
+
+
+def full_march_coefficients(hess, gamma, times, residual, *_):
+    """`doob._krylov_coefficients` before its march could end early: every
+    sample marched and estimated, the gaps rounded at every check."""
+    k = hess.shape[1]
+    h_inv = np.linalg.inv(hess[:k])
+    b = (h_inv - np.eye(k)) / gamma
+    gaps = [float(f"{g:.12e}") for g in np.diff(times, prepend=0.0).tolist()]
+    propagators = {g: expm(-g * b) for g in set(gaps) if g > 0.0}
+    u = np.zeros(k)
+    u[0] = 1.0
+    coeffs = np.empty((times.size, k))
+    for j, g in enumerate(gaps):
+        if g > 0.0:
+            u = propagators[g] @ u
+        coeffs[j] = u
+    with np.errstate(invalid="ignore"):
+        us = coeffs / np.max(np.abs(coeffs), axis=1, keepdims=True)
+    scale = hess[k, k - 1] / gamma * residual
+    return coeffs, np.max(scale * np.abs(us @ h_inv[-1]) * times / np.linalg.norm(us, axis=1))
+
+
+def density_loop_error(coeffs, basis, times):
+    """The message of the first sample whose density fails, checked one sample at a time."""
+    for t, c in zip(times, coeffs):
+        m = c @ basis
+        try:
+            doob._check_density(m, float(m.sum()), f"at t={t:.6g}")
+        except FlowError as exc:
+            return str(exc)
+    return None
+
+
+class TestSampleBlocks:
+    """The block path of flow_exponential and decay_curves, and the trimmed Krylov checks."""
+
+    @pytest.mark.parametrize("rows", [1, 7, None])
+    @pytest.mark.parametrize("samples", [5, 16, 17, 33, 61])
+    @pytest.mark.parametrize("case", ["ou", "delta3"])
+    def test_decay_curves_match_the_states(self, request, monkeypatch, case, samples, rows):
+        from qsdlab.analytics import decay_curves
+        from qsdlab.grid_measure import w1_distance
+
+        p = request.getfixturevalue(case)
+        if rows is not None:  # block edges inside the curve
+            monkeypatch.setattr(doob, "BLOCK_BYTES", 8 * p.grid.n * rows)
+        alpha = qsd_from_eigen(p.op, p.eigen)
+        mu = GridMeasure(p.grid, initial_density("gaussian", p.grid))
+        times = np.linspace(0.0, KRYLOV_CASES[case][3], samples)
+        curves = decay_curves(p.op, p.eigen, alpha, mu, times)
+        states = flow_exponential(p.op, mu, times, eigen=p.eigen)
+        assert [s.t for s in states] == times.tolist()
+        for name, distance in (("tv", tv_distance), ("w1", w1_distance)):
+            np.testing.assert_allclose(curves[name], [distance(s.mu_t, alpha) for s in states],
+                                       rtol=1e-12, atol=1e-15)
+        for name, field in (("chi2", "chi2_to_beta"), ("survival_weight", "survival_weight"),
+                            ("log_survival", "log_survival")):
+            assert np.array_equal(curves[name], [getattr(s, field) for s in states])
+
+    @pytest.mark.parametrize("samples", [(17, 30), (16, 20)], ids=["two-blocks", "one-block"])
+    @pytest.mark.parametrize("first", ["negative", "underflow"])
+    def test_first_failure_in_time_order_raises(self, ou, monkeypatch, first, samples):
+        # two bad samples, in two blocks of 7 past the first or in one: a
+        # negative density and a mass underflow; the earlier one names the
+        # error, as in a per-sample loop
+        from qsdlab.analytics import decay_curves
+
+        times = np.linspace(0.0, 3.0, 41)
+        bad = dict(zip(("negative", "underflow") if first == "negative" else ("underflow", "negative"), samples))
+        run = doob._krylov_run
+        seen = {}
+
+        def spoiled_run(v0, later, *args, lock=None, **kwargs):
+            basis, coeffs = run(v0, later, *args, lock=lock, **kwargs)
+            if lock is not None:
+                return basis, coeffs
+            spike = np.zeros((1, v0.size))
+            spike[0, v0.size // 2] = 1.0
+            column = np.zeros((later.size, 1))
+            column[bad["negative"] - 1] = -2.0 * v0.max()  # later[j - 1] is times[j]
+            coeffs = np.hstack([coeffs, column])
+            coeffs[bad["underflow"] - 1] *= 1e-300
+            seen.update(basis=np.vstack([basis, spike]), coeffs=coeffs, later=later)
+            return seen["basis"], coeffs
+
+        monkeypatch.setattr(doob, "_krylov_run", spoiled_run)
+        monkeypatch.setattr(doob, "BLOCK_BYTES", 8 * ou.grid.n * 7)
+        mu = GridMeasure(ou.grid, initial_density("gaussian", ou.grid))
+        alpha = qsd_from_eigen(ou.op, ou.eigen)
+        for flow in (lambda: flow_exponential(ou.op, mu, times, eigen=ou.eigen),
+                     lambda: decay_curves(ou.op, ou.eigen, alpha, mu, times)):
+            with pytest.raises(FlowError) as caught:
+                flow()
+            expected = density_loop_error(seen["coeffs"], seen["basis"], seen["later"])
+            assert str(caught.value) == expected
+            if first == "negative":
+                assert expected.startswith("negative density") and expected.endswith(f"at t={times[samples[0]]:.6g}")
+            else:
+                assert expected.startswith("total mass underflow")
+
+    def test_trimmed_checks_keep_every_bit(self, monkeypatch):
+        spec, x_min, x_max, t_max = KRYLOV_CASES["ou"]
+        g = build_grid(x_min, x_max, 2000)
+        op = assemble_generator(spec, g)
+        eigen = principal_eigenpair(op, with_lambda1=False)
+        d, off = _symmetric_bands(op.off_upper, op.off_lower)
+        psi = d * eigen.eta
+        psi /= np.linalg.norm(psi)
+        later = np.linspace(0.0, t_max, 61)[1:]
+        gamma = t_max / 10.0
+        factors = doob._cn_factors(op.diag, off, gamma, eigen.lambda0)
+        m0 = initial_density("gaussian", g)
+        runs = {  # the chi-square run and the density run of flow_exponential
+            "chi": (m0 / d, lambda v: dpttrs(*factors, v)[0],
+                    lambda v: tridiag_apply(op.diag, off, off, v) + eigen.lambda0 * v,
+                    doob.KRYLOV_CHI_TOL, psi),
+            "m": (m0, lambda v: d * dpttrs(*factors, v / d)[0],
+                  lambda v: tridiag_apply(op.diag, op.off_lower, op.off_upper, v) + eigen.lambda0 * v,
+                  doob.KRYLOV_TOL, None),
+        }
+
+        def counted(coefficients):
+            def wrapper(*args, **kwargs):
+                coeffs, est = coefficients(*args, **kwargs)
+                marched.append(coeffs.shape[0])
+                return coeffs, est
+            return wrapper
+
+        trimmed = doob._krylov_coefficients
+        for name, (v0, solve, apply, tol, lock) in runs.items():
+            result = {}
+            for version, coefficients in (("full", full_march_coefficients), ("trimmed", trimmed)):
+                marched = []
+                monkeypatch.setattr(doob, "_krylov_coefficients", counted(coefficients))
+                basis, coeffs = doob._krylov_run(v0, later, gamma, solve, apply, tol, lock=lock)
+                result[version] = basis, coeffs, marched
+            (b_full, c_full, m_full), (b_trim, c_trim, m_trim) = result["full"], result["trimmed"]
+            assert np.array_equal(b_full, b_trim) and np.array_equal(c_full, c_trim), name
+            assert len(m_full) == len(m_trim) >= 2, name
+            assert m_trim[-1] == later.size and sum(m_trim) < sum(m_full), name
+
+    def test_the_last_check_marches_every_sample(self, monkeypatch):
+        # at the basis cap the error names the estimate of the full march
+        # (1.656e+02 here; a march ended at the first clear failure reads 1.160)
+        spec, x_min, x_max, t_max = KRYLOV_CASES["ou"]
+        g = build_grid(x_min, x_max, 200)
+        op = assemble_generator(spec, g)
+        mu = GridMeasure(g, initial_density("uniform", g))
+        monkeypatch.setattr(doob, "KRYLOV_MAX_DIM", 4)
+        messages = []
+        for coefficients in (full_march_coefficients, doob._krylov_coefficients):
+            monkeypatch.setattr(doob, "_krylov_coefficients", coefficients)
+            with pytest.raises(FlowError, match="basis size 4") as caught:
+                flow_exponential(op, mu, np.linspace(0.0, t_max, 61), eigen=principal_eigenpair(op))
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1]
