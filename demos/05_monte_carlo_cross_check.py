@@ -45,7 +45,7 @@ proj = regrid(oracle.mu_t, coarse)
 for dt in (1e-2, 1e-3):
     cfg = SimConfig(spec=spec, domain=(-1.0, 1.0), dt=dt, horizon=1.0,
                     n_particles=n_particles, seed=4, resample=False)
-    ens = simulate(cfg, mu, record_every=1000)
+    ens = simulate(cfg, mu)
     frac = ens.alive_count / ens.initial_count
     emp = conditioned_empirical(ens, coarse)
     print(f"dt = {dt:.0e}: survival {frac:.5f} "
@@ -57,12 +57,12 @@ print("resampled ensemble, tail slope of -log survival on [1, 3]:")
 for dt in (1e-2, 1e-3):
     cfg_fv = SimConfig(spec=spec, domain=(-1.0, 1.0), dt=dt, horizon=3.0,
                        n_particles=n_particles, seed=4, resample=True)
-    ens_fv = simulate(cfg_fv, mu, record_every=max(1, round(0.01 / dt)))
+    ens_fv = simulate(cfg_fv, mu)
     lam_hat = estimate_lambda0(ens_fv.survival_curve, window=(1.0, 3.0))
     print(f"  dt = {dt:.0e}: lambda0 estimate = {lam_hat:.5f}, relative error "
           f"{abs(lam_hat - math.pi**2 / 8) / (math.pi**2 / 8):.3%}")
 print()
 
-again = simulate(cfg_fv, mu, record_every=10)
+again = simulate(cfg_fv, mu)
 print("repeated run with the same seed is bit-identical:",
       np.array_equal(ens_fv.positions, again.positions))

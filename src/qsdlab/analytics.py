@@ -197,15 +197,17 @@ def burn_in_time(a_ratio: float, times, chi2) -> BurnIn:
     return BurnIn(time=float(times[-1]), reached=False)
 
 
-def decay_curves(op, eigen: EigenPair, alpha: GridMeasure, mu: GridMeasure, times) -> dict:
+def decay_curves(op, eigen: EigenPair, mu: GridMeasure, times) -> dict:
     """The conditioned flow's decay curves at ``times``, keyed by `CURVE_NAMES`.
 
-    TV and W1 distance of phi_t(mu) to the QSD ``alpha``, the chi-square
-    distance of eta*phi_t(mu) to beta, the survival weight and its log, from
-    the blocks of samples of `flow_exponential`, each normalized as a
-    `GridMeasure` is: TV is h sum |p - alpha| and W1 h sum |F_p - F_alpha|
-    with alpha's CDF formed once, `tv_distance` and `w1_distance` per row.
+    TV and W1 distance of phi_t(mu) to the QSD alpha = `qsd_from_eigen(op,
+    eigen)`, the chi-square distance of eta*phi_t(mu) to beta, the survival
+    weight and its log, from the blocks of samples of `_flow_blocks`, each
+    normalized as a `GridMeasure` is: TV is h sum |p - alpha| and W1
+    h sum |F_p - F_alpha| with alpha's CDF formed once, `tv_distance` and
+    `w1_distance` per row.
     """
+    alpha = qsd_from_eigen(op, eigen)
     h, cdf_alpha = op.grid.h, cdf_values(alpha)
     blocks = []
     for _, m, log_surv, surv, chi2 in _flow_blocks(op, mu, times, eigen):
@@ -359,12 +361,11 @@ def _report_1d(config: ReportConfig, op, eigen: EigenPair) -> DecayReport:
     defaults to inf V'' (2 lam for OU), twice the Bakry-Emery rate inf W''/2."""
     spec, grid, mu = config.spec, config.grid, config.initial
     lam_low = lambda0_lower_used(eigen, config.lambda0_lower)
-    alpha = qsd_from_eigen(op, eigen)
 
     times = np.asarray(config.times, dtype=float)
-    curves = decay_curves(op, eigen, alpha, mu, times)
+    curves = decay_curves(op, eigen, mu, times)
 
-    bc = bound_constants(np.ones(grid.n), eigen, alpha)
+    bc = bound_constants(np.ones(grid.n), eigen, qsd_from_eigen(op, eigen))
     burn = burn_in_time(bc.alpha_psi2_over_eta, times, curves["chi2"])
     notes = ["tensor eigenfunction: n/a (one factor)"]
     if not burn.reached:

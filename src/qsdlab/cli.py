@@ -52,15 +52,14 @@ __all__ = ["RunConfig", "parse_config_file", "validate", "run", "main"]
 COMMANDS = ("eigen", "evolve", "simulate", "rates", "report")
 
 # Every config key with its flag, type and default; every command takes every
-# flag.  A flag is parsed as text and converted by _coerce, as a config-file
-# value is, and its allowed values are checked by validate; a bool flag is a
-# bare switch that stores "true".
+# flag, and each flag sets one key.  A flag is parsed as text and converted by
+# _coerce, as a config-file value is, and its allowed values are checked by
+# validate; a bool flag is a bare switch that stores "true".
 _KEYS = {
-    "example": ("--example", str, None),  # brownian | ou
+    "example": ("--example", str, None),  # brownian | ou; excludes potential.family
     "example.N": ("--N", float, 1.0),
-    "example.lambda": ("--lambda", float, 1.0),
     "potential.family": ("--potential", str, None),  # zero | quadratic | shifted-power | tabulated
-    "potential.lambda": (None, float, 1.0),  # --lambda sets it too
+    "potential.lambda": ("--lambda", float, 1.0),  # of example ou and family quadratic
     "potential.delta": ("--delta", float, 3.0),
     "potential.table_path": ("--table-path", str, None),
     "grid.x_min": ("--x-min", float, None),
@@ -135,13 +134,15 @@ def validate(config: RunConfig) -> list[str]:
     family = config.get("potential.family")
     if example is None and family is None:
         bad.append("either example or potential.family must be set")
+    if example is not None and family is not None:
+        bad.append("example and potential.family exclude each other; set one")
     if example is not None and example not in ("brownian", "ou"):
         bad.append("example must be 'brownian' or 'ou'")
     if family is not None and family not in ("zero", "quadratic", "shifted-power", "tabulated"):
         bad.append("potential.family must be zero|quadratic|shifted-power|tabulated")
     if family == "shifted-power" and not config.get("potential.delta", 0.0) > 2.0:
         bad.append("potential.delta must satisfy delta > 2 for the shifted-power family")
-    if family == "quadratic" and not config.get("potential.lambda", 0.0) > 0.0:
+    if (example == "ou" or family == "quadratic") and not config.get("potential.lambda", 0.0) > 0.0:
         bad.append("potential.lambda must be positive")
     if family == "tabulated":
         path = config.get("potential.table_path")
@@ -149,8 +150,6 @@ def validate(config: RunConfig) -> list[str]:
             bad.append("potential.table_path must point to an existing CSV")
     if example is not None and not config.get("example.N", 1.0) > 0.0:
         bad.append("example.N must be positive")
-    if example == "ou" and not config.get("example.lambda", 1.0) > 0.0:
-        bad.append("example.lambda must be positive")
     if config.get("grid.n", 0) < 3:
         bad.append("grid.n must be >= 3")
     if not config.get("flow.t_max", 0.0) > 0.0:
@@ -211,7 +210,7 @@ def _build_problem(config: RunConfig):
     if problem in ("ou", "shifted-power") and xmin not in (None, 0.0):
         raise ValueError(f"grid.x_min must be 0 or unset: the {problem} domain starts at 0")
     if problem in ("ou", "quadratic"):
-        lam = config["example.lambda" if example else "potential.lambda"]
+        lam = config["potential.lambda"]
         x_max = _bound(config, "grid.x_max", 8.0 / math.sqrt(lam))
         return quadratic_potential(lam), build_grid(_bound(config, "grid.x_min", 0.0), x_max, n)
     if problem == "zero":
@@ -287,7 +286,7 @@ def _cmd_eigen(p: _Problem, outdir: str) -> None:
 
 
 def _cmd_evolve(p: _Problem, outdir: str) -> None:
-    curves = analytics.decay_curves(p.op, p.eigen, p.alpha, p.initial, p.times)
+    curves = analytics.decay_curves(p.op, p.eigen, p.initial, p.times)
     analytics.write_curves_csv(os.path.join(outdir, "curves.csv"), p.times, curves)
 
 
@@ -401,9 +400,6 @@ def _assemble_config(args: argparse.Namespace) -> RunConfig:
     flags = {key: _coerce(key, getattr(args, key)) for key in _FLAGS.values()
              if getattr(args, key) is not None}
     config.update(flags)
-    # --lambda names the quadratic coefficient wherever it appears
-    if "example.lambda" in flags:
-        config["potential.lambda"] = flags["example.lambda"]
     # --dt is the step of simulate; evolve and report evaluate the flow without steps
     if "mc.dt" in flags and args.command in ("evolve", "report"):
         raise ValueError(f"--dt: {args.command} evaluates the flow without time steps")

@@ -82,7 +82,8 @@ class FlowError(RuntimeError):
 
 @dataclass(frozen=True)
 class FlowState:
-    """Snapshot of the conditioned law at time t."""
+    """Snapshot of the conditioned law at time t; ``survival_weight`` is
+    exp(``log_survival``), unclipped, so a wrong flow can show one above 1."""
 
     t: float
     mu_t: GridMeasure
@@ -272,16 +273,12 @@ def _sample_times(op: TridiagonalOperator, mu: GridMeasure, times) -> np.ndarray
     return times
 
 
-def _survival_weight(log_surv: float) -> float:
-    return min(math.exp(log_surv), 1.0) if log_surv > -700 else 0.0
-
-
 def _flow_state(op, t, m, log_surv, eigen=None) -> FlowState:
     """The sample's law; with ``eigen``, the law's chi-square distance to beta."""
     law = GridMeasure(op.grid, np.clip(m, 0.0, None))
     beta = None if eigen is None else GridMeasure(op.grid, eigen.eta**2 * op.gamma_weights)
     chi2 = None if eigen is None else chi2_divergence(tilt(eigen.eta, law), beta)
-    return FlowState(float(t), law, _survival_weight(log_surv), log_surv, chi2)
+    return FlowState(float(t), law, math.exp(log_surv), log_surv, chi2)
 
 
 def flow_curve(
@@ -415,7 +412,8 @@ def _flow_blocks(op: TridiagonalOperator, mu: GridMeasure, times, eigen: EigenPa
         for j in np.flatnonzero(bad):  # a NaN is bad too; the first bad sample raises
             _check_density(m[j], float(mass[j]), f"at t={t[j]:.6g}")
         log_surv = np.log(mass / mass0) - shift * t
-        surv = np.array([_survival_weight(x) for x in log_surv.tolist()])
+        # math.exp per sample: numpy's vectorized exp may differ from it in the last bit
+        surv = np.array([math.exp(x) for x in log_surv.tolist()])
         yield t, np.clip(m, 0.0, None, out=m), log_surv, surv, None if chi2 is None else chi2[rows]
 
 

@@ -62,7 +62,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -247,11 +246,12 @@ def _draw_ahead(seed: int, step_index: int, out: np.ndarray) -> np.random.Genera
     return rng
 
 
-def simulate(config: SimConfig, initial_sampler, record_every: int = 1) -> ParticleEnsemble:
-    """Run the absorbed Euler-Maruyama scheme from a sampled initial law."""
-    if (isinstance(record_every, bool) or not isinstance(record_every, numbers.Integral)
-            or record_every < 1):
-        raise ValueError(f"record_every must be a positive int, got {record_every!r}")
+def simulate(config: SimConfig, initial_sampler) -> ParticleEnsemble:
+    """Run the absorbed Euler-Maruyama scheme from a sampled initial law.
+
+    The survival curve holds one row (t, alive fraction, log survival) per
+    step, after the t = 0 row.
+    """
     coords = config.coordinates()
     d = len(coords)
     n = config.n_particles
@@ -340,9 +340,7 @@ def simulate(config: SimConfig, initial_sampler, record_every: int = 1) -> Parti
                 m = n_alive
                 log_surv = math.log(m / n)
             prefetch(k + 2, m, dead.size)
-
-            if k % record_every == 0 or k == steps:
-                history.append((t, m / n, log_surv))
+            history.append((t, m / n, log_surv))
         for _, drawn in queued:  # drawn for a step after the last survivor died
             drawn.result()
 

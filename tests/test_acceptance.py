@@ -282,7 +282,7 @@ def test_criterion_9_monte_carlo():
 
     cfg = SimConfig(spec=spec, domain=(-1.0, 1.0), dt=1e-3, horizon=1.0,
                     n_particles=100_000, seed=4, resample=False)
-    ens = simulate(cfg, mu, record_every=1000)
+    ens = simulate(cfg, mu)
     # comparison cells sized so the binomial error bound stays within the
     # tolerance; the Brownian-bridge exit test leaves no step-end monitoring
     # bias (step-end tests alone read 0.0186 at this dt and seed), so the TV
@@ -292,11 +292,11 @@ def test_criterion_9_monte_carlo():
 
     cfg_fv = SimConfig(spec=spec, domain=(-1.0, 1.0), dt=1e-3, horizon=3.0,
                        n_particles=100_000, seed=4, resample=True)
-    ens_fv = simulate(cfg_fv, mu, record_every=10)
+    ens_fv = simulate(cfg_fv, mu)
     lam_hat = estimate_lambda0(ens_fv.survival_curve, window=(1.0, 3.0))
     lam_rel = abs(lam_hat - PI2_8) / PI2_8
 
-    ens_again = simulate(cfg, mu, record_every=1000)
+    ens_again = simulate(cfg, mu)
     identical = (np.array_equal(ens.positions, ens_again.positions)
                  and np.array_equal(ens.survival_curve, ens_again.survival_curve))
     elapsed = time.perf_counter() - t0

@@ -67,8 +67,16 @@ class TestValidate:
 
     def test_ou_lambda_diagnostic(self):
         for lam in (0.0, -1.0, math.nan):
-            diags = validate(self.base_config(**{"example.lambda": lam}))
-            assert "example.lambda must be positive" in diags
+            diags = validate(self.base_config(**{"potential.lambda": lam}))
+            assert "potential.lambda must be positive" in diags
+
+    def test_example_and_potential_family_exit_one_without_outputs(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert run(["report", "--example", "ou", "--potential", "shifted-power", "--n", "200",
+                    "--t-max", "1", "--samples", "11", "--output", str(out)]) == 1
+        assert capsys.readouterr().err == \
+            "qsdlab: example and potential.family exclude each other; set one\n"
+        assert not out.exists()
 
     def test_mc_diagnostics(self):
         cfg = self.base_config(**{"mc.particles": 10, "mc.dt": 2.0, "mc.horizon": 1.0})
@@ -108,7 +116,8 @@ class TestConfigFile:
         assert code == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("line", ["mc.seed = 3", "rates.use_drift_form = false"])
+    @pytest.mark.parametrize("line", ["mc.seed = 3", "rates.use_drift_form = false",
+                                      "example.lambda = 2"])
     def test_removed_keys_exit_one_without_outputs(self, tmp_path, capsys, line):
         conf = tmp_path / "old.conf"
         conf.write_text(f"example = ou\n{line}\n")
@@ -116,6 +125,13 @@ class TestConfigFile:
         assert run(["simulate", "--config", str(conf), "--output", str(out)]) == 1
         assert "unknown key" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_ou_example_reads_potential_lambda(self, tmp_path):
+        # --lambda and the config file set the one key potential.lambda
+        conf = tmp_path / "ou.conf"
+        conf.write_text("example = ou\npotential.lambda = 2\ngrid.n = 400\n")
+        assert run(["eigen", "--config", str(conf), "--output", str(tmp_path / "eig")]) == 0
+        assert abs(json.loads(read(tmp_path / "eig" / "eigen.json"))["lambda0"] - 2.0) < 1e-4
 
     def test_simulate_dt_flag_matches_config_key(self, tmp_path):
         common = ["--example", "brownian", "--n", "100", "--particles", "300", "--horizon", "0.05"]
@@ -616,11 +632,10 @@ class TestFlowCommands:
         spec, grid = quadratic_potential(1.0), build_grid(0.0, 8.0, 300)
         op = spectral.assemble_generator(spec, grid)
         eigen = spectral.principal_eigenpair(op)
-        alpha = spectral.qsd_from_eigen(op, eigen)
         mu = GridMeasure(grid, np.exp(-((grid.nodes - 1.2) ** 2) / (2.0 * 0.4**2)))
         times = np.linspace(0.0, 2.0, 21)
         lib = tmp_path / "lib.csv"
-        write_curves_csv(str(lib), times, decay_curves(op, eigen, alpha, mu, times))
+        write_curves_csv(str(lib), times, decay_curves(op, eigen, mu, times))
         assert (out / "curves.csv").read_bytes() == lib.read_bytes()
 
     @pytest.mark.parametrize("command", ["evolve", "report"])
@@ -675,6 +690,15 @@ class TestQsdInitialLaw:
         assert np.all(rows[:, 1] <= tv)
         np.testing.assert_allclose(rows[:, 5], -lam0 * rows[:, 0], rtol=1e-9, atol=0.0)
         assert np.all(rows[1:, 3] == 0.0)
+
+    def test_survival_weight_is_the_exp_of_log_survival(self, tmp_path):
+        # exp(-720) is subnormal, 2.0323073001e-313: written as it is, not cut to 0
+        out = tmp_path / "evo"
+        assert run(["evolve", "--example", "ou", "--n", "200", "--t-max", "720", "--samples", "3",
+                    "--initial", "qsd", "--output", str(out)]) == 0
+        rows = [[float(v) for v in line.split(",")] for line in read(out / "curves.csv").splitlines()[1:]]
+        assert len(rows) == 3 and 0.0 < rows[-1][4] < 1e-300
+        assert all(row[4] == math.exp(row[5]) for row in rows)
 
     def test_report_writes_the_evolve_curves(self, tmp_path):
         for command in ("evolve", "report"):

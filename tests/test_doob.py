@@ -717,7 +717,7 @@ class TestSampleBlocks:
         alpha = qsd_from_eigen(p.op, p.eigen)
         mu = GridMeasure(p.grid, initial_density("gaussian", p.grid))
         times = np.linspace(0.0, KRYLOV_CASES[case][3], samples)
-        curves = decay_curves(p.op, p.eigen, alpha, mu, times)
+        curves = decay_curves(p.op, p.eigen, mu, times)
         states = flow_exponential(p.op, mu, times, eigen=p.eigen)
         assert [s.t for s in states] == times.tolist()
         for name, distance in (("tv", tv_distance), ("w1", w1_distance)):
@@ -756,9 +756,8 @@ class TestSampleBlocks:
         monkeypatch.setattr(doob, "_krylov_run", spoiled_run)
         monkeypatch.setattr(doob, "BLOCK_BYTES", 8 * ou.grid.n * 7)
         mu = GridMeasure(ou.grid, initial_density("gaussian", ou.grid))
-        alpha = qsd_from_eigen(ou.op, ou.eigen)
         for flow in (lambda: flow_exponential(ou.op, mu, times, eigen=ou.eigen),
-                     lambda: decay_curves(ou.op, ou.eigen, alpha, mu, times)):
+                     lambda: decay_curves(ou.op, ou.eigen, mu, times)):
             with pytest.raises(FlowError) as caught:
                 flow()
             expected = density_loop_error(seen["coeffs"], seen["basis"], seen["later"])

@@ -78,7 +78,7 @@ class TestDeterminism:
         assert a.alive_count == b.alive_count
 
 
-def reference_simulate(cfg, mu, record_every=1):
+def reference_simulate(cfg, mu):
     """Plain loop of the documented scheme on a full-size array with an alive
     mask: step k draws one normal per survivor and coordinate, survivors in
     particle-index order, then one uniform per survivor within the bridge
@@ -127,43 +127,42 @@ def reference_simulate(cfg, mu, record_every=1):
                 alive[dead] = True
         else:
             log_surv = math.log(n_alive / n)
-        if k % record_every == 0 or k == steps:
-            history.append((k * dt, int(alive.sum()) / n, log_surv))
+        history.append((k * dt, int(alive.sum()) / n, log_surv))
     return x[alive], np.array(history)
 
 
 def _draw_layout_case(case, uniform_measure, gaussian_measure):
-    """(config, initial law, record_every) of one draw-layout case."""
+    """(config, initial law) of one draw-layout case."""
     unit = uniform_measure(build_grid(-1.0, 1.0, 100))
     ou_law = gaussian_measure(build_grid(0.0, 6.0, 100), 1.0, 0.5)
     power_law = uniform_measure(build_grid(0.0, 2.5, 100))
     power = shifted_power_potential(3.0)
     if case == "absorb-1d":
-        return brownian_config(n_particles=300, horizon=0.3, seed=17), unit, 1
+        return brownian_config(n_particles=300, horizon=0.3, seed=17), unit
     if case == "absorb-product":
         cfg = SimConfig(spec=[zero_potential(domain=(-1, 1)), quadratic_potential(1.0)],
                         domain=[(-1.0, 1.0), (0.0, math.inf)],
                         dt=1e-3, horizon=0.3, n_particles=300, seed=18)
-        return cfg, ProductGridMeasure((unit, ou_law)), 1
+        return cfg, ProductGridMeasure((unit, ou_law))
     if case == "resample":
-        return brownian_config(n_particles=300, horizon=0.3, seed=19, resample=True), unit, 7
+        return brownian_config(n_particles=300, horizon=0.3, seed=19, resample=True), unit
     if case == "absorb-shifted-power":
         cfg = SimConfig(spec=power, domain=(0.0, 2.5), dt=1e-3, horizon=0.2,
                         n_particles=300, seed=20)
-        return cfg, power_law, 1
+        return cfg, power_law
     if case == "resample-ou":
         cfg = SimConfig(spec=quadratic_potential(1.0), domain=(0.0, math.inf), dt=1e-2,
                         horizon=0.5, n_particles=300, seed=21, resample=True)
-        return cfg, ou_law, 3
+        return cfg, ou_law
     if case in ("absorb-3d", "resample-3d"):
         cfg = SimConfig(spec=[zero_potential(domain=(-1, 1)), quadratic_potential(1.0), power],
                         domain=[(-1.0, 1.0), (0.0, math.inf), (0.0, 2.5)], dt=1e-3,
                         horizon=0.1, n_particles=300, seed=22, resample=case == "resample-3d")
-        return cfg, ProductGridMeasure((unit, ou_law, power_law)), 1
+        return cfg, ProductGridMeasure((unit, ou_law, power_law))
     assert case == "all-absorbed"
     cfg = SimConfig(spec=zero_potential(domain=(-0.02, 0.02)), domain=(-0.02, 0.02),
                     dt=1e-3, horizon=1.0, n_particles=200, seed=3)
-    return cfg, uniform_measure(build_grid(-0.02, 0.02, 50)), 1
+    return cfg, uniform_measure(build_grid(-0.02, 0.02, 50))
 
 
 class TestDrawLayout:
@@ -171,9 +170,9 @@ class TestDrawLayout:
                                       "absorb-shifted-power", "resample-ou", "absorb-3d",
                                       "resample-3d", "all-absorbed"])
     def test_matches_reference_loop(self, case, uniform_measure, gaussian_measure):
-        cfg, mu, record_every = _draw_layout_case(case, uniform_measure, gaussian_measure)
-        ens = simulate(cfg, mu, record_every=record_every)
-        positions, curve = reference_simulate(cfg, mu, record_every=record_every)
+        cfg, mu = _draw_layout_case(case, uniform_measure, gaussian_measure)
+        ens = simulate(cfg, mu)
+        positions, curve = reference_simulate(cfg, mu)
         d = len(cfg.coordinates())
         if case == "all-absorbed":
             assert ens.status == "all_absorbed" and ens.alive_count == 0
@@ -211,21 +210,6 @@ class TestDrawLayout:
         with pytest.raises(ValueError, match="potential domain"):
             simulate(product, ProductGridMeasure((uniform_measure(g), uniform_measure(g))))
 
-    @pytest.mark.parametrize("record_every", [0, -3, 1.5, True, "2", None])
-    def test_record_every_not_a_positive_int_raises_before_stepping(
-            self, record_every, uniform_measure, monkeypatch):
-        import qsdlab.montecarlo as mc
-
-        def no_step(*args):
-            raise AssertionError("no step may be drawn")
-
-        monkeypatch.setattr(mc, "_step_rng", no_step)
-        threads = threading.active_count()
-        with pytest.raises(ValueError, match="record_every"):
-            simulate(brownian_config(n_particles=200), uniform_measure(build_grid(-1.0, 1.0, 100)),
-                     record_every=record_every)
-        assert threading.active_count() == threads
-
     @pytest.mark.parametrize("branch", ["tail", "redraw", "resample", "all-absorbed"])
     def test_prefetch_branch_matches_reference_loop(self, branch, uniform_measure,
                                                     gaussian_measure, monkeypatch):
@@ -249,13 +233,13 @@ class TestDrawLayout:
             # the ensemble, more than step 2's guess allows for
             cfg = brownian_config(domain=(0.0, 1.0), spec=zero_potential(domain=(0.0, 1.0)),
                                   dt=1e-2, horizon=0.2, n_particles=300, seed=23)
-            mu, record_every = uniform_measure(build_grid(0.0, 1.0, 100), 0.0, 0.05), 1
+            mu = uniform_measure(build_grid(0.0, 1.0, 100), 0.0, 0.05)
         else:
             case = {"tail": "absorb-1d", "resample": "resample",
                     "all-absorbed": "all-absorbed"}[branch]
-            cfg, mu, record_every = _draw_layout_case(case, uniform_measure, gaussian_measure)
-        ens = simulate(cfg, mu, record_every=record_every)
-        positions, curve = reference_simulate(cfg, mu, record_every=record_every)
+            cfg, mu = _draw_layout_case(case, uniform_measure, gaussian_measure)
+        ens = simulate(cfg, mu)
+        positions, curve = reference_simulate(cfg, mu)
         assert np.array_equal(ens.positions, positions)
         assert np.array_equal(ens.survival_curve, curve)
 
@@ -268,7 +252,7 @@ class TestDrawLayout:
             return
         # survivors at the start of step k, from the per-step survival curve
         alive = np.rint(ens.survival_curve[:, 1] * n).astype(int)
-        assert record_every == 1 and opened.count(0) == 1
+        assert opened.count(0) == 1
         if branch == "all-absorbed":
             # the run ends at the step that absorbs the last survivor, with the
             # next step's prefix drawn and never used
@@ -291,9 +275,9 @@ class TestHelperThread:
 
     @pytest.mark.parametrize("case", ["absorb-1d", "resample", "all-absorbed"])
     def test_no_thread_outlives_a_run(self, case, uniform_measure, gaussian_measure):
-        cfg, mu, record_every = _draw_layout_case(case, uniform_measure, gaussian_measure)
+        cfg, mu = _draw_layout_case(case, uniform_measure, gaussian_measure)
         threads = threading.active_count()
-        simulate(cfg, mu, record_every=record_every)
+        simulate(cfg, mu)
         assert threading.active_count() == threads
 
     @pytest.mark.parametrize("resample", [False, True])
@@ -332,9 +316,9 @@ class TestHelperThread:
             return draw_ahead(seed, k, out)
 
         monkeypatch.setattr(mc, "_draw_ahead", recorded)
-        cfg, mu, record_every = _draw_layout_case("absorb-1d", uniform_measure, gaussian_measure)
+        cfg, mu = _draw_layout_case("absorb-1d", uniform_measure, gaussian_measure)
         cpus = os.sched_getaffinity(0)
-        simulate(cfg, mu, record_every=record_every)
+        simulate(cfg, mu)
         assert os.sched_getaffinity(0) == cpus
         assert len(seen) > 0 and all(s == cpus for s in seen)
 
@@ -366,8 +350,8 @@ class TestHelperThread:
                             if value is fn:
                                 monkeypatch.setattr(ns, attr, recorded(fn))
         for case in ("absorb-product", "resample-ou"):
-            cfg, mu, record_every = _draw_layout_case(case, uniform_measure, gaussian_measure)
-            qsdlab.montecarlo.simulate(cfg, mu, record_every=record_every)
+            cfg, mu = _draw_layout_case(case, uniform_measure, gaussian_measure)
+            qsdlab.montecarlo.simulate(cfg, mu)
         assert len(idents) > 2 and set(idents) == {threading.get_ident()}
 
 
@@ -459,7 +443,7 @@ class TestBridgeExit:
         mu = uniform_measure(build_grid(-1.0, 1.0, 2000))
         cfg = brownian_config(dt=1e-2, horizon=3.0, n_particles=100_000, seed=33,
                               resample=True)
-        ens = simulate(cfg, mu, record_every=10)
+        ens = simulate(cfg, mu)
         lam = estimate_lambda0(ens.survival_curve, window=(1.0, 3.0))
         assert abs(lam - math.pi**2 / 8.0) <= 1e-2 * math.pi**2 / 8.0
 
@@ -607,7 +591,7 @@ class TestLambda0Estimation:
         cfg = SimConfig(spec=quadratic_potential(1.0), domain=(0.0, math.inf),
                         dt=1e-3, horizon=3.0, n_particles=20_000, seed=99,
                         resample=True)
-        ens = simulate(cfg, mu, record_every=10)
+        ens = simulate(cfg, mu)
         lam = estimate_lambda0(ens.survival_curve, window=(1.0, 3.0))
         assert abs(lam - 1.0) <= 5e-2
 

@@ -361,7 +361,8 @@ class TestIntegralIdentity:
             integral_identity_residual(brownian.eigen, brownian.spec, brownian.grid)
 
     def test_bad_margin_rejected(self, delta3):
-        with pytest.raises(ValueError):
+        # the margin is the module constant IDENTITY_MARGIN, not an argument
+        with pytest.raises(TypeError):
             integral_identity_residual(delta3.eigen, delta3.spec, delta3.grid, boundary_margin=1.0)
 
 
