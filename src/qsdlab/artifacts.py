@@ -46,7 +46,6 @@ import functools
 import json
 import math
 import os
-import tempfile
 import warnings
 
 import numpy as np
@@ -71,14 +70,13 @@ _J = np.arange(18, dtype=np.uint8)[:, None]  # the row index of the position-maj
 def _atomic_write(path, chunks) -> None:
     directory = os.path.dirname(os.fspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    # O_EXCL fails rather than open a file that is there; the kernel applies
+    # the umask to the mode 0o666, as it does for a plain open
+    tmp = f"{os.fspath(path)}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.writelines(chunks)
-        # mkstemp creates the file 0600; give artifacts the umask's default mode
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -82,6 +82,10 @@ _KEYS = {
     "seed": ("--seed", int, 0),
 }
 DEFAULTS = {key: default for key, (_, _, default) in _KEYS.items()}
+# the problem keys each (example, potential.family) reads; given, the others exit 1
+_READS = {("brownian", None): {"example.N"}, ("ou", None): {"potential.lambda"},
+          (None, "zero"): set(), (None, "quadratic"): {"potential.lambda"},
+          (None, "shifted-power"): {"potential.delta"}, (None, "tabulated"): {"potential.table_path"}}
 _FLAGS = {flag: key for key, (flag, _, _) in _KEYS.items() if flag is not None}
 
 
@@ -395,14 +399,20 @@ def _is_number(text: str) -> bool:
 def _assemble_config(args: argparse.Namespace) -> RunConfig:
     config = RunConfig(DEFAULTS)
     config["command"] = args.command
-    if args.config is not None:
-        config.update(parse_config_file(args.config))
+    given = {} if args.config is None else parse_config_file(args.config)
     flags = {key: _coerce(key, getattr(args, key)) for key in _FLAGS.values()
              if getattr(args, key) is not None}
-    config.update(flags)
+    given.update(flags)
+    config.update(given)
     # --dt is the step of simulate; evolve and report evaluate the flow without steps
     if "mc.dt" in flags and args.command in ("evolve", "report"):
         raise ValueError(f"--dt: {args.command} evaluates the flow without time steps")
+    # validate reports a problem that is unset, unknown or set twice
+    problem = (config["example"], config["potential.family"])
+    if problem in _READS:
+        unread = sorted(given.keys() & set().union(*_READS.values()) - _READS[problem])
+        if unread:
+            raise ValueError(f"{''.join(filter(None, problem))} does not read {', '.join(unread)}")
     return config
 
 

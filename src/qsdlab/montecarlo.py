@@ -38,24 +38,32 @@ the exit test forms g at every survivor in a reused scratch buffer and the
 exact probability only at those within reach.  The drift needs V' alone, and
 the potential's domain is checked once, before stepping.
 
-One helper thread draws normals ahead.  At the end of step k the first
-``lead`` rows of step k + 2's block are queued on it; it draws them from step
-k + 2's stream once it has drawn step k + 1's.  Queued that early, a block is
-taken up as soon as the one before is done, not when the helper next wins the
-interpreter lock from the stepping main thread.  With resampling ``lead = n``;
-otherwise ``lead = max(m - 2 D - 64, 0)``, with m the survivors after step k
-and D its deaths (m = n and D = 0 for steps 1 and 2).  A stream fills a block
-row after row, so step k + 2 draws its remaining rows on from where the helper
-stopped and gets the values and stream position of a single draw.  If fewer
-than ``lead`` particles survive step k + 1, step k + 2 opens its stream again
-and draws the whole block itself.  The split decides only which thread draws:
-the stream layout and every output bit depend neither on thread timing nor on
-the number of cores.  The helper is started once per run and joined before
-``simulate`` returns or raises, and it calls no public function.  Where the
-process may use another CPU (Linux), the helper starts on one other than the
-main thread's and is then allowed every CPU again.  Linux may otherwise start
-it on the main thread's CPU and, as the two threads wait for each other in
-turn, leave it there, so that they run one after the other.
+One helper thread draws normals ahead, ``AHEAD`` = 4 steps ahead of the
+main thread, into ``AHEAD + 1`` = 5 reused ``(particles, coordinates)``
+buffers.  At the end of step k the first ``lead`` rows of step k + 4's block
+are queued on it; it draws the queued steps in step order.  Queued that
+early, a block is taken up as soon as the one before is done, not when the
+helper next wins the interpreter lock from the stepping main thread.  With
+resampling ``lead = n``; otherwise ``lead = max(m - 4 D - 64, 0)``, with m
+the survivors after step k and D its deaths (m = n and D = 0 for steps 1 to
+4).  When step k's rows are not drawn yet, the main thread does not wait:
+it takes the latest queued step the helper has not started, draws it itself,
+and repeats until step k's rows are drawn or nothing is left to take.  A
+successful ``Future.cancel()`` hands a step over, so no buffer is written by
+both threads.  A stream fills a block row after row, so step k draws its
+remaining rows on from where the first draw stopped and gets the values and
+stream position of a single draw.  If fewer than ``lead`` particles survive
+to step k, step k opens its stream again and draws the whole block itself.
+When the last survivor dies, the queued steps the helper has not started
+are cancelled and only the one it is drawing is waited for.  Which thread
+draws what decides nothing else: the stream layout and every output bit
+depend neither on thread timing nor on the number of cores.  The helper is
+started once per run and joined before ``simulate`` returns or raises, and
+it calls no public function.  Where the process may use another CPU
+(Linux), the helper starts on one other than the main thread's and is then
+allowed every CPU again.  Linux may otherwise start it on the main thread's
+CPU and, as the two threads wait for each other in turn, leave it there, so
+that they run one after the other.
 """
 
 from __future__ import annotations
@@ -89,6 +97,8 @@ BRIDGE_REACH = 18.5
 # exp(-40) < 2**-54, so 1 - exp(a) rounds to 1 for every a <= -40; clipping
 # there keeps exp off its slow underflow path without changing a result
 _EXP_FLOOR = -40.0
+# steps whose normals are queued on the helper thread ahead of the step run
+AHEAD = 4
 
 
 @dataclass(frozen=True)
@@ -272,11 +282,12 @@ def simulate(config: SimConfig, initial_sampler) -> ParticleEnsemble:
     # (coordinate, end) pairs of the finite ends, in the order of the product
     ends = [(j, b) for j, (_, dom) in enumerate(coords) for b in dom if math.isfinite(b)]
     # buffers reused by every step, so that a run allocates few large arrays:
-    # step k draws its (survivors, coordinates) normals into blocks[k % 3] and
-    # turns column j into the new coordinate j in place, while cols may sit in
-    # blocks[(k - 1) % 3] and the helper fills blocks[(k + 1) % 3], then
-    # blocks[(k + 2) % 3] once step k has queued it
-    blocks = [x, np.empty((n, d)), np.empty((n, d))]
+    # step k draws its (survivors, coordinates) normals into
+    # blocks[k % (AHEAD + 1)] and turns column j into the new coordinate j in
+    # place, while cols may sit in blocks[(k - 1) % (AHEAD + 1)] and the
+    # blocks of steps k + 1 ... k + AHEAD - 1 are queued or drawn; step
+    # k + AHEAD is queued into the block of step k - 1 once step k is done
+    blocks = [x] + [np.empty((n, d)) for _ in range(AHEAD)]
     cols = list(x.T)  # survivors' coordinates, particle-index order
     scratch = np.empty(n if all(b == 0.0 for _, b in ends) else 2 * n)  # for the exit test
     masks = (np.empty(n, dtype=bool), np.empty(n, dtype=bool))
@@ -286,25 +297,38 @@ def simulate(config: SimConfig, initial_sampler) -> ParticleEnsemble:
     status = "ok"
     t = 0.0
 
-    from concurrent.futures import ThreadPoolExecutor  # loaded by simulate alone
+    from concurrent.futures import Future, ThreadPoolExecutor  # loaded by simulate alone
 
     # the helper starts off the main thread's CPU (module docstring)
     with ThreadPoolExecutor(max_workers=1, initializer=_start_on,
                             initargs=(_cpus_but_current(),)) as helper:
-        queued = []  # (lead, future) of the steps queued on the helper, in step order
+        queued = {}  # step: (lead, future) of the steps queued, in step order
 
         def prefetch(k: int, survivors: int, deaths: int) -> None:
             """Queue the first lead rows of step k's normals on the helper."""
             if k <= steps:
-                lead = n if config.resample else max(survivors - 2 * deaths - 64, 0)
-                out = blocks[k % 3][:lead]
-                queued.append((lead, helper.submit(_draw_ahead, config.seed, k, out)))
+                lead = n if config.resample else max(survivors - AHEAD * deaths - 64, 0)
+                out = blocks[k % (AHEAD + 1)][:lead]
+                queued[k] = (lead, helper.submit(_draw_ahead, config.seed, k, out))
 
-        prefetch(1, n, 0)
-        prefetch(2, n, 0)
+        for k in range(1, AHEAD + 1):
+            prefetch(k, n, 0)
         for k in range(1, steps + 1):
-            block = blocks[k % 3]
-            lead, drawn = queued.pop(0)
+            block = blocks[k % (AHEAD + 1)]
+            # while step k's rows are not drawn, draw the latest step the
+            # helper has not started here; a successful cancel hands it over
+            for j in reversed(queued):
+                if queued[k][1].done():
+                    break
+                lead, drawn = queued[j]
+                if drawn.done():  # drawn here already
+                    continue
+                if not drawn.cancel():  # the helper has started it, and every earlier one
+                    break
+                stolen = Future()
+                stolen.set_result(_draw_ahead(config.seed, j, blocks[j % (AHEAD + 1)][:lead]))
+                queued[j] = (lead, stolen)
+            lead, drawn = queued.pop(k)
             rng = drawn.result()
             if lead > m:  # more deaths than guessed: draw the whole step here
                 rng, lead = _step_rng(config.seed, k), 0
@@ -339,10 +363,13 @@ def simulate(config: SimConfig, initial_sampler) -> ParticleEnsemble:
                     cols = [c[keep] for c in cols]
                 m = n_alive
                 log_surv = math.log(m / n)
-            prefetch(k + 2, m, dead.size)
+            prefetch(k + AHEAD, m, dead.size)
             history.append((t, m / n, log_surv))
-        for _, drawn in queued:  # drawn for a step after the last survivor died
-            drawn.result()
+        # queued for steps after the last survivor died: drop those the helper
+        # has not started and wait only for the one it draws
+        for _, drawn in queued.values():
+            if not drawn.cancel():
+                drawn.result()
 
     return ParticleEnsemble(
         positions=np.stack(cols, axis=1),

@@ -68,6 +68,24 @@ def test_new_file_mode_follows_umask(tmp_path, name):
     assert not list(tmp_path.glob("*.tmp"))
 
 
+@pytest.mark.parametrize("name", SAVERS)
+def test_new_file_mode_needs_no_umask_change(tmp_path, monkeypatch, name):
+    # the umask is process state that other threads see; the writer leaves it alone
+    def refuse(mask):
+        raise AssertionError("the umask was changed")
+
+    target = tmp_path / "artifact"
+    old = os.umask(0o027)
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "umask", refuse)
+            SAVERS[name](target)
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(os.stat(target).st_mode) == 0o666 & ~0o027
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["artifact"]
+
+
 def test_eigen_json_gap_is_null_without_lambda1(tmp_path):
     eigen = EigenPair(lambda0=1.25, eta=_EIGEN.eta)
     assert eigen.gap is None and _EIGEN.gap == 3.75

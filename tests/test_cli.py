@@ -78,6 +78,43 @@ class TestValidate:
             "qsdlab: example and potential.family exclude each other; set one\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("changes, message", [
+        ({"command": "plot"}, "command must be one of"),
+        ({"example": "brownian", "example.N": 0.0}, "example.N must be positive"),
+        ({"flow.t_max": 0.0}, "flow.t_max must be positive"),
+        ({"flow.samples": 1}, "flow.samples must be >= 2"),
+        ({"mc.dt": 0.0}, "mc.dt must be positive"),
+        ("grid.n 400", "expected 'key = value'"),
+    ], ids=["command", "example.N", "flow.t_max", "flow.samples", "mc.dt", "config-line"])
+    def test_diagnostic(self, tmp_path, changes, message):
+        if isinstance(changes, str):  # a config-file line
+            conf = tmp_path / "run.conf"
+            conf.write_text(f"example = ou\n{changes}\n")
+            with pytest.raises(ValueError, match=f"run.conf:2: {message}"):
+                parse_config_file(conf)
+        else:
+            assert [d for d in validate(self.base_config(**changes)) if d.startswith(message)]
+
+    @pytest.mark.parametrize("argv, conf, unread", [
+        (["--example", "brownian", "--lambda", "-5", "--delta", "1"], None,
+         "brownian does not read potential.delta, potential.lambda"),
+        (["--potential", "zero", "--x-min", "-1", "--x-max", "1", "--N", "7"], None,
+         "zero does not read example.N"),
+        (["--example", "ou", "--delta", "5", "--table-path", "/nonexistent"], None,
+         "ou does not read potential.delta, potential.table_path"),
+        (["--x-max", "2.5"], "potential.family = shifted-power\npotential.lambda = 2\n",
+         "shifted-power does not read potential.lambda"),
+    ], ids=["brownian", "zero", "ou", "config-file"])
+    def test_setting_the_problem_does_not_read_exits_one_without_outputs(
+            self, tmp_path, capsys, argv, conf, unread):
+        if conf is not None:
+            (tmp_path / "run.conf").write_text(conf)
+            argv = [*argv, "--config", str(tmp_path / "run.conf")]
+        out = tmp_path / "x"
+        assert run(["eigen", *argv, "--n", "50", "--output", str(out)]) == 1
+        assert capsys.readouterr().err == f"qsdlab: {unread}\n"
+        assert not out.exists()
+
     def test_mc_diagnostics(self):
         cfg = self.base_config(**{"mc.particles": 10, "mc.dt": 2.0, "mc.horizon": 1.0})
         diags = validate(cfg)

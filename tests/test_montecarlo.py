@@ -1,5 +1,6 @@
 import math
 import os
+import sys
 import threading
 
 import numpy as np
@@ -245,23 +246,28 @@ class TestDrawLayout:
 
         n = cfg.n_particles
         steps = int(round(cfg.horizon / cfg.dt))
-        assert [k for k, _ in ahead] == list(range(1, len(ahead) + 1))
+        drawn = [k for k, _ in ahead]
+        # each step is drawn ahead at most once, by whichever thread, and every
+        # step that ran was
+        assert len(set(drawn)) == len(drawn) and set(range(1, len(curve))) <= set(drawn)
         redrawn = [k for k in set(opened) if opened.count(k) == 2]
         if branch == "resample":
-            assert ahead == [(k, n) for k in range(1, steps + 1)] and redrawn == []
+            assert len(ahead) == steps and all(rows == n for _, rows in ahead)
+            assert redrawn == []
             return
         # survivors at the start of step k, from the per-step survival curve
         alive = np.rint(ens.survival_curve[:, 1] * n).astype(int)
         assert opened.count(0) == 1
         if branch == "all-absorbed":
-            # the run ends at the step that absorbs the last survivor, with the
-            # next step's prefix drawn and never used
-            assert ens.status == "all_absorbed" and len(ahead) == len(curve) < steps
+            # the run ends at the step that absorbs the last survivor; at most
+            # AHEAD later steps were queued, and some of them drawn and never used
+            assert ens.status == "all_absorbed" and len(curve) - 1 < steps
+            assert max(drawn) <= len(curve) - 1 + mc.AHEAD
         else:
             assert len(ahead) == steps
         used = [(k, rows) for k, rows in ahead if k < len(curve)]
         tails = [k for k, rows in used if 0 < rows < alive[k - 1]]
-        overshoots = [k for k, rows in used if rows > alive[k - 1]]
+        overshoots = sorted(k for k, rows in used if rows > alive[k - 1])
         assert overshoots == sorted(redrawn)
         if branch == "redraw":
             assert alive[1] < alive[0] / 2 and overshoots[:1] == [2]
@@ -270,7 +276,7 @@ class TestDrawLayout:
 
 
 class TestHelperThread:
-    """simulate draws the next step's normals on one helper thread, which it
+    """simulate draws later steps' normals on one helper thread, which it
     joins before it returns or raises."""
 
     @pytest.mark.parametrize("case", ["absorb-1d", "resample", "all-absorbed"])
@@ -301,6 +307,41 @@ class TestHelperThread:
                      uniform_measure(build_grid(-1.0, 1.0, 100)))
         assert len(calls) == 3
         assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("case", ["absorb-1d", "resample", "absorb-product",
+                                      "all-absorbed"])
+    def test_main_thread_steals_from_a_slow_helper(self, case, uniform_measure,
+                                                   gaussian_measure, monkeypatch):
+        # the main thread draws the queued steps the helper has not started,
+        # and the result does not depend on which thread drew a block
+        import time
+
+        import qsdlab.montecarlo as mc
+
+        main = threading.get_ident()
+        on_main = []
+        draw_ahead = mc._draw_ahead
+
+        def slow_helper(seed, k, out):
+            on_main.append(threading.get_ident() == main)
+            if not on_main[-1]:
+                time.sleep(0.002)
+            return draw_ahead(seed, k, out)
+
+        monkeypatch.setattr(mc, "_draw_ahead", slow_helper)
+        cfg, mu = _draw_layout_case(case, uniform_measure, gaussian_measure)
+        threads = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # the threads interleave finely around each hand-over
+        try:
+            ens = simulate(cfg, mu)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == threads
+        positions, curve = reference_simulate(cfg, mu)
+        assert np.array_equal(ens.positions, positions)
+        assert np.array_equal(ens.survival_curve, curve)
+        assert any(on_main)
 
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity")
     def test_both_threads_keep_the_callers_cpus(self, uniform_measure, gaussian_measure,
