@@ -378,7 +378,7 @@ def _flow_blocks(op: TridiagonalOperator, mu: GridMeasure, times, eigen: EigenPa
         yield zeros, np.tile(m0, (zeros.size, 1)), zeros, zeros + 1.0, None if chi2 is None else zeros + chi2
     if later.size == 0:
         return
-    gamma = float(later[-1]) / 10.0
+    gamma = float(later[-1]) / 10.0 or float(later[-1])  # a tenth of t <= 2e-323 rounds to 0
     d, off = _symmetric_bands(op.off_upper, op.off_lower, FlowError)
     factors = _cn_factors(op.diag, off, gamma, shift)
 

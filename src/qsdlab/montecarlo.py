@@ -59,18 +59,13 @@ are cancelled and only the one it is drawing is waited for.  Which thread
 draws what decides nothing else: the stream layout and every output bit
 depend neither on thread timing nor on the number of cores.  The helper is
 started once per run and joined before ``simulate`` returns or raises, and
-it calls no public function.  Where the process may use another CPU
-(Linux), the helper starts on one other than the main thread's and is then
-allowed every CPU again.  Linux may otherwise start it on the main thread's
-CPU and, as the two threads wait for each other in turn, leave it there, so
-that they run one after the other.
+it calls no public function.  It runs wherever the scheduler puts it, and no
+output depends on where.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,7 +105,8 @@ class SimConfig:
     be infinite.  Every finite end absorbs with the Brownian-bridge exit test
     of the module docstring: a particle within 18.5 dt of an end in
     ``(x - b)(y - b)`` draws a uniform from the step's SFC64 stream, keyed by
-    ``(seed, step)``.  The horizon must be finite.
+    ``(seed, step)``.  The horizon and the step count horizon / dt must be
+    finite.
     """
 
     spec: object
@@ -128,6 +124,8 @@ class SimConfig:
             raise ValueError("horizon must be finite")
         if self.dt > self.horizon:
             raise ValueError("dt must not exceed the horizon")
+        if not math.isfinite(self.horizon / self.dt):
+            raise ValueError("the step count horizon / dt must be finite")
         if self.n_particles < 100:
             raise ValueError("need at least 100 particles")
 
@@ -230,25 +228,6 @@ def _bridge_exits(rng, cols, ys, ends, dt: float, scratch, masks) -> np.ndarray:
     return near[rng.random(out=f) < np.subtract(1.0, stay, out=stay)]
 
 
-def _cpus_but_current() -> set[int]:
-    """The CPUs this thread may run on, less the one it runs on now (empty off Linux)."""
-    try:
-        with open("/proc/thread-self/stat") as fh:  # field 39 is the thread's CPU
-            cpu = int(fh.read().rsplit(")", 1)[1].split()[36])
-        return os.sched_getaffinity(0) - {cpu}
-    except (OSError, AttributeError):
-        return set()
-
-
-def _start_on(cpus: set[int]) -> None:
-    """Move the calling thread onto ``cpus``, if any, then allow it its CPUs again."""
-    if cpus:
-        with contextlib.suppress(OSError):  # the allowed CPUs changed meanwhile
-            allowed = os.sched_getaffinity(0)
-            os.sched_setaffinity(0, cpus)  # returns once the thread runs on one of them
-            os.sched_setaffinity(0, allowed)
-
-
 def _draw_ahead(seed: int, step_index: int, out: np.ndarray) -> np.random.Generator:
     """Fill ``out`` with the first normals of a step; return the step's stream after them."""
     rng = _step_rng(seed, step_index)
@@ -299,9 +278,7 @@ def simulate(config: SimConfig, initial_sampler) -> ParticleEnsemble:
 
     from concurrent.futures import Future, ThreadPoolExecutor  # loaded by simulate alone
 
-    # the helper starts off the main thread's CPU (module docstring)
-    with ThreadPoolExecutor(max_workers=1, initializer=_start_on,
-                            initargs=(_cpus_but_current(),)) as helper:
+    with ThreadPoolExecutor(max_workers=1) as helper:
         queued = {}  # step: (lead, future) of the steps queued, in step order
 
         def prefetch(k: int, survivors: int, deaths: int) -> None:

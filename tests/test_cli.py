@@ -522,6 +522,15 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("qsdlab: mc.horizon ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("horizon, dt", [("1e300", "1e-10"), ("1", "5e-324")])
+    def test_overflowing_step_count_exits_one_without_outputs(self, tmp_path, capsys,
+                                                             horizon, dt):
+        out = tmp_path / "x"
+        assert run(["simulate", "--example", "brownian", "--particles", "100",
+                    "--horizon", horizon, "--dt", dt, "--output", str(out)]) == 1
+        assert capsys.readouterr().err == "qsdlab: the step count horizon / dt must be finite\n"
+        assert not out.exists()
+
     def test_eigen_artifacts_match_library_savers(self, tmp_path):
         from qsdlab import spectral
         from qsdlab.grid_measure import build_grid, save_measure_csv
@@ -699,6 +708,18 @@ class TestFlowCommands:
         assert re.fullmatch(r"qsdlab: numerical failure: Krylov exponential not converged: "
                             r"basis size \d+, [^\n]*\n", err)
         assert not (out / "curves.csv").exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["evolve", "report"])
+    @pytest.mark.parametrize("t_max", [5e-324, 2e-323])
+    def test_subnormal_horizon_keeps_the_start_law(self, tmp_path, command, t_max):
+        # the flow's Krylov shift, a tenth of t_max, rounds to 0 at such a t_max
+        out = tmp_path / command
+        assert run([command, "--example", "ou", "--n", "50", "--samples", "2",
+                    "--t-max", repr(t_max), "--output", str(out)]) == 0
+        start, end = np.loadtxt(out / "curves.csv", delimiter=",", skiprows=1)
+        assert end[0] == t_max and end[-1] == -t_max
+        assert np.array_equal(end[1:3], start[1:3])  # tv and w1
 
 
 class TestQsdInitialLaw:

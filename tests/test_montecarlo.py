@@ -56,6 +56,11 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="horizon must be finite"):
             brownian_config(horizon=horizon)
 
+    @pytest.mark.parametrize("horizon, dt", [(1e300, 1e-10), (1.0, 5e-324)])
+    def test_overflowing_step_count_rejected(self, horizon, dt):
+        with pytest.raises(ValueError, match="step count horizon / dt must be finite"):
+            brownian_config(horizon=horizon, dt=dt)
+
     def test_product_coordinates(self):
         cfg = SimConfig(
             spec=[zero_potential(domain=(-1, 1)), quadratic_potential(1.0)],
@@ -346,10 +351,11 @@ class TestHelperThread:
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity")
     def test_both_threads_keep_the_callers_cpus(self, uniform_measure, gaussian_measure,
                                                 monkeypatch):
-        # the helper starts off the caller's CPU but is left free to run on any
+        # neither thread is moved: the helper runs wherever the scheduler puts it
         import qsdlab.montecarlo as mc
 
         seen = []
+        moves = []
         draw_ahead = mc._draw_ahead
 
         def recorded(seed, k, out):
@@ -357,9 +363,11 @@ class TestHelperThread:
             return draw_ahead(seed, k, out)
 
         monkeypatch.setattr(mc, "_draw_ahead", recorded)
+        monkeypatch.setattr(os, "sched_setaffinity", lambda *args: moves.append(args))
         cfg, mu = _draw_layout_case("absorb-1d", uniform_measure, gaussian_measure)
         cpus = os.sched_getaffinity(0)
         simulate(cfg, mu)
+        assert moves == []
         assert os.sched_getaffinity(0) == cpus
         assert len(seen) > 0 and all(s == cpus for s in seen)
 
