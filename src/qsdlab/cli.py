@@ -175,6 +175,8 @@ def validate(config: RunConfig) -> list[str]:
         bad.append("initial.family must be uniform|gaussian-truncated|qsd|custom")
     if config.get("initial.width") is not None and not config["initial.width"] > 0.0:
         bad.append("initial.width must be positive")
+    if config.get("rates.lambda0_lower") is not None and not config["rates.lambda0_lower"] > 0.0:
+        bad.append("rates.lambda0_lower must be positive")
     if fam == "custom":
         path = config.get("initial.path")
         if not path or not os.path.isfile(path):

@@ -37,8 +37,11 @@ keeps the unnormalized mass O(1), and makes the rational time step commute
 exactly with the eta-conjugation (so the conditioned flow followed by an
 eta-tilt reproduces the transformed flow to roundoff rather than to the
 time-discretization error).  Both flows return one `FlowState` per sample
-time, with the chi-square distance of eta*mu_t to beta when the eigenpair
-is given; the law at a single time t is the last state for ``[t]``.
+time; the law at a single time t is the last state for ``[t]``.  Given the
+eigenpair, each records the chi-square distance of eta*mu_t to beta: d^2 and
+beta / eta^2 are proportional to gamma, so it is chi = |w - <psi0, w> psi0| /
+<psi0, w> for w = m / d, psi0 = d eta / |d eta| (`_chi`).  In both flows a
+sample whose mass falls below ``MASS_UNDERFLOW`` raises `FlowError`.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid_measure import GridMeasure, chi2_divergence, tilt, tv_distance
+from .grid_measure import GridMeasure, tilt, tv_distance
 from .spectral import EigenPair, TridiagonalOperator, _doob_rates, _symmetric_bands, tridiag_apply
 
 __all__ = [
@@ -63,7 +66,6 @@ __all__ = [
 
 NEGATIVE_DENSITY_TOL = -1e-10
 MASS_UNDERFLOW = 1e-290
-RENORM_EVERY = 64
 KRYLOV_TOL = 1e-10
 KRYLOV_CHI_TOL = 1e-8  # relative to the decaying part of the chi-square flow
 KRYLOV_MAX_DIM = 300
@@ -273,12 +275,11 @@ def _sample_times(op: TridiagonalOperator, mu: GridMeasure, times) -> np.ndarray
     return times
 
 
-def _flow_state(op, t, m, log_surv, eigen=None) -> FlowState:
-    """The sample's law; with ``eigen``, the law's chi-square distance to beta."""
-    law = GridMeasure(op.grid, np.clip(m, 0.0, None))
-    beta = None if eigen is None else GridMeasure(op.grid, eigen.eta**2 * op.gamma_weights)
-    chi2 = None if eigen is None else chi2_divergence(tilt(eigen.eta, law), beta)
-    return FlowState(float(t), law, math.exp(log_surv), log_surv, chi2)
+def _chi(w, psi) -> float:
+    """chi(eta*mu | beta) of the density d w, scale-free: w / max(w) keeps |w|^2 finite."""
+    w = w / w.max()
+    c = float(psi @ w)
+    return float(np.linalg.norm(w - c * psi)) / c
 
 
 def flow_curve(
@@ -294,17 +295,17 @@ def flow_curve(
     The evolution proceeds segment by segment (the semi-flow property makes
     restarting from the normalized state exact up to the recorded log of the
     surviving mass).  With ``eigen`` supplied, the stepper shifts the
-    generator by lambda0 and the chi-square distance of eta*mu_t to beta is
-    recorded on each snapshot.  `flow_exponential` evaluates the same flow
-    without time steps.
+    generator by lambda0 and each snapshot records chi = |w - <psi0, w>
+    psi0| / <psi0, w> (`_chi`) of its clipped density, the chi-square
+    distance of eta*mu_t to beta.  `flow_exponential` evaluates the same
+    flow without time steps.
 
     The steps act on w = m / d (d and the symmetric bands from
-    `_symmetric_bands`, formed at the first positive segment).  Each step is
-    one ``pttrs`` solve, y = (I - aS)^-1 w, a = step/2, and w <- 2y - w,
-    which equals (I - aS)^-1 (I + aS) w without the explicit multiply.  As
-    d > 0, w has the sign of m: m = d w is formed for the negativity test
-    only when w has a negative (or NaN) entry, and for the renormalizations
-    the mass is d @ w.  ``smooth_start`` replaces the first two steps of the
+    `_symmetric_bands`).  Each step is one ``pttrs`` solve, y = (I - aS)^-1 w,
+    a = step/2, and w <- 2y - w, which equals (I - aS)^-1 (I + aS) w without
+    the explicit multiply.  As in `flow_exponential`, each step tests m = d w
+    against ``NEGATIVE_DENSITY_TOL`` and each segment's end its mass against
+    ``MASS_UNDERFLOW``.  ``smooth_start`` replaces the first two steps of the
     flow by implicit-Euler quarter-steps (Rannacher smoothing): initial
     densities need not vanish at the absorbing endpoints, and the L-stable
     startup damps the incompatible stiff content that Crank-Nicolson would
@@ -316,6 +317,8 @@ def flow_curve(
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     shift = eigen.lambda0 if eigen is not None else 0.0
+    d, off = _symmetric_bands(op.off_upper, op.off_lower, FlowError)
+    psi = None if eigen is None else d * eigen.eta / np.linalg.norm(d * eigen.eta)
 
     factors = {}
     states = []
@@ -323,10 +326,7 @@ def flow_curve(
     log_surv = 0.0
     startup = smooth_start
     for t, seg in zip(times, np.diff(times, prepend=0.0)):
-        log_mass = 0.0
         if seg > 0.0:
-            if not factors:  # the first positive segment
-                d, off = _symmetric_bands(op.off_upper, op.off_lower, FlowError)
             steps = max(1, math.ceil(seg / dt))
             step = seg / steps
             if step not in factors:
@@ -344,19 +344,16 @@ def flow_curve(
                         w, _ = dpttrs(*ie, w, overwrite_b=True)
                 else:
                     w = 2.0 * dpttrs(*cn, w)[0] - w
-                if not w.min() >= 0.0:  # a NaN fails this test too
-                    _check_density(d * w, None, f"after step {k + 1}; reduce dt")
-                if (k + 1) % RENORM_EVERY == 0:
-                    mass = float(d @ w)
-                    _check_density(None, mass, "")
-                    log_mass += math.log(mass / mass0)
-                    w *= mass0 / mass
-            m = d * w
+                m = d * w
+                _check_density(m, None, f"after step {k + 1}; reduce dt")
             mass = float(m.sum())
-            log_mass += math.log(mass / mass0)
+            _check_density(None, mass, "")
+            log_surv += math.log(mass / mass0)
             m *= mass0 / mass
-        log_surv += log_mass - shift * seg
-        states.append(_flow_state(op, t, m, log_surv, eigen=eigen))
+        log_surv -= shift * seg
+        law = np.clip(m, 0.0, None)
+        states.append(FlowState(float(t), GridMeasure(op.grid, law), math.exp(log_surv), log_surv,
+                                None if psi is None else _chi(law / d, psi)))
     return states
 
 
@@ -371,22 +368,21 @@ def _flow_blocks(op: TridiagonalOperator, mu: GridMeasure, times, eigen: EigenPa
     times = _sample_times(op, mu, times)
     m0 = mu.density
     shift = eigen.lambda0 if eigen is not None else 0.0
+    d, off = _symmetric_bands(op.off_upper, op.off_lower, FlowError)
+    psi = None if eigen is None else d * eigen.eta / np.linalg.norm(d * eigen.eta)
+    w0 = m0 / d
     later = times[times > 0.0]
     if later.size < times.size:
         zeros = times[:times.size - later.size]
-        chi2 = _flow_state(op, 0.0, m0, 0.0, eigen=eigen).chi2_to_beta
-        yield zeros, np.tile(m0, (zeros.size, 1)), zeros, zeros + 1.0, None if chi2 is None else zeros + chi2
+        chi2 = None if psi is None else zeros + _chi(w0, psi)
+        yield zeros, np.tile(m0, (zeros.size, 1)), zeros, zeros + 1.0, chi2
     if later.size == 0:
         return
     gamma = float(later[-1]) / 10.0 or float(later[-1])  # a tenth of t <= 2e-323 rounds to 0
-    d, off = _symmetric_bands(op.off_upper, op.off_lower, FlowError)
     factors = _cn_factors(op.diag, off, gamma, shift)
 
     chi2 = None
-    if eigen is not None:
-        psi = d * eigen.eta
-        psi /= np.linalg.norm(psi)
-        w0 = m0 / d
+    if psi is not None:
         # the basis is released here, before the m-space run builds its own
         coeffs = _krylov_run(
             w0, later, gamma,
@@ -428,15 +424,15 @@ def flow_exponential(
     The law comes from one shift-and-invert Krylov space (`_krylov_run`) in
     m itself, accurate to ``KRYLOV_TOL`` relative to the density's 2-norm.
     With ``eigen`` supplied the generator is shifted by lambda0 and each
-    snapshot records the chi-square distance of eta*mu_t to beta.  It
-    weights the density by 1/beta, which that norm does not bound where beta
-    is tiny, so it comes from a second space in w = m / d: w(t) = c0 psi0 +
-    exp(t (S + lambda0)) w_perp, psi0 = d * eta / |d * eta| the eigenvector
-    of S, c0 = <psi0, w0>.  By detailed balance d^2 and beta / eta^2 are
-    proportional to gamma, so the distance is |w_perp(t)| / c0, the norm of
-    the coefficients of the run that locks psi0, held to ``KRYLOV_CHI_TOL``
+    snapshot records chi = |w - <psi0, w> psi0| / <psi0, w>, the chi-square
+    distance of eta*mu_t to beta (w = m / d, psi0 = d eta / |d eta| the
+    eigenvector of S), from `_chi` at t = 0.  It weights the density by
+    1/beta, which that norm does not bound where beta is tiny, so at t > 0
+    it comes from a second space in w: w(t) = c0 psi0 + exp(t (S + lambda0))
+    w_perp, c0 = <psi0, w0>, and chi = |w_perp(t)| / c0 is the norm of the
+    coefficients of the run that locks psi0, held to ``KRYLOV_CHI_TOL``
     relative as it decays; the QSD's own w_perp(0), roundoff, gives 0.
-    Every snapshot passes the mass-underflow and ``NEGATIVE_DENSITY_TOL``
+    Every snapshot passes the ``MASS_UNDERFLOW`` and ``NEGATIVE_DENSITY_TOL``
     tests; t = 0 returns the initial law.  The snapshots wrap the rows of
     `_flow_blocks`, which `analytics.decay_curves` reads directly.
     """

@@ -136,8 +136,6 @@ class SimConfig:
             domains = tuple(tuple(map(float, d)) for d in dom)
         else:
             domains = (tuple(map(float, dom)),)
-        if len(specs) == 1 and len(domains) > 1:
-            specs = specs * len(domains)
         if len(specs) != len(domains):
             raise ValueError("spec/domain dimension mismatch")
         return tuple(zip(specs, domains))
@@ -199,7 +197,7 @@ def _bridge_exits(rng, cols, ys, ends, dt: float, scratch, masks) -> np.ndarray:
     """Indices of the survivors that the Brownian-bridge exit test absorbs.
 
     ``g = (x - b)(y - b)`` is formed at each finite end in ``scratch``, which
-    also holds ``y - b`` where b != 0; an overflowed g is +inf, out of reach.
+    also holds ``y - b``; an overflowed g is +inf, out of reach.
     Survivors with ``g < BRIDGE_REACH * dt`` at some end draw one uniform
     each, in particle-index order, and are absorbed when it falls below
     ``1 - prod(1 - exp(-2 g+ / dt))``; an end with g <= 0 makes that 1.
@@ -209,10 +207,7 @@ def _bridge_exits(rng, cols, ys, ends, dt: float, scratch, masks) -> np.ndarray:
     g, y_minus_b = scratch[:m], scratch[m:2 * m]
     near.fill(False)
     for j, b in ends:
-        if b == 0.0:  # x - 0.0 == x, also for x == -0.0
-            np.multiply(cols[j], ys[j], out=g)
-        else:
-            np.multiply(np.subtract(cols[j], b, out=g), np.subtract(ys[j], b, out=y_minus_b), out=g)
+        np.multiply(np.subtract(cols[j], b, out=g), np.subtract(ys[j], b, out=y_minus_b), out=g)
         near |= np.less(g, BRIDGE_REACH * dt, out=below)
 
     near = np.flatnonzero(near)
@@ -268,7 +263,7 @@ def simulate(config: SimConfig, initial_sampler) -> ParticleEnsemble:
     # k + AHEAD is queued into the block of step k - 1 once step k is done
     blocks = [x] + [np.empty((n, d)) for _ in range(AHEAD)]
     cols = list(x.T)  # survivors' coordinates, particle-index order
-    scratch = np.empty(n if all(b == 0.0 for _, b in ends) else 2 * n)  # for the exit test
+    scratch = np.empty(2 * n)  # for the exit test
     masks = (np.empty(n, dtype=bool), np.empty(n, dtype=bool))
     m = n
     log_surv = 0.0

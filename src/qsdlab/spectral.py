@@ -99,6 +99,7 @@ class ProductEigenPair:
     lambda0_total: float
 
 
+@np.errstate(over="ignore")  # an overflow gives inf, which the checks below raise on
 def assemble_generator(spec: PotentialSpec, grid: Grid1D) -> TridiagonalOperator:
     """Assemble the divergence-form discretization of (1/2)(Lap - V' d/dx)."""
     h2 = grid.h * grid.h  # inf past h = 1.3e154, where grid.h**2 raises OverflowError
@@ -116,7 +117,7 @@ def assemble_generator(spec: PotentialSpec, grid: Grid1D) -> TridiagonalOperator
     vm = v_mids - shift
 
     scale = 1.0 / (2.0 * h2)
-    # coefficients e^{V_i - V_{i +/- 1/2}} stay O(1); no overflow possible
+    # coefficients e^{V_i - V_{i +/- 1/2}} stay O(1) unless V varies by ~700 within h/2
     left = scale * np.exp(vn - vm[:-1])   # couples node i to i-1 (and boundary)
     right = scale * np.exp(vn - vm[1:])   # couples node i to i+1 (and boundary)
     if not (np.all(np.isfinite(left)) and np.all(np.isfinite(right))):

@@ -361,3 +361,24 @@ class TestDecayReport:
         assert rep.kappa_tilde == kt_min
         for m in rep.marginals:
             assert m.fitted_rate_chi2 >= kt_min - 0.05
+
+
+def _product_config(**changes):
+    spec, g = shifted_power_potential(3.0), build_grid(0.0, 2.5, 50)
+    mu = GridMeasure(g, np.ones(g.n))
+    config = ReportConfig(label="product", spec=[spec, spec], grid=[g, g],
+                          initial=ProductGridMeasure((mu, mu)), times=np.linspace(0.0, 0.6, 5))
+    return dataclasses.replace(config, **{k: v(config) for k, v in changes.items()})
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: closed_form("brownian_hypercube", d=0), "dimension must be >= 1"),
+    (lambda: decay_report(_product_config(initial=lambda c: c.initial.factors[0])),
+     "product report needs a ProductGridMeasure initial law"),
+    (lambda: decay_report(_product_config(grid=lambda c: c.grid[:1])), "spec/grid/initial dimension mismatch"),
+    (lambda: decay_report(_product_config(initial=lambda c: ProductGridMeasure(c.initial.factors + c.initial.factors[:1]))),
+     "spec/grid/initial dimension mismatch"),
+], ids=["closed-form-d0", "product-plain-initial", "product-grids", "product-initial-dim"])
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -115,6 +115,18 @@ class TestValidate:
         assert capsys.readouterr().err == f"qsdlab: {unread}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, value", [
+        (["report", "--example", "ou", "--n", "50", "--t-max", "1", "--samples", "11"], "-1"),
+        (["eigen", "--example", "ou", "--n", "50"], "-1"),
+        (["rates", "--potential", "shifted-power", "--delta", "3", "--x-max", "2.5", "--n", "50"], "0"),
+        (["rates", "--potential", "shifted-power", "--delta", "3", "--x-max", "2.5", "--n", "50"], "nan"),
+    ], ids=["report-negative", "eigen-negative", "rates-zero", "rates-nan"])
+    def test_nonpositive_lambda0_lower_exits_one_without_outputs(self, tmp_path, capsys, argv, value):
+        out = tmp_path / "x"
+        assert run([*argv, "--lambda0-lower", value, "--output", str(out)]) == 1
+        assert capsys.readouterr().err == "qsdlab: rates.lambda0_lower must be positive\n"
+        assert not out.exists()
+
     def test_mc_diagnostics(self):
         cfg = self.base_config(**{"mc.particles": 10, "mc.dt": 2.0, "mc.horizon": 1.0})
         diags = validate(cfg)

@@ -823,3 +823,73 @@ class TestSampleBlocks:
                 flow_exponential(op, mu, np.linspace(0.0, t_max, 61), eigen=principal_eigenpair(op))
             messages.append(str(caught.value))
         assert messages[0] == messages[1]
+
+
+class TestOneChiFormula:
+    """Both flows take chi from one formula, and follow one mass-underflow rule."""
+
+    @pytest.fixture(scope="class", params=sorted(KRYLOV_CASES))
+    def problem(self, request):
+        spec, x_min, x_max, t_max = KRYLOV_CASES[request.param]
+        g = build_grid(x_min, x_max, 800)
+        op = assemble_generator(spec, g)
+        return op, principal_eigenpair(op), t_max
+
+    @pytest.mark.parametrize("law", ["uniform", "gaussian"])
+    def test_chi_matches_the_divergence_of_the_tilted_law(self, problem, law):
+        # the old formula, chi2_divergence(tilt(eta, mu_t), beta), is the oracle
+        op, eigen, t_max = problem
+        mu = GridMeasure(op.grid, initial_density(law, op.grid))
+        beta = GridMeasure(op.grid, eigen.eta**2 * op.gamma_weights)
+        states = flow_curve(op, mu, np.linspace(0.0, t_max, 21), default_dt(op.grid, eigen.lambda0), eigen=eigen)
+        ref = np.array([chi2_divergence(tilt(eigen.eta, s.mu_t), beta) for s in states])
+        got = np.array([s.chi2_to_beta for s in states])
+        assert np.all(np.abs(got - ref) <= 1e-10 * ref + 1e-14 * ref[0])
+        chi0 = flow_exponential(op, mu, [0.0], eigen=eigen)[0].chi2_to_beta
+        assert abs(chi0 - ref[0]) <= 1e-10 * ref[0]
+
+    def test_chi_at_zero_is_finite_where_beta_underflows(self):
+        # from the last node of delta = 6 on (0, 2), beta there is below the
+        # divergence's absolute-continuity floor, which reads inf
+        g = build_grid(0.0, 2.0, 400)
+        op = assemble_generator(shifted_power_potential(6.0), g)
+        eigen = principal_eigenpair(op)
+        spike = np.zeros(g.n)
+        spike[-1] = 1.0
+        mu = GridMeasure(g, spike)
+        chi0 = [flow(op, mu, [0.0], *args, eigen=eigen)[0].chi2_to_beta
+                for flow, args in ((flow_exponential, ()), (flow_curve, (1e-5,)))]
+        assert all(math.isfinite(c) for c in chi0)
+        assert chi0[0] == chi0[1]
+        from qsdlab.analytics import decay_curves
+        chi = decay_curves(op, eigen, mu, [0.0, 0.1])["chi2"]
+        assert math.isfinite(chi[0]) and chi[0] >= chi[1]
+
+    @pytest.mark.parametrize("flow", ["curve", "exponential"])
+    def test_an_unshifted_flow_whose_mass_underflows_raises(self, flow):
+        # exp(-700) is below MASS_UNDERFLOW; without the eigenpair no shift keeps the mass O(1)
+        g = build_grid(0.0, 8.0, 200)
+        op = assemble_generator(quadratic_potential(1.0), g)
+        mu = GridMeasure(g, np.exp(-((g.nodes - 1.5) ** 2)))
+        with pytest.raises(FlowError, match="total mass underflow; restart the flow from the normalized state"):
+            if flow == "curve":
+                flow_curve(op, mu, [700.0], default_dt(g))
+            else:
+                flow_exponential(op, mu, [700.0])
+
+
+@pytest.mark.parametrize("times, grid, message", [
+    (np.zeros((2, 2)), None, "need a nonempty 1D array of times"),
+    (np.array([]), None, "need a nonempty 1D array of times"),
+    ([0.0, 1.0], build_grid(-1.0, 1.0, 30), "measure lives on a different grid"),
+], ids=["two-dimensional", "empty", "other-grid"])
+@pytest.mark.parametrize("flow", ["curve", "exponential"])
+def test_sample_time_checks(flow, times, grid, message):
+    op = assemble_generator(zero_potential(domain=(-1.0, 1.0)), build_grid(-1.0, 1.0, 20))
+    g = op.grid if grid is None else grid
+    mu = GridMeasure(g, np.ones(g.n))
+    with pytest.raises(ValueError, match=message):
+        if flow == "curve":
+            flow_curve(op, mu, times, 0.01)
+        else:
+            flow_exponential(op, mu, times)

@@ -280,3 +280,45 @@ class TestRegrid:
         cdf = 0.5 * (np.sin(math.pi * edges / 2.0) + 1.0)
         expected = np.diff(cdf) / coarse.h
         assert np.max(np.abs(projected.density - expected)) < 1e-4
+
+
+def _unit_grid(n=5):
+    return build_grid(0.0, 1.0, n)
+
+
+def _unit_measure(n=5):
+    return GridMeasure(_unit_grid(n), np.ones(n))
+
+
+def _write_nodes(tmp_path, xs):
+    path = tmp_path / "m.csv"
+    path.write_text("x,density\n" + "".join(f"{x!r},1.0\n" for x in xs))
+    return path
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda _: GridMeasure(_unit_grid(), np.ones(4)), ValueError, r"density has shape \(4,\), expected \(5,\)"),
+    (lambda _: GridMeasure(_unit_grid(), [1.0, np.inf, 1.0, 1.0, 1.0]), ValueError,
+     "density values must be finite"),
+    (lambda _: GridMeasure(_unit_grid(), [1.0, -0.5, 1.0, 1.0, 1.0]), ValueError,
+     "density values must be nonnegative"),
+    (lambda _: ProductGridMeasure(()), ValueError, "product measure needs at least one factor"),
+    (lambda _: ProductGridMeasure((_unit_measure(), np.ones(5))), TypeError,
+     "all factors must be GridMeasure instances"),
+    (lambda _: tilt(np.ones(4), _unit_measure()), ValueError, r"expected 5 values, got shape \(4,\)"),
+    (lambda _: tilt([1.0, -1.0, 1.0, 1.0, 1.0], _unit_measure()), ValueError,
+     "tilt function must be nonnegative"),
+    (lambda _: w1_distance(ProductGridMeasure((_unit_measure(),)), _unit_measure()), ValueError,
+     "cannot mix plain and product measures"),
+    (lambda _: w1_distance(ProductGridMeasure((_unit_measure(),)),
+                           ProductGridMeasure((_unit_measure(), _unit_measure()))), ValueError,
+     "dimension mismatch: 1 vs 2"),
+    (lambda tmp: load_measure_csv(_write_nodes(tmp, [0.25, 0.5])), ValueError,
+     "measure CSV needs at least 3 rows"),
+    (lambda tmp: load_measure_csv(_write_nodes(tmp, [0.1, 0.2, 0.4, 0.5])), ValueError,
+     "nodes in CSV are not a uniform interior-node grid"),
+], ids=["density-shape", "density-non-finite", "density-negative", "no-factor", "factor-type",
+        "tilt-shape", "tilt-sign", "w1-mixed", "w1-dimensions", "csv-rows", "csv-nodes"])
+def test_input_checks(tmp_path, call, error, message):
+    with pytest.raises(error, match=message):
+        call(tmp_path)

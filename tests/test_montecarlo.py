@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qsdlab.doob import default_dt, flow_curve
-from qsdlab.grid_measure import ProductGridMeasure, build_grid, regrid, tv_distance
+from qsdlab.grid_measure import GridMeasure, ProductGridMeasure, build_grid, regrid, tv_distance
 from qsdlab.montecarlo import (
     BRIDGE_REACH,
     ParticleEnsemble,
@@ -70,6 +70,14 @@ class TestSimConfig:
         coords = cfg.coordinates()
         assert len(coords) == 2
         assert coords[1][1] == (0.0, math.inf)
+
+    @pytest.mark.parametrize("spec", [zero_potential(domain=(-1, 1)), [zero_potential(domain=(-1, 1))]],
+                             ids=["object", "list"])
+    def test_one_spec_for_several_domains_is_a_mismatch(self, spec):
+        cfg = SimConfig(spec=spec, domain=[(-1.0, 1.0), (-1.0, 1.0)],
+                        dt=1e-3, horizon=0.1, n_particles=200, seed=1)
+        with pytest.raises(ValueError, match="spec/domain dimension mismatch"):
+            cfg.coordinates()
 
 
 class TestDeterminism:
@@ -691,3 +699,30 @@ class TestSerialization:
         lines = ["particle_id," + ",".join(f"x{j + 1}" for j in range(d))]
         lines += [",".join(f"{v:.17g}" for v in (i, *row)) for i, row in enumerate(positions)]
         assert (tmp_path / "p.csv").read_text() == "\n".join(lines) + "\n"
+
+
+def _box_law(lo=-1.0, hi=1.0):
+    g = build_grid(lo, hi, 20)
+    return GridMeasure(g, np.ones(g.n))
+
+
+def _ensemble(d):
+    return ParticleEnsemble(positions=np.full((5, d), 0.5), alive_count=5, t=0.0,
+                            initial_count=5, log_survival_estimate=0.0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: simulate(brownian_config(n_particles=200),
+                      ProductGridMeasure((_box_law(), _box_law()))),
+     "initial sampler has 2 coordinates, domain has 1"),
+    (lambda: simulate(brownian_config(n_particles=200, domain=(-0.5, 0.5)), _box_law()),
+     "initial measure must be supported inside the open domain"),
+    (lambda: conditioned_empirical(_ensemble(1), [build_grid(0.0, 1.0, 10)] * 2),
+     "need one grid per coordinate"),
+    (lambda: conditioned_empirical(_ensemble(2), build_grid(0.0, 1.0, 10)),
+     "product ensemble needs one grid per coordinate"),
+    (lambda: estimate_lambda0(np.linspace(0.0, 1.0, 10)), r"survival curve needs columns \(t, value\)"),
+], ids=["sampler-coordinates", "law-outside-domain", "grid-count", "grid-for-product", "curve-shape"])
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -205,3 +205,18 @@ class TestCdfiRate:
             basic = cdfi_rate(prob.spec, prob.lambda0, prob.grid)
             refined = cdfi_rate(prob.spec, prob.lambda0, prob.grid, use_drift_form=True)
             assert refined >= basic >= floor - 1e-12
+
+
+@pytest.mark.parametrize("x, columns, message", [
+    (np.linspace(0.0, 1.0, 3), None, "tabulated potential needs at least 4 sample points"),
+    (np.ones((2, 4)), None, "tabulated potential needs at least 4 sample points"),
+    (np.array([0.0, 0.5, 0.5, 1.0]), None, "tabulated abscissa must be strictly increasing"),
+    (np.array([0.0, 0.6, 0.4, 1.0]), None, "tabulated abscissa must be strictly increasing"),
+    (np.linspace(0.0, 1.0, 5), {"vp": np.zeros(4)}, r"column Vp has shape \(4,\), expected \(5,\)"),
+    (np.linspace(0.0, 1.0, 5), {"vpp": np.zeros((5, 1))}, r"column Vpp has shape \(5, 1\), expected \(5,\)"),
+], ids=["three-points", "two-dimensional", "repeated-abscissa", "decreasing-abscissa", "vp-shape", "vpp-shape"])
+def test_tabulated_input_checks(x, columns, message):
+    cols = {"v": np.zeros(np.shape(x)), "vp": np.zeros(np.shape(x)), "vpp": np.zeros(np.shape(x))}
+    cols.update(columns or {})
+    with pytest.raises(ValueError, match=message):
+        tabulated_potential(x, **cols)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -401,3 +402,15 @@ def test_lambda0_only_solve_skips_lambda1(monkeypatch):
     assert only.lambda1 is None and len(solves) == 1
     assert only.lambda0 == full.lambda0 and only.lambda0_bracket == full.lambda0_bracket
     assert np.array_equal(only.eta, full.eta)
+
+
+@pytest.mark.parametrize("spec, message", [
+    (shifted_power_potential(1000.0), "potential is not finite on the grid interior"),
+    (shifted_power_potential(50.0), "potential variation overflows the stencil weights"),
+], ids=["non-finite-v", "stencil-overflow"])
+def test_assembly_input_checks(spec, message):
+    # both overflow inside the assembly; it raises the ValueError, and warns nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            assemble_generator(spec, build_grid(0.0, 2.0, 50))
