@@ -23,7 +23,6 @@ from .grid_measure import (
     Grid1D,
     GridMeasure,
     ProductGridMeasure,
-    _cdf_rows,
     build_grid,
     cdf_values,
     extrapolated_boundary,
@@ -33,6 +32,7 @@ from .potential import (
     PotentialSpec,
     be_constant,
     cdfi_rate,
+    effective_second_derivative,
     evaluate,
     quadratic_potential,
     zero_potential,
@@ -54,8 +54,8 @@ __all__ = [
     "decay_curves",
     "decay_report",
     "lambda0_lower_used",
+    "rate_table",
     "save_report_json",
-    "save_curves_csv",
     "write_curves_csv",
 ]
 
@@ -208,12 +208,12 @@ def decay_curves(op, eigen: EigenPair, mu: GridMeasure, times) -> dict:
     `w1_distance` per row.
     """
     alpha = qsd_from_eigen(op, eigen)
-    h, cdf_alpha = op.grid.h, cdf_values(alpha)
+    h, cdf_alpha = op.grid.h, cdf_values(alpha.density, op.grid.h)
     blocks = []
     for _, m, log_surv, surv, chi2 in _flow_blocks(op, mu, times, eigen):
         p = np.divide(m, h * m.sum(axis=1, keepdims=True), out=m)
         tv = h * np.abs(p - alpha.density).sum(axis=1)
-        w1 = h * np.abs(_cdf_rows(p, h) - cdf_alpha).sum(axis=1)
+        w1 = h * np.abs(cdf_values(p, h) - cdf_alpha).sum(axis=1)
         blocks.append((tv, w1, chi2, surv, log_surv))
     return {name: np.concatenate(col) for name, col in zip(CURVE_NAMES, zip(*blocks))}
 
@@ -356,11 +356,32 @@ def lambda0_lower_used(eigen: EigenPair, lower: float = None) -> float:
     return eigen.lambda0 if lower is None else lower
 
 
+def rate_table(spec: PotentialSpec, grid: Grid1D, eigen: EigenPair, lambda0_lower: float = None) -> dict:
+    """The certified rates on ``grid``: inf V'', inf W'' (W = V - 2 log eta) and the
+    basic and drift-form CDFI rates, the drift form None where V' > 0 fails."""
+    _, _, vpp = evaluate(spec, grid.nodes)
+    lam_used = lambda0_lower_used(eigen, lambda0_lower)
+    try:
+        refined = cdfi_rate(spec, lam_used, grid, use_drift_form=True)
+    except ValueError:  # the drift form needs V' > 0
+        refined = None
+    return {
+        "lambda0": eigen.lambda0,
+        "lambda1": eigen.lambda1,
+        "gap": eigen.gap,
+        "kappa_classical_inf_Vpp": be_constant(vpp),
+        "kappa_effective_inf_Wpp": be_constant(effective_second_derivative(spec, eigen, grid)),
+        "lambda0_lower_used": lam_used,
+        "kappa_tilde_basic": cdfi_rate(spec, lam_used, grid, use_drift_form=False),
+        "kappa_tilde_refined": refined,
+    }
+
+
 def _report_1d(config: ReportConfig, op, eigen: EigenPair) -> DecayReport:
     """The report of one factor on generator ``op`` and principal pair ``eigen``; kappa
     defaults to inf V'' (2 lam for OU), twice the Bakry-Emery rate inf W''/2."""
-    spec, grid, mu = config.spec, config.grid, config.initial
-    lam_low = lambda0_lower_used(eigen, config.lambda0_lower)
+    grid, mu = config.grid, config.initial
+    rates = rate_table(config.spec, grid, eigen, config.lambda0_lower)
 
     times = np.asarray(config.times, dtype=float)
     curves = decay_curves(op, eigen, mu, times)
@@ -375,13 +396,8 @@ def _report_1d(config: ReportConfig, op, eigen: EigenPair) -> DecayReport:
         "laws orthogonal to the second eigenfunction decay faster"
     )
 
-    kappa = config.kappa
-    if kappa is None:
-        _, _, vpp = evaluate(spec, grid.nodes)
-        kappa = be_constant(np.asarray(vpp))
-    kappa_tilde = None
-    if config.cdfi:
-        kappa_tilde = cdfi_rate(spec, lam_low, grid, use_drift_form=True)
+    kappa = rates["kappa_classical_inf_Vpp"] if config.kappa is None else config.kappa
+    kappa_tilde = rates["kappa_tilde_refined"] if config.cdfi else None
 
     return _assemble_report(
         config, curves, burn, eigen.gap,
@@ -457,8 +473,3 @@ def save_report_json(report: DecayReport, path) -> None:
 def write_curves_csv(path, times, curves: dict) -> None:
     """Write decay curves as CSV ``t,tv,w1,chi2,survival_weight,log_survival``."""
     write_csv(path, CURVES_HEADER, (times, *(curves[name] for name in CURVE_NAMES)))
-
-
-def save_curves_csv(report: DecayReport, path) -> None:
-    """Write the report's decay curves with `write_curves_csv`."""
-    write_curves_csv(path, report.times, {name: getattr(report, name) for name in CURVE_NAMES})

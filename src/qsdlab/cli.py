@@ -12,8 +12,8 @@ Configuration is flat ``section.key = value`` text; command-line flags mirror
 the keys and win over the file.  Outputs go through :mod:`qsdlab.artifacts`
 (atomic, floats at 17 significant digits), mostly by way of the library
 ``save_*`` functions, so identical configurations and seeds produce
-byte-identical artifacts.  Exit codes: 0 success, 1 validation error, 2
-numerical failure.
+byte-identical artifacts.  Exit codes: 0 success, 1 validation error or a
+size too large to allocate, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -36,10 +36,6 @@ from .grid_measure import (
     save_measure_csv,
 )
 from .potential import (
-    be_constant,
-    cdfi_rate,
-    effective_second_derivative,
-    evaluate,
     quadratic_potential,
     shifted_power_potential,
     tabulated_from_csv,
@@ -226,12 +222,11 @@ def _build_problem(config: RunConfig):
     if problem == "shifted-power":
         delta = config["potential.delta"]
         return shifted_power_potential(delta), build_grid(0.0, _bound(config, "grid.x_max", 2.5), n)
-    if problem == "tabulated":
-        spec = tabulated_from_csv(config["potential.table_path"])
-        xmin = _bound(config, "grid.x_min", spec.domain[0])
-        xmax = _bound(config, "grid.x_max", spec.domain[1])
-        return spec, build_grid(xmin, xmax, n)
-    raise ValueError(f"unresolved potential family {problem!r}")
+    # tabulated, as validate admits no other problem
+    spec = tabulated_from_csv(config["potential.table_path"])
+    xmin = _bound(config, "grid.x_min", spec.domain[0])
+    xmax = _bound(config, "grid.x_max", spec.domain[1])
+    return spec, build_grid(xmin, xmax, n)
 
 
 class _Problem:
@@ -274,15 +269,8 @@ class _Problem:
             return GridMeasure(grid, dens)
         if family == "qsd":
             return self.alpha
-        if family == "custom":
-            measure = load_measure_csv(config["initial.path"])
-            # a law on the run's own nodes, to a rounding of 1e-9 h in the CSV, is
-            # taken as written; regrid would smooth it
-            if measure.grid.n == grid.n and np.allclose(measure.grid.nodes, grid.nodes,
-                                                        rtol=0.0, atol=1e-9 * grid.h):
-                return GridMeasure(grid, measure.density)
-            return regrid(measure, grid)
-        raise ValueError(f"unresolved initial family {family!r}")
+        # custom, as validate admits no other family
+        return regrid(load_measure_csv(config["initial.path"]), grid)
 
 
 def _cmd_eigen(p: _Problem, outdir: str) -> None:
@@ -314,22 +302,7 @@ def _cmd_simulate(p: _Problem, outdir: str) -> None:
 
 
 def _cmd_rates(p: _Problem, outdir: str) -> None:
-    _, _, vpp = evaluate(p.spec, p.grid.nodes)
-    lam_used = analytics.lambda0_lower_used(p.eigen, p.config.get("rates.lambda0_lower"))
-    table = {
-        "lambda0": p.eigen.lambda0,
-        "lambda1": p.eigen.lambda1,
-        "gap": p.eigen.gap,
-        "kappa_classical_inf_Vpp": be_constant(np.asarray(vpp)),
-        "kappa_effective_inf_Wpp": be_constant(effective_second_derivative(p.spec, p.eigen, p.grid)),
-        "lambda0_lower_used": lam_used,
-        "kappa_tilde_basic": cdfi_rate(p.spec, lam_used, p.grid, use_drift_form=False),
-        "kappa_tilde_refined": None,
-    }
-    try:
-        table["kappa_tilde_refined"] = cdfi_rate(p.spec, lam_used, p.grid, use_drift_form=True)
-    except ValueError:  # the drift form needs V' > 0
-        pass
+    table = analytics.rate_table(p.spec, p.grid, p.eigen, p.config.get("rates.lambda0_lower"))
     write_json(os.path.join(outdir, "rates.json"), table)
     width = max(len(k) for k in table)
     for key, val in table.items():
@@ -353,7 +326,7 @@ def _cmd_report(p: _Problem, outdir: str) -> None:
     )
     report = analytics._report_1d(rc, p.op, p.eigen)
     analytics.save_report_json(report, os.path.join(outdir, "report.json"))
-    analytics.save_curves_csv(report, os.path.join(outdir, "curves.csv"))
+    analytics.write_curves_csv(os.path.join(outdir, "curves.csv"), report.times, vars(report))
 
 
 @functools.cache
@@ -443,7 +416,7 @@ def run(argv=None) -> int:
             return 1
         _COMMAND_IMPL[config["command"]](_Problem(config), config["output"])
         return 0
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:  # MemoryError: a size too large to allocate
         print(f"qsdlab: {exc}", file=sys.stderr)
         return 1
     except (ConvergenceError, doob.FlowError) as exc:

@@ -189,13 +189,9 @@ def tv_distance(mu: GridMeasure, nu: GridMeasure) -> float:
     return quadrature(np.abs(mu.density - nu.density), mu.grid)
 
 
-def cdf_values(mu: GridMeasure) -> np.ndarray:
-    """Cumulative distribution at the interior nodes (trapezoid, zero at x_min)."""
-    return _cdf_rows(mu.density, mu.grid.h)
-
-
-def _cdf_rows(p: np.ndarray, h: float) -> np.ndarray:
-    """`cdf_values` of the densities ``p`` along its last axis, spacing ``h``."""
+def cdf_values(p: np.ndarray, h: float) -> np.ndarray:
+    """Cumulative distribution at the interior nodes (trapezoid, zero at x_min)
+    of the densities ``p`` along its last axis, node spacing ``h``."""
     # contributions of cells (x_{i-1}, x_i) with zero boundary density
     increments = np.empty_like(p)
     increments[..., 0] = 0.5 * h * p[..., 0]
@@ -216,7 +212,7 @@ def w1_distance(mu, nu) -> float:
             raise ValueError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
         return float(sum(w1_distance(a, b) for a, b in zip(mu.factors, nu.factors)))
     _require_same_grid(mu, nu)
-    return quadrature(np.abs(cdf_values(mu) - cdf_values(nu)), mu.grid)
+    return quadrature(np.abs(cdf_values(mu.density, mu.grid.h) - cdf_values(nu.density, nu.grid.h)), mu.grid)
 
 
 def chi2_divergence(mu: GridMeasure, nu: GridMeasure) -> float:
@@ -239,9 +235,12 @@ def regrid(mu: GridMeasure, grid: Grid1D) -> GridMeasure:
 
     Each target node receives the mass of its cell
     [node - h/2, node + h/2] under the piecewise-linear extension of the
-    source density; the result is renormalized.
+    source density; the result is renormalized.  A law already on the
+    target's nodes (same n, nodes within 1e-9 h) keeps its density.
     """
     src = mu.grid
+    if src.n == grid.n and np.allclose(src.nodes, grid.nodes, rtol=0.0, atol=1e-9 * grid.h):
+        return GridMeasure(grid, mu.density)
     xs = np.concatenate(([src.x_min], src.nodes, [src.x_max]))
     ps = np.concatenate(([0.0], mu.density, [0.0]))
     cdf = np.concatenate(([0.0], np.cumsum(0.5 * np.diff(xs) * (ps[:-1] + ps[1:]))))

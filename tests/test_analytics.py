@@ -17,8 +17,8 @@ from qsdlab.analytics import (
     closed_form,
     decay_report,
     fit_decay_rate,
-    save_curves_csv,
     save_report_json,
+    write_curves_csv,
 )
 from qsdlab.doob import flow_exponential
 from qsdlab.grid_measure import GridMeasure, ProductGridMeasure, build_grid, quadrature, tilt, w1_distance
@@ -238,7 +238,7 @@ class TestDecayReport:
         jpath = tmp_path / "report.json"
         cpath = tmp_path / "curves.csv"
         save_report_json(rep, jpath)
-        save_curves_csv(rep, cpath)
+        write_curves_csv(cpath, rep.times, vars(rep))
         payload = json.loads(jpath.read_text())
         assert payload["label"] == "brownian"
         assert len(payload["times"]) == 41

@@ -6,7 +6,7 @@ import stat
 import numpy as np
 import pytest
 
-from qsdlab.analytics import ReportConfig, decay_report, save_curves_csv, save_report_json
+from qsdlab.analytics import ReportConfig, decay_report, save_report_json, write_curves_csv
 from qsdlab.artifacts import write_csv
 from qsdlab.grid_measure import GridMeasure, build_grid, save_measure_csv
 from qsdlab.montecarlo import ParticleEnsemble, save_positions_csv, save_survival_csv
@@ -20,6 +20,11 @@ def _report():
     mu = GridMeasure(GRID, np.cos(0.5 * math.pi * GRID.nodes) ** 3)
     return decay_report(ReportConfig(label="b", spec=zero_potential(domain=(-1.0, 1.0)),
                                      grid=GRID, initial=mu, times=np.linspace(0.0, 0.5, 6)))
+
+
+def _write_report_curves(path):
+    report = _report()
+    write_curves_csv(path, report.times, vars(report))
 
 
 _ENSEMBLE = ParticleEnsemble(
@@ -37,7 +42,7 @@ SAVERS = {
     "survival": lambda path: save_survival_csv(_ENSEMBLE, path),
     "positions": lambda path: save_positions_csv(_ENSEMBLE, path),
     "report_json": lambda path: save_report_json(_report(), path),
-    "curves": lambda path: save_curves_csv(_report(), path),
+    "curves": _write_report_curves,
 }
 
 

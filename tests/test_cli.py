@@ -323,6 +323,40 @@ class TestCommands:
         assert table["kappa_tilde_refined"] is None
         assert table["kappa_tilde_basic"] > 0.0
 
+    @pytest.mark.parametrize("argv, spec, bounds, lower", [
+        (["--example", "ou"], qsdlab.quadratic_potential(1.0), (0.0, 8.0), None),
+        (["--example", "brownian"], qsdlab.zero_potential(domain=(-1.0, 1.0)), (-1.0, 1.0), None),
+        (["--potential", "shifted-power", "--delta", "3", "--x-max", "2.5", "--lambda0-lower", "1"],
+         qsdlab.shifted_power_potential(3.0), (0.0, 2.5), 1.0),
+    ], ids=["ou", "brownian", "shifted-power"])
+    def test_rates_json_is_the_library_rate_table(self, tmp_path, argv, spec, bounds, lower):
+        from qsdlab.analytics import rate_table
+
+        out = tmp_path / "rates"
+        assert run(["rates", *argv, "--n", "200", "--output", str(out)]) == 0
+        grid = qsdlab.build_grid(*bounds, 200)
+        table = rate_table(spec, grid, qsdlab.principal_eigenpair(qsdlab.assemble_generator(spec, grid)), lower)
+        assert list(json.loads(read(out / "rates.json")).items()) == list(table.items())
+        assert (table["kappa_tilde_refined"] is None) == (argv[1] == "brownian")  # V' = 0 there
+
+    def test_report_takes_its_rates_from_the_rates_table(self, tmp_path):
+        argv = ["--potential", "shifted-power", "--delta", "3", "--x-max", "2.5", "--lambda0-lower", "1",
+                "--n", "200", "--t-max", "1", "--samples", "11"]
+        assert run(["rates", *argv, "--output", str(tmp_path / "rates")]) == 0
+        assert run(["report", *argv, "--output", str(tmp_path / "report")]) == 0
+        rates = json.loads(read(tmp_path / "rates" / "rates.json"))
+        report = json.loads(read(tmp_path / "report" / "report.json"))
+        assert report["kappa"] == rates["kappa_classical_inf_Vpp"]
+        assert report["kappa_tilde"] == rates["kappa_tilde_refined"]
+
+    def test_rates_and_report_need_four_nodes(self, tmp_path, capsys):
+        # inf W'' takes one-sided stencils of four nodes at both ends
+        for command in ("rates", "report"):
+            out = tmp_path / command
+            assert run([command, "--example", "ou", "--n", "3", "--output", str(out)]) == 1
+            assert capsys.readouterr().err == "qsdlab: need at least 4 nodes for the one-sided stencils\n"
+            assert not out.exists()
+
     def test_brownian_report_takes_the_analytic_curvature(self, tmp_path):
         out = tmp_path / "rep"
         assert run(["report", "--example", "brownian", "--N", "2", "--n", "200",
@@ -541,6 +575,20 @@ class TestCommands:
         assert run(["simulate", "--example", "brownian", "--particles", "100",
                     "--horizon", horizon, "--dt", dt, "--output", str(out)]) == 1
         assert capsys.readouterr().err == "qsdlab: the step count horizon / dt must be finite\n"
+        assert not out.exists()
+
+    # 1e17 doubles exceed a 47-bit address space, so each allocation fails at once
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--example", "brownian", "--particles", "100000000000000000",
+         "--horizon", "0.01", "--dt", "1e-3"],
+        ["evolve", "--example", "ou", "--n", "50", "--t-max", "1", "--samples", "100000000000000000"],
+        ["eigen", "--example", "ou", "--n", "100000000000000000"],
+    ])
+    def test_a_size_too_large_to_allocate_exits_one_without_outputs(self, tmp_path, capsys, argv):
+        out = tmp_path / "x"
+        assert run([*argv, "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("qsdlab: ") and err.count("\n") == 1 and "Traceback" not in err
         assert not out.exists()
 
     def test_eigen_artifacts_match_library_savers(self, tmp_path):

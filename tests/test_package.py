@@ -10,6 +10,7 @@ from qsdlab.spectral import principal_eigenpair
 REMOVED = {
     "doob": ("conditioned_flow", "chi2_decay_curve", "beta_measure", "evolve_transformed"),
     "spectral": ("spectral_gap", "apply_operator"),
+    "analytics": ("save_curves_csv",),
 }
 
 
