@@ -189,10 +189,12 @@ def burn_in_time(a_ratio: float, times, chi2) -> BurnIn:
 
     ``chi2`` holds the chi-square distances of eta*phi_t(mu) to beta at
     ``times``; returns (times[-1], reached=False) when the threshold is never
-    crossed on the sampled times.
+    crossed on the sampled times.  Each chi is compared with
+    sqrt(0.9 / a_ratio), so a chi above 1e154 does not overflow its square.
     """
+    limit = math.sqrt(BURN_IN_THRESHOLD / a_ratio)
     for t, c in zip(times, chi2):
-        if a_ratio * c**2 < BURN_IN_THRESHOLD:
+        if c < limit:
             return BurnIn(time=float(t), reached=True)
     return BurnIn(time=float(times[-1]), reached=False)
 

@@ -24,11 +24,15 @@ SIAM J. Sci. Comput. 27, 2006), Arnoldi on m itself in the 2-norm, with an
 a-posteriori estimate (Saad, SIAM J. Numer. Anal. 29, 1992) held below
 ``KRYLOV_TOL`` on every sample; the chi-square distance, which weights the
 density by 1/beta, comes from a second such space in w, built orthogonal to
-the principal eigenvector.  A space exhausted to roundoff (at most n vectors)
-or a basis of ``KRYLOV_MAX_DIM`` that misses the tolerance raises `FlowError`;
-a check the basis can still outgrow ends its march at a clear failure.  The
-densities are formed ``BLOCK_BYTES`` (1 MiB) of samples at a time, one product
-each, and `analytics.decay_curves` takes its distances from those blocks.
+the principal eigenvector by Lanczos steps of its symmetric operator.
+chi^2 is that run's Gauss-type quadrature of a quadratic form, accurate to
+about the square of the vector's error (Golub & Meurant, 2010), so its
+estimate is held below sqrt(``KRYLOV_CHI_TOL``).  A space exhausted to
+roundoff (at most n vectors) or a basis of ``KRYLOV_MAX_DIM`` that misses
+the tolerance raises `FlowError`; a check the basis can still outgrow ends
+its march at a clear failure.  The densities are formed ``BLOCK_BYTES``
+(1 MiB) of samples at a time, one product each, and
+`analytics.decay_curves` takes its distances from those blocks.
 
 The conditioned semigroup is evolved with the same integrators applied to the
 sub-Markovian generator.  Supplying the eigenpair shifts the generator by
@@ -70,7 +74,7 @@ KRYLOV_TOL = 1e-10
 KRYLOV_CHI_TOL = 1e-8  # relative to the decaying part of the chi-square flow
 KRYLOV_MAX_DIM = 300
 KRYLOV_CHECK_EVERY = 5
-# a new direction below this fraction of |Z v_k| after two Gram-Schmidt passes is
+# a new direction below this fraction of |Z v_k| after orthogonalization is
 # roundoff and the space exhausted: over their first 60 vectors, live directions on
 # n = 2000 and 8000 grids stay above 2e-2; the one past a full basis reads 1e-31 or less
 KRYLOV_LOST = 1e-12
@@ -206,18 +210,22 @@ def _krylov_run(v0, times, gamma, solve, apply, tol, lock=None):
     orthonormal basis of the Krylov space of Z from v0 in the 2-norm of the
     variable v0 lives in, so the error estimate of `_krylov_coefficients` is
     relative to the 2-norm of exp(t A) v0.  ``lock``, a unit eigenvector of
-    A, sits in front of the basis in both passes, the start's included, and
-    its coefficient is dropped: the run evolves the rest of v0, and a rest of
-    at most 8 sqrt(n) eps |v0| is roundoff, 0 at every sample (a QSD start
-    leaves 1.9 sqrt(n) eps or less on OU, Brownian and delta = 3, n = 3 to
-    32000).  The space is exhausted when the basis holds n vectors (n - 1
-    with a lock) or the new direction is roundoff (``KRYLOV_LOST``);
-    that direction never joins the basis, and the estimate is taken right
-    there with residual 0, else every ``KRYLOV_CHECK_EVERY`` vectors and at
-    ``KRYLOV_MAX_DIM``.  The run stops once the estimate is at most ``tol``
-    on every sample; a failed check where the basis cannot grow raises
-    `FlowError` with the basis size reached, and one it can outgrow may end
-    its march at an estimate above 2 tol.
+    A, is given only with a symmetric Z (the chi-square run): each new
+    direction then takes the Lanczos three-term step against the last two
+    basis vectors and one full Gram-Schmidt pass in place of the two.  The
+    lock sits in front of the basis in that pass and in both passes over the
+    start, and its coefficient is dropped: the run evolves the rest of v0,
+    and a rest of at most 8 sqrt(n) eps |v0| is roundoff, 0 at every sample
+    (a QSD start leaves 1.9 sqrt(n) eps or less on OU, Brownian and
+    delta = 3, n = 3 to 32000).  The space is exhausted when the basis
+    holds n vectors (n - 1 with a lock) or the new direction is roundoff
+    (``KRYLOV_LOST``); that direction never joins the basis, and the
+    estimate is taken right there with residual 0, else every
+    ``KRYLOV_CHECK_EVERY`` vectors and at ``KRYLOV_MAX_DIM``.  The run stops
+    once the estimate is at most ``tol`` on every sample; a failed check
+    where the basis cannot grow raises `FlowError` with the basis size
+    reached, and one it can outgrow may end its march at an estimate above
+    2 tol.
     """
     n = v0.size
     first = 0 if lock is None else 1  # the basis row of the first Krylov vector
@@ -237,7 +245,13 @@ def _krylov_run(v0, times, gamma, solve, apply, tol, lock=None):
         w = solve(basis[first + k - 1])
         z_norm = float(np.linalg.norm(w))
         v = basis[:first + k]
-        for _ in range(2):
+        if lock is not None:  # symmetric Z: the three-term step, then one full pass
+            if k > 1:
+                hess[k - 2, k - 1] = hess[k - 1, k - 2]
+                w -= hess[k - 2, k - 1] * v[-2]
+            hess[k - 1, k - 1] = v[-1] @ w
+            w -= hess[k - 1, k - 1] * v[-1]
+        for _ in range(1 if lock is not None else 2):
             h = v @ w
             w -= h @ v
             hess[:k, k - 1] += h[first:]
@@ -383,12 +397,13 @@ def _flow_blocks(op: TridiagonalOperator, mu: GridMeasure, times, eigen: EigenPa
 
     chi2 = None
     if psi is not None:
-        # the basis is released here, before the m-space run builds its own
+        # the basis is released here, before the m-space run builds its own;
+        # chi^2 is its quadrature, with about the square of the vector's error
         coeffs = _krylov_run(
             w0, later, gamma,
             lambda v: dpttrs(*factors, v)[0],
             lambda v: tridiag_apply(op.diag, off, off, v) + shift * v,
-            KRYLOV_CHI_TOL, lock=psi,
+            math.sqrt(KRYLOV_CHI_TOL), lock=psi,
         )[1]
         # hypot keeps |c| where its squares would underflow
         chi2 = np.hypot.reduce(coeffs, axis=1) / float(psi @ w0)
@@ -430,8 +445,10 @@ def flow_exponential(
     1/beta, which that norm does not bound where beta is tiny, so at t > 0
     it comes from a second space in w: w(t) = c0 psi0 + exp(t (S + lambda0))
     w_perp, c0 = <psi0, w0>, and chi = |w_perp(t)| / c0 is the norm of the
-    coefficients of the run that locks psi0, held to ``KRYLOV_CHI_TOL``
-    relative as it decays; the QSD's own w_perp(0), roundoff, gives 0.
+    coefficients of the run that locks psi0, whose chi^2 is a quadrature of
+    w_perp^T exp(2t (S + lambda0)) w_perp: held to sqrt(``KRYLOV_CHI_TOL``),
+    it keeps chi to ``KRYLOV_CHI_TOL`` relative as it decays; the QSD's own
+    w_perp(0), roundoff, gives 0.
     Every snapshot passes the ``MASS_UNDERFLOW`` and ``NEGATIVE_DENSITY_TOL``
     tests; t = 0 returns the initial law.  The snapshots wrap the rows of
     `_flow_blocks`, which `analytics.decay_curves` reads directly.

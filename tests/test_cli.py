@@ -483,7 +483,7 @@ class TestCommands:
                     "--samples", "3", "--output", str(out)]) == 0
         chi = np.loadtxt(out / "curves.csv", delimiter=",", skiprows=1)[1, 3]
         # the slow mode is 7e-11 of |w_perp(0)|: the start's own roundoff leaves
-        # it about eps / 7e-11 = 3e-6 relative (it reads 1.6e-6), in any method
+        # it about eps / 7e-11 = 3e-6 relative (it reads 2.8e-6), in any method
         # that works on w_perp(0) in the 2-norm
         np.testing.assert_allclose(chi, ou_chi_reference(200, np.ones_like, [150.0]), rtol=1e-5, atol=0.0)
 
@@ -503,6 +503,19 @@ class TestCommands:
         gaussian = lambda x: np.exp(-((x - 1.2) ** 2) / (2.0 * 0.25**2))
         chi = np.loadtxt(out / "curves.csv", delimiter=",", skiprows=1)[-1, 3]
         np.testing.assert_allclose(chi, ou_chi_reference(3, gaussian, [2.0]), rtol=1e-6, atol=0.0)
+
+    def test_burn_in_of_a_chi_above_1e154_warns_nothing(self, tmp_path):
+        # delta = 6 from the uniform law: chi(0) = 4.9e154, whose square overflows
+        src = os.path.dirname(os.path.dirname(qsdlab.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "qsdlab.cli", "report",
+             "--potential", "shifted-power", "--delta", "6", "--x-max", "2", "--n", "2000",
+             "--t-max", "0.2", "--output", str(tmp_path)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert (tmp_path / "curves.csv").stat().st_size
+        rep = json.loads(read(tmp_path / "report.json"))
+        assert rep["chi2"][0] > 1e154 and rep["burn_in_reached"] is False
 
     def test_rates_convergence_failure_exits_two(self, tmp_path, monkeypatch):
         from qsdlab import spectral

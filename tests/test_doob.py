@@ -459,6 +459,25 @@ def chi2_oracle(op, eigen, m0, times):
     return np.array([np.linalg.norm(np.exp(t * lam[:-1]) * c[:-1]) / abs(c[-1]) for t in times])
 
 
+def chi_eigenbasis(op, m0, times):
+    """chi(t) from `eigh_tridiagonal` on the bands of S (`_symmetric_bands`):
+    |(e^{(mu_k - mu_top) t} c_k)_{k != top}| / |c_top| with c = V^T (m0 / d).
+    Each norm is scaled by its largest term, so a chi below 1e-154 keeps its
+    digits where the squares of its terms would underflow."""
+    from scipy.linalg import eigh_tridiagonal
+
+    d, off = _symmetric_bands(op.off_upper, op.off_lower)
+    mu, v = eigh_tridiagonal(op.diag, off)  # ascending: the top eigenvector is the last
+    w0 = m0 / d
+    c = v.T @ (w0 / np.max(w0))
+    chi = []
+    for t in times:
+        terms = np.exp((mu[:-1] - mu[-1]) * t) * np.abs(c[:-1]) / abs(c[-1])
+        top = terms.max()
+        chi.append(top * np.linalg.norm(terms / top) if top > 0.0 else 0.0)
+    return np.array(chi)
+
+
 class TestKrylovFlow:
     """flow_exponential: the shift-and-invert Krylov exponential."""
 
@@ -532,6 +551,25 @@ class TestKrylovFlow:
         refs = chi2_oracle(op, eigen, mu.density, times)
         got = [s.chi2_to_beta for s in flow_exponential(op, mu, times, eigen=eigen)]
         np.testing.assert_allclose(got, refs, rtol=1e-5, atol=1e-12)
+
+    # the 90 small cases of the chi scan, down to chi(2) = 1e-117 on three nodes
+    @pytest.mark.parametrize(("t_max", "samples"), [(2.0, 2), (3.0, 31), (0.5, 5)])
+    @pytest.mark.parametrize("law", ["uniform", "gaussian"])
+    @pytest.mark.parametrize("n", [3, 4, 9, 25, 60])
+    @pytest.mark.parametrize("case", sorted(KRYLOV_CASES))
+    def test_chi_meets_the_tridiagonal_eigenbasis(self, case, n, law, t_max, samples):
+        spec, x_min, x_max, _ = KRYLOV_CASES[case]
+        g = build_grid(x_min, x_max, n)
+        op = assemble_generator(spec, g)
+        eigen = principal_eigenpair(op)
+        m0 = initial_density(law, g)
+        times = np.linspace(0.0, t_max, samples)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            states = flow_exponential(op, GridMeasure(g, m0), times, eigen=eigen)
+        # worst case OU n = 60 uniform at t = 2, 1.2e-8, where the float64 reference limits
+        np.testing.assert_allclose([s.chi2_to_beta for s in states], chi_eigenbasis(op, m0, times),
+                                   rtol=5e-8, atol=0.0)
 
     @pytest.mark.parametrize("case", ["ou", "delta3"])
     def test_uniform_law_on_a_fine_grid(self, case):
@@ -807,6 +845,26 @@ class TestSampleBlocks:
             assert np.array_equal(b_full, b_trim) and np.array_equal(c_full, c_trim), name
             assert len(m_full) == len(m_trim) >= 2, name
             assert m_trim[-1] == later.size and sum(m_trim) < sum(m_full), name
+
+    def test_the_chi_run_stops_at_the_square_root_tolerance(self, monkeypatch):
+        # the set-up above through flow_exponential: the density run builds 35
+        # vectors; the chi run, a quadrature held to sqrt(KRYLOV_CHI_TOL), 15,
+        # where two Gram-Schmidt passes held to KRYLOV_CHI_TOL built 35
+        spec, x_min, x_max, t_max = KRYLOV_CASES["ou"]
+        g = build_grid(x_min, x_max, 2000)
+        op = assemble_generator(spec, g)
+        eigen = principal_eigenpair(op, with_lambda1=False)
+        run, sizes = doob._krylov_run, {}
+
+        def counted(v0, later, *args, lock=None):
+            basis, coeffs = run(v0, later, *args, lock=lock)
+            sizes["chi" if lock is not None else "m"] = basis.shape[0]
+            return basis, coeffs
+
+        monkeypatch.setattr(doob, "_krylov_run", counted)
+        flow_exponential(op, GridMeasure(g, initial_density("gaussian", g)), np.linspace(0.0, t_max, 61),
+                         eigen=eigen)
+        assert sizes["chi"] <= 20 and sizes["m"] == 35
 
     def test_the_last_check_marches_every_sample(self, monkeypatch):
         # at the basis cap the error names the estimate of the full march
